@@ -26,7 +26,6 @@ Usage::
     python -m repro compare gcc --a banked-2 --b dual-ported
     python -m repro diagnose tomcatv
     python -m repro diagnose tomcatv --from-counters
-    python -m repro figure4 --profile
     python -m repro runs list
     python -m repro runs show last
     python -m repro runs compare
@@ -59,8 +58,7 @@ axis, ranks the divergent intervals, and prints a paper-style verdict;
 ``diagnose <benchmark>`` re-runs the Figure 4-7 design points with
 latency attribution and ranks each one's stall sources
 (``--from-counters`` adds each point's worst sampled interval to the
-narrative); ``--profile`` reports per-phase wall clock and
-events/second for any experiment run.  Setting ``REPRO_TRACE=<path>``
+narrative).  Setting ``REPRO_TRACE=<path>``
 streams every event of any command to ``<path>`` as JSON lines
 (gzipped when the path ends in ``.gz``); ``--attribution`` adds exact
 per-load critical-path metrics to trace/metrics runs.
@@ -373,8 +371,8 @@ def _warn_overflow(tracer) -> None:
     """A truncated trace is never silent -- but the warning fires once
     per run with the final totals, not once per design point.
 
-    Counting-only tracers (capacity 0, the ``--profile`` mode) retain
-    nothing by design, so they never count as overflow.
+    Counting-only tracers (capacity 0) retain nothing by design, so
+    they never count as overflow.
     """
     if tracer.capacity <= 0 or not tracer.dropped:
         return
@@ -1298,11 +1296,6 @@ def _main(argv: list[str] | None = None) -> int:
         help="result store location (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="report per-phase wall clock and event throughput",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         help=(
@@ -1563,17 +1556,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "--resume needs the persistent result store; drop --no-cache"
         )
 
-    profiler = None
-    counting_tracer = None
-    if args.profile:
-        from repro.observability import PhaseProfiler, Tracer
-
-        profiler = PhaseProfiler()
-        if obs_trace.active() is None:
-            # Counting-only tracer: per-kind totals, no ring retention.
-            counting_tracer = Tracer(capacity=0)
-            obs_trace.activate(counting_tracer)
-
     from repro.observability.telemetry import sweep_telemetry
     from repro.robustness.shutdown import ShutdownController, SweepInterrupted
 
@@ -1612,11 +1594,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                         for name in names:
                             start = time.time()
                             try:
-                                if profiler is not None:
-                                    with profiler.phase(name):
-                                        output = _run_one(name, args)
-                                else:
-                                    output = _run_one(name, args)
+                                output = _run_one(name, args)
                             except SweepInterrupted as stop:
                                 interrupted = stop
                                 print(f"[{name} interrupted: {stop}]", file=sys.stderr)
@@ -1648,13 +1626,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         # engine back.
         get_engine().shutdown_pool()
         configure_engine(jobs=previous[0], store=previous[1])
-        if counting_tracer is not None:
-            obs_trace.deactivate()
-
-    if profiler is not None:
-        summary = profiler.summary()
-        if summary:
-            print(summary)
 
     summary = log.summary()
     if summary:

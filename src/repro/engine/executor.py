@@ -15,19 +15,28 @@ workload:
 * **resolve** -- :meth:`ExecutionPlan.resolve` hands back the
   :class:`~repro.cpu.result.SimulationResult` for a key.
 
+One point path: every design point's first attempt -- beacon,
+deadline, simulation, error capture -- is :func:`_attempt`, run
+in-process by the serial loop and inside pool workers alike, and every
+resolution lands through :meth:`Engine._settle`, the single writer of
+ledger outcomes, checkpoint marks, per-point seconds and the telemetry
+hub's terminal transitions.
+
 Worker protocol: a worker receives one *chunk* of keys in dict form,
 rebuilds each design point (the workload comes from the benchmark
-catalog by name), runs the bare simulations, and ships the results back
-as dict payloads -- ``{"status": "ok", ...}`` or ``{"status": "error",
-...}`` carrying a failure.  Chunks are planned largest-estimated-cost
-first (:mod:`repro.engine.dispatch`) and self-scheduled: idle workers
-pull the next chunk from the pool's shared queue, which balances load
-like work stealing without per-worker deques.  The pool itself is
-*persistent* -- created once per engine configuration and reused across
-every figure of a CLI invocation -- and workers stream lightweight
-``point-start`` / ``point-done`` marks to the parent over a plain
-``multiprocessing.Queue`` for the wedge backstop, per-worker
-utilization counters, and live progress.
+catalog by name), runs each point's first attempt, and returns one
+chunk result -- worker id, start time, per point the digest, busy
+seconds and a dict payload (``{"status": "ok", ...}`` or ``{"status":
+"error", ...}``), plus the worker's finished spans.  Dict serialization
+happens only at this boundary.  Chunks are planned largest-estimated-
+cost first (:mod:`repro.engine.dispatch`) and self-scheduled: idle
+workers pull the next chunk from the pool's shared queue, which
+balances load like work stealing without per-worker deques.  The pool
+itself is *persistent* -- created once per engine configuration and
+reused across every figure of a CLI invocation.  While a chunk runs,
+workers stream only batch-tagged ``point-start`` marks (wedge backstop,
+live progress) and heartbeats to the parent over a plain
+``multiprocessing.Queue``.
 
 Chunk results complete out of order; determinism is re-imposed at
 resolve time: successful payloads are absorbed immediately (results are
@@ -83,65 +92,87 @@ def _is_catalog_spec(spec: "WorkloadSpec") -> bool:
     return BENCHMARKS.get(spec.name) == spec
 
 
-def run_point_payload(key_dict: dict) -> dict:
-    """Worker entry point: simulate one design point from its dict form.
+def _attempt(key: ExperimentKey, spec: "WorkloadSpec", send=None) -> tuple:
+    """The first attempt at one design point, in whichever process runs it.
 
-    Must stay a module-level function so every multiprocessing start
-    method can import it.  Settings arrive already scaled -- workers
-    never re-apply ``REPRO_SCALE``.  Failures are captured and returned
-    as data; the parent owns retry/record policy.
+    Beacon, wall-clock deadline, simulation and error capture: the one
+    copy of a point's first attempt, run in-process by the serial path
+    and by pool workers alike.  ``send`` carries heartbeats (``None``
+    when telemetry is off).  Returns ``(result, error, seconds)``: one
+    of ``result`` / ``error`` is ``None``, the error is the original
+    exception, and ``seconds`` is the attempt's wall time.  The caller
+    owns retry and record policy.
     """
     import time
 
     from repro.core import experiment
     from repro.robustness.deadline import point_deadline
 
-    key = ExperimentKey.from_dict(key_dict)
     started = time.monotonic()
-    # Live telemetry: a beacon exists only when the parent opened a
-    # heartbeat channel (pool initializer installed the queue); it
-    # observes commits but never influences the simulation.
-    beacon = telemetry.point_beacon(key)
-    if beacon is not None:
-        telemetry.install_beacon(beacon)
-        beacon.start()
     try:
-        with obs_spans.span("point.prepare"):
-            spec = benchmark(key.workload)
         # Workers self-enforce the wall-clock budget (inherited via
         # REPRO_POINT_TIMEOUT); the parent's grace kill is the backstop
         # for a worker too wedged to reach the cooperative check.
-        with obs_spans.span("point.run"), point_deadline():
-            result = experiment._simulate(key.organization, spec, key.settings)
-    except Exception as error:  # noqa: BLE001 - shipped back, not swallowed
-        if beacon is not None:
-            beacon.end("error", type(error).__name__)
+        with telemetry.beaconing(key, send), obs_spans.span("point.run"):
+            with point_deadline():
+                result = experiment._simulate(
+                    key.organization, spec, key.settings
+                )
+    except Exception as error:  # noqa: BLE001 - returned, not swallowed
+        return None, error, time.monotonic() - started
+    return result, None, time.monotonic() - started
+
+
+def run_point_payload(key: ExperimentKey, send=None) -> dict:
+    """Worker side of the pool boundary: one point's attempt as a dict.
+
+    Settings arrive already scaled -- workers never re-apply
+    ``REPRO_SCALE`` -- and the workload is rebuilt from the catalog by
+    name.  The payload is ``{"status": "ok", "result": ...}`` or
+    ``{"status": "error", "error_type": ..., "message": ...}``, plus
+    the attempt's ``seconds``.
+    """
+    from repro.core import experiment
+
+    with obs_spans.span("point.prepare"):
+        spec = benchmark(key.workload)
+    result, error, seconds = _attempt(key, spec, send)
+    if error is not None:
         return {
             "status": "error",
             "error_type": type(error).__name__,
             "message": experiment._failure_message(error),
-            "seconds": time.monotonic() - started,
+            "seconds": seconds,
         }
-    finally:
-        if beacon is not None:
-            telemetry.clear_beacon()
-    if beacon is not None:
-        beacon.end("ok")
     with obs_spans.span("point.serialize"):
         payload = result_to_dict(result)
-    return {
-        "status": "ok",
-        "result": payload,
-        "seconds": time.monotonic() - started,
-    }
+    return {"status": "ok", "result": payload, "seconds": seconds}
+
+
+def _attempt_from_payload(key: ExperimentKey, payload: dict) -> tuple:
+    """Parent side of the pool boundary: a payload in :func:`_attempt` form."""
+    seconds = float(payload.get("seconds") or 0.0)
+    if payload.get("status") == "ok":
+        return result_from_dict(payload["result"]), None, seconds
+    error = WorkerFailureError(
+        key,
+        payload.get("error_type", "UnknownError"),
+        payload.get("message", "worker returned no detail"),
+    )
+    return None, error, seconds
 
 
 # ---------------------------------------------------------------------------
 # Worker-side pool channel
 # ---------------------------------------------------------------------------
 
-#: Set by the pool initializer in each worker: (mark queue, stop event).
+#: Set by the pool initializer in each worker: (mark queue, stop event,
+#: whether the parent runs live telemetry).
 _POOL_CHANNEL = None
+
+#: Finished worker spans of the running chunk (spans on only); they
+#: travel back inside the chunk result.
+_CHUNK_SPANS: list[dict] = []
 
 
 def _init_pool_worker(
@@ -149,24 +180,19 @@ def _init_pool_worker(
 ) -> None:
     """Initializer for persistent-pool workers.
 
-    Installs the dispatch channel (``point-start`` / ``point-done``
-    marks plus the cooperative stop flag).  The heartbeat queue is only
-    wired up when the parent actually runs with live telemetry: an
+    Installs the dispatch channel (``point-start`` marks plus the
+    cooperative stop flag).  Heartbeats share the one plain queue, but
+    only when the parent actually runs with live telemetry: an
     untelemetered run never builds a beacon, so its workers pay nothing
     per committed instruction -- and the parent never pays for a
-    ``multiprocessing.Manager`` at all (marks and heartbeats share this
-    one plain queue).  Span recording rides the same queue: when the
-    parent runs with spans on, workers get an emit-only recorder whose
-    finished spans travel back as ``span`` marks.
+    ``multiprocessing.Manager`` at all.  When the parent runs with
+    spans on, workers get an emit-only recorder that collects finished
+    spans for the chunk result.
     """
     global _POOL_CHANNEL
-    _POOL_CHANNEL = (queue, stop_event)
-    if telemetry_on:
-        telemetry._init_worker(queue)
+    _POOL_CHANNEL = (queue, stop_event, telemetry_on)
     if spans_on:
-        obs_spans.install_worker(
-            lambda data: _channel_send(queue, {"type": "span", "data": data})
-        )
+        obs_spans.install_worker(_CHUNK_SPANS.append)
 
 
 def _channel_send(queue, message: dict) -> None:
@@ -177,11 +203,19 @@ def _channel_send(queue, message: dict) -> None:
         pass
 
 
-def _close_chunk_span(chunk_spans, chunk_waits, chunk_id, **attrs) -> None:
-    """Close a chunk's parent-side spans (wait first), tolerating repeats."""
+def _close_chunk_span(
+    chunk_spans, chunk_waits, chunk_id, started=None, **attrs
+) -> None:
+    """Close a chunk's parent-side spans, tolerating repeats.
+
+    The queue-wait span ends at ``started`` -- the epoch time the
+    worker began the chunk -- or now when the chunk never ran.
+    """
     wait_span = chunk_waits.pop(chunk_id, None)
     if wait_span is not None:
-        wait_span.close()
+        if "worker" in attrs:
+            wait_span.set(worker=attrs["worker"])
+        wait_span.close(end=started)
     chunk_span = chunk_spans.pop(chunk_id, None)
     if chunk_span is not None:
         if attrs:
@@ -190,16 +224,22 @@ def _close_chunk_span(chunk_spans, chunk_waits, chunk_id, **attrs) -> None:
 
 
 def run_chunk_payload(
-    chunk_id: int, key_dicts: list[dict], span_ctx: dict | None = None
+    chunk_id: int,
+    key_dicts: list[dict],
+    span_ctx: dict | None = None,
+    batch: int = 0,
 ) -> dict:
     """Worker entry point: simulate one chunk of design points.
 
-    Streams ``point-start`` / ``point-done`` marks to the parent (wedge
-    backstop, per-worker utilization, live progress) and returns the
-    authoritative payload list.  A set stop event turns a graceful
-    shutdown around between points: the in-flight point finishes, the
-    rest of the chunk is abandoned -- the same between-points check the
-    serial loop performs.
+    The returned chunk result is the authoritative record of what the
+    worker did: its id, when the chunk started, one entry per point
+    (digest, payload, busy seconds) and the worker's finished spans.
+    While the chunk runs, only ``point-start`` marks (wedge backstop,
+    live progress) and heartbeats cross the queue, each tagged with
+    ``batch`` so the parent drops leftovers of an earlier batch.  A set
+    stop event turns a graceful shutdown around between points: the
+    in-flight point finishes, the rest of the chunk is abandoned -- the
+    same between-points check the serial loop performs.
 
     ``span_ctx`` -- the coordinator's (trace id, chunk span id) pair --
     is adopted for the chunk's lifetime when spans are on, so worker
@@ -209,8 +249,16 @@ def run_chunk_payload(
     import time
 
     channel = _POOL_CHANNEL
-    queue, stop_event = channel if channel is not None else (None, None)
-    worker = f"pid:{os.getpid()}"
+    queue, stop_event, beats = channel if channel is not None else (None, None, False)
+    send = None
+    if beats:
+
+        def send(message: dict) -> None:
+            message["batch"] = batch
+            queue.put(message)
+
+    del _CHUNK_SPANS[:]
+    started = time.time()
     entries: list[dict] = []
     with obs_spans.adopt(span_ctx):
         for key_dict in key_dicts:
@@ -222,44 +270,42 @@ def run_chunk_payload(
                     queue,
                     {
                         "type": "point-start",
+                        "batch": batch,
                         "chunk": chunk_id,
                         "digest": key.digest,
                         "label": key.label,
-                        "worker": worker,
-                        # Epoch time: the coordinator closes this
-                        # chunk's queue-wait span at the moment work
-                        # began, not at the (laggy) drain.
-                        "t": time.time(),
                     },
                 )
-            started = time.monotonic()
+            busy_start = time.monotonic()
             with obs_spans.span(
                 "point", digest=key.digest[:12], label=key.label, chunk=chunk_id
             ) as pspan:
-                payload = run_point_payload(key_dict)
+                payload = run_point_payload(key, send)
                 if pspan is not None:
-                    pspan.set(ok=payload.get("status") == "ok")
-            busy = time.monotonic() - started
-            if queue is not None:
-                _channel_send(
-                    queue,
-                    {
-                        "type": "point-done",
-                        "chunk": chunk_id,
-                        "digest": key.digest,
-                        "worker": worker,
-                        "ok": payload.get("status") == "ok",
-                        "busy": busy,
-                    },
-                )
-            entries.append({"digest": key.digest, "payload": payload})
-    return {"chunk": chunk_id, "worker": worker, "entries": entries}
+                    pspan.set(ok=payload["status"] == "ok")
+            entries.append(
+                {
+                    "digest": key.digest,
+                    "payload": payload,
+                    "busy": time.monotonic() - busy_start,
+                }
+            )
+    return {
+        "chunk": chunk_id,
+        "worker": f"pid:{os.getpid()}",
+        "started": started,
+        "entries": entries,
+        "spans": list(_CHUNK_SPANS),
+    }
 
 
 class _PoolHandle:
     """One persistent worker pool plus its parent<->worker channel."""
 
-    __slots__ = ("pool", "queue", "stop", "fingerprint", "workers", "broken", "owner_pid")
+    __slots__ = (
+        "pool", "queue", "stop", "fingerprint", "workers", "broken",
+        "owner_pid", "batch",
+    )
 
     def __init__(self, pool, queue, stop, fingerprint, workers, owner_pid):
         self.pool = pool
@@ -269,6 +315,8 @@ class _PoolHandle:
         self.workers = workers
         self.broken = False
         self.owner_pid = owner_pid
+        #: Batches dispatched so far; tags every mark on the queue.
+        self.batch = 0
 
 
 class Engine:
@@ -286,9 +334,11 @@ class Engine:
         self._pool: _PoolHandle | None = None
         #: Dispatch instrumentation of the most recent parallel batch.
         self.last_dispatch = None
-        #: Per-point wall-clock seconds of the most recent batch
-        #: (parent-measured for serial points, worker-reported for
-        #: parallel ones); feeds the run ledger's point rows.
+        #: How each point of the most recent batch resolved (``memo`` /
+        #: ``store`` / ``simulated`` / ``recovered`` / ``gap`` /
+        #: ``timeout``) and the wall time of its simulation attempts;
+        #: both feed the run ledger and are written by ``_settle`` only.
+        self.outcomes: dict[ExperimentKey, str] = {}
         self.point_seconds: dict[ExperimentKey, float] = {}
 
     # ------------------------------------------------------------------
@@ -423,13 +473,6 @@ class Engine:
         except Exception:  # noqa: BLE001
             pass
 
-    def _mark(self, key: ExperimentKey, outcome: str) -> None:
-        """Record one resolved point in the active checkpoint, if any."""
-        checkpoint = self.checkpoint
-        if checkpoint is not None:
-            with obs_spans.span("checkpoint.mark", outcome=outcome):
-                checkpoint.mark(key, outcome)
-
     # ------------------------------------------------------------------
     # Cache layers
     # ------------------------------------------------------------------
@@ -462,13 +505,82 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
 
-    def run_point(
-        self,
-        key: ExperimentKey,
-        spec: "WorkloadSpec",
-        outcomes: "dict[ExperimentKey, str] | None" = None,
+    def _settle(
+        self, key: ExperimentKey, outcome: str, seconds: float | None = None
+    ) -> None:
+        """Record how one point resolved: the single writer of that fact.
+
+        Every resolution -- memo or store hit, simulated, recovered,
+        gap, timeout; serial or pooled -- lands here once: the ledger
+        outcome, the checkpoint mark, the point's seconds (the wall
+        time of all its simulation attempts; cache hits have none) and
+        the hub's terminal transition.
+        """
+        checkpoint = self.checkpoint
+        if checkpoint is not None:
+            with obs_spans.span("checkpoint.mark", outcome=outcome):
+                checkpoint.mark(key, outcome)
+        self.outcomes[key] = outcome
+        if seconds is not None:
+            self.point_seconds[key] = seconds
+        hub = telemetry.active_hub()
+        if hub is not None:
+            point = telemetry._point_id(key)
+            if outcome in ("memo", "store"):
+                hub.point_cached(point, key.label, outcome)
+            else:
+                hub.point_finished(point, key.label, outcome)
+
+    def _conclude(
+        self, key: ExperimentKey, spec: "WorkloadSpec", attempt: tuple
     ) -> SimulationResult:
-        """One design point, serial, with the standard resilience policy.
+        """Fold a first attempt into the caches or the retry policy.
+
+        A success is memoized (and persisted).  A failure propagates
+        outside a :func:`~repro.robustness.runner.resilient_sweeps`
+        context -- the original exception for an in-process attempt,
+        :class:`WorkerFailureError` for a pool one -- and inside one is
+        retried at reduced budget and recorded.
+        """
+        import time
+
+        from repro.core import experiment
+        from repro.robustness.runner import current_failure_log
+
+        result, error, seconds = attempt
+        if error is None:
+            self.remember(key, spec, result)
+            self._settle(key, "simulated", seconds)
+            return result
+        log = current_failure_log()
+        if log is None:
+            raise error
+        if isinstance(error, WorkerFailureError):
+            error_type, message = error.error_type, error.message
+        else:
+            error_type = type(error).__name__
+            message = experiment._failure_message(error)
+        hub = telemetry.active_hub()
+        if hub is not None:
+            hub.point_retrying(telemetry._point_id(key), key.label, 2)
+        started = time.monotonic()
+        with telemetry.beaconing(
+            key, hub.handle if hub is not None else None, attempt=2
+        ) as beacon:
+            result = experiment._retry_reduced(
+                key.organization, spec, key.settings, log, error_type, message
+            )
+            # ``_retry_reduced`` always records exactly one outcome.
+            outcome = log.records[-1].resolution if log.records else "gap"
+            if beacon is not None and outcome != "recovered":
+                beacon.end("error", error_type)
+        self._settle(key, outcome, seconds + time.monotonic() - started)
+        return result
+
+    def run_point(
+        self, key: ExperimentKey, spec: "WorkloadSpec"
+    ) -> SimulationResult:
+        """One design point, in-process, with the standard resilience policy.
 
         Matches the historical ``run_experiment`` semantics: outside a
         :func:`~repro.robustness.runner.resilient_sweeps` context errors
@@ -476,128 +588,26 @@ class Engine:
         and recorded.  Successful full-budget results are memoized (and
         persisted); recovered/gap results are not, so the next run gets
         a fresh attempt.
-
-        ``outcomes``, when given, receives how the point resolved
-        (``simulated`` / ``recovered`` / ``gap``) for the run ledger.
         """
-        import time
-
-        started = time.monotonic()
-        try:
-            with obs_spans.span(
-                "point", digest=key.digest[:12], label=key.label, where="parent"
-            ):
-                return self._run_point_inner(key, spec, outcomes)
-        finally:
-            self.point_seconds[key] = time.monotonic() - started
-
-    def _run_point_inner(
-        self,
-        key: ExperimentKey,
-        spec: "WorkloadSpec",
-        outcomes: "dict[ExperimentKey, str] | None" = None,
-    ) -> SimulationResult:
-        from repro.core import experiment
-        from repro.robustness.deadline import point_deadline
-        from repro.robustness.runner import current_failure_log
-
-        log = current_failure_log()
-        hub = telemetry.active_hub()
-        point = telemetry._point_id(key)
-        if hub is not None:
-            hub.point_started(point, key.label)
-        beacon = (
-            telemetry.point_beacon(key, send=hub.handle)
-            if hub is not None
-            else None
-        )
-        if beacon is not None:
-            telemetry.install_beacon(beacon)
-            beacon.start()
-        try:
-            with point_deadline():
-                result = experiment._simulate(
-                    key.organization, spec, key.settings
-                )
-        except Exception as error:  # noqa: BLE001 - isolation is the point
-            if beacon is not None:
-                beacon.end("error", type(error).__name__)
-            if log is None:
-                raise
-            return self._retry(
-                key,
-                spec,
-                log,
-                type(error).__name__,
-                experiment._failure_message(error),
-                outcomes,
-            )
-        finally:
-            if beacon is not None:
-                telemetry.clear_beacon()
-        if beacon is not None:
-            beacon.end("ok")
-        self.remember(key, spec, result)
-        self._mark(key, "simulated")
-        if outcomes is not None:
-            outcomes[key] = "simulated"
-        if hub is not None:
-            hub.point_finished(point, key.label, "simulated")
-        return result
-
-    def _retry(
-        self,
-        key: ExperimentKey,
-        spec: "WorkloadSpec",
-        log,
-        error_type: str,
-        message: str,
-        outcomes: "dict[ExperimentKey, str] | None",
-    ) -> SimulationResult:
-        """In-parent resilience tail, with telemetry around the retry."""
-        from repro.core import experiment
-
-        hub = telemetry.active_hub()
-        point = telemetry._point_id(key)
-        if hub is not None:
-            hub.point_retrying(point, key.label, 2)
-        beacon = (
-            telemetry.point_beacon(key, send=hub.handle, attempt=2)
-            if hub is not None
-            else None
-        )
-        if beacon is not None:
-            telemetry.install_beacon(beacon)
-            beacon.start()
-        try:
-            result = experiment._retry_reduced(
-                key.organization, spec, key.settings, log, error_type, message
-            )
-        finally:
-            if beacon is not None:
-                telemetry.clear_beacon()
-        # ``_retry_reduced`` always records exactly one outcome.
-        outcome = log.records[-1].resolution if log.records else "gap"
-        if beacon is not None:
-            beacon.end("ok" if outcome == "recovered" else "error", error_type)
-        self._mark(key, outcome)
-        if outcomes is not None:
-            outcomes[key] = outcome
-        if hub is not None:
-            hub.point_finished(point, key.label, outcome)
-        return result
+        with obs_spans.span(
+            "point", digest=key.digest[:12], label=key.label, where="parent"
+        ):
+            hub = telemetry.active_hub()
+            if hub is not None:
+                hub.point_started(telemetry._point_id(key), key.label)
+            attempt = _attempt(key, spec, hub.handle if hub is not None else None)
+            return self._conclude(key, spec, attempt)
 
     def run_batch(
         self,
         points: "dict[ExperimentKey, WorkloadSpec]",
-        outcomes: "dict[ExperimentKey, str] | None" = None,
         results: "dict[ExperimentKey, SimulationResult] | None" = None,
     ) -> dict[ExperimentKey, SimulationResult]:
         """Resolve every planned point; simulate only what is missing.
 
-        ``outcomes`` (for the run ledger) receives per-key resolution:
-        ``memo`` / ``store`` for cache layers, ``simulated`` /
-        ``recovered`` / ``gap`` / ``timeout`` for fresh work.
+        Each point's resolution lands in :attr:`outcomes`: ``memo`` /
+        ``store`` for cache layers, ``simulated`` / ``recovered`` /
+        ``gap`` / ``timeout`` for fresh work.
 
         ``results``, when given, is filled *in place* as points resolve,
         so a caller catching :class:`~repro.robustness.shutdown.
@@ -620,12 +630,7 @@ class Engine:
                 cached = self.lookup(key, spec)
                 if cached is not None:
                     results[key] = cached
-                    layer = "memo" if in_memo else "store"
-                    self._mark(key, layer)
-                    if outcomes is not None:
-                        outcomes[key] = layer
-                    if hub is not None:
-                        hub.point_cached(telemetry._point_id(key), key.label, layer)
+                    self._settle(key, "memo" if in_memo else "store")
                 else:
                     pending.append((key, spec))
                     if hub is not None:
@@ -642,30 +647,26 @@ class Engine:
         )
         if not pending:
             return results
+        local = pending
         if self.jobs > 1:
             remote = [(k, s) for k, s in pending if _is_catalog_spec(s)]
-            local = [(k, s) for k, s in pending if not _is_catalog_spec(s)]
             if len(remote) > 1:
+                local = [(k, s) for k, s in pending if not _is_catalog_spec(s)]
                 try:
-                    self._run_parallel(remote, outcomes, results)
+                    self._run_parallel(remote, results)
                 except SweepInterrupted:
                     raise SweepInterrupted(
                         len(results), len(points) - len(results)
                     ) from None
-            else:
-                local = pending
-        else:
-            local = pending
         for key, spec in local:
             if shutdown_requested():
                 raise SweepInterrupted(len(results), len(points) - len(results))
-            results[key] = self.run_point(key, spec, outcomes)
+            results[key] = self.run_point(key, spec)
         return results
 
     def _run_parallel(
         self,
         points: "list[tuple[ExperimentKey, WorkloadSpec]]",
-        outcomes: "dict[ExperimentKey, str] | None" = None,
         results: "dict[ExperimentKey, SimulationResult] | None" = None,
     ) -> dict[ExperimentKey, SimulationResult]:
         """Fan design points out over the persistent worker pool.
@@ -674,8 +675,10 @@ class Engine:
         (:mod:`repro.engine.dispatch`) and self-scheduled: every chunk
         is submitted up front, idle workers pull the next one from the
         shared queue, and chunk futures are absorbed *as they
-        complete*, in any order.  Determinism is restored at resolve
-        time: successes land in keyed caches (order-free by
+        complete*, in any order.  A chunk result is authoritative: the
+        dispatch profile counts its worker, chunk and per-point busy
+        seconds from it, exactly once.  Determinism is restored at
+        resolve time: successes land in keyed caches (order-free by
         construction), failures are buffered and replayed through the
         serial retry policy in plan order, so failure-log records and
         gap sentinels match a serial run exactly.
@@ -683,10 +686,11 @@ class Engine:
         Three guards run in the wait loop:
 
         * with a point timeout configured, a point silent past budget
-          *plus grace* (tracked per point via the workers' mark stream)
-          means a wedged worker: the pool is killed, the wedged point
-          becomes a ``timeout`` gap, and every other unfinished point
-          falls back to in-parent execution under its own deadline;
+          *plus grace* (tracked per point via the workers'
+          ``point-start`` marks) means a wedged worker: the pool is
+          killed, the wedged point becomes a ``timeout`` gap, and every
+          other unfinished point falls back to in-parent execution
+          under its own deadline;
         * a broken pool (worker killed by the OS) likewise degrades the
           chunk's unabsorbed points to in-parent execution instead of
           aborting the sweep;
@@ -716,6 +720,7 @@ class Engine:
         profile = DispatchProfile(len(points), self.jobs)
         self.last_dispatch = profile
         handle = self._acquire_pool(hub is not None, points, profile)
+        handle.batch += 1
         with obs_spans.span("dispatch.price", points=len(points)):
             estimate = CostModel.for_engine(self).estimate
         with obs_spans.span("dispatch.pack", workers=handle.workers) as pspan:
@@ -726,11 +731,10 @@ class Engine:
         by_digest = {key.digest: (key, spec) for key, spec in points}
 
         #: Parent-side spans covering each chunk's whole lifetime and
-        #: its queue wait (submit -> first point-start), closed out of
-        #: order as workers report in.
+        #: its queue wait (submit -> the worker starting it), closed
+        #: out of order as chunk results come in.
         chunk_spans: dict[int, object] = {}
         chunk_waits: dict[int, object] = {}
-        span_state = (recorder, chunk_waits, profile) if recorder is not None else None
 
         submit_start = time.monotonic()
         futures: dict = {}
@@ -754,6 +758,7 @@ class Engine:
                     chunk_id,
                     [key.to_dict() for key, _ in chunk],
                     span_ctx,
+                    handle.batch,
                 )
                 futures[future] = chunk_id
         except Exception:  # noqa: BLE001 - a dead pool degrades to serial
@@ -763,10 +768,9 @@ class Engine:
         timeout = configured_timeout()
         budget = None if timeout is None else timeout + grace_seconds()
         absorbed: set[str] = set()
-        errors: dict[str, dict] = {}
-        #: chunk id -> (digest, label, started_at) of its in-flight point.
-        current: dict[int, tuple[str, str, float]] = {}
-        chunks_started: set[int] = set()
+        errors: dict[str, tuple] = {}
+        #: chunk id -> (digest, started_at) of its in-flight point.
+        current: dict[int, tuple[str, float]] = {}
         running_since: dict[int, float] = {}
         interrupted = False
         drain_start = time.monotonic()
@@ -780,11 +784,10 @@ class Engine:
             done, pending = wait(
                 pending, timeout=0.25, return_when=FIRST_COMPLETED
             )
-            self._drain_dispatch_queue(
-                handle, hub, profile, current, chunks_started, span_state
-            )
+            self._drain_dispatch_queue(handle, hub, current)
             for future in done:
                 chunk_id = futures[future]
+                current.pop(chunk_id, None)
                 try:
                     outcome = future.result()
                 except CancelledError:
@@ -796,17 +799,27 @@ class Engine:
                     # Worker death: the chunk's unabsorbed points fall
                     # back to the in-parent tail below.
                     handle.broken = True
-                    current.pop(chunk_id, None)
                     _close_chunk_span(
                         chunk_spans, chunk_waits, chunk_id, error="BrokenPool"
                     )
                     continue
-                current.pop(chunk_id, None)
+                worker = outcome["worker"]
+                profile.chunk_started(worker)
+                if recorder is not None:
+                    for data in outcome["spans"]:
+                        recorder.record(data)
+                    # A worker running its second chunk is a steal in
+                    # this self-scheduling scheme.
+                    if profile.worker_stats(worker).chunks > 1:
+                        recorder.instant(
+                            "chunk.steal", chunk=chunk_id, worker=worker
+                        )
                 _close_chunk_span(
                     chunk_spans,
                     chunk_waits,
                     chunk_id,
-                    worker=outcome.get("worker"),
+                    started=outcome["started"],
+                    worker=worker,
                     entries=len(outcome["entries"]),
                 )
                 with obs_spans.span(
@@ -817,14 +830,13 @@ class Engine:
                         if digest in absorbed:
                             continue
                         absorbed.add(digest)
+                        profile.point_done(worker, entry["busy"])
                         key, spec = by_digest[digest]
-                        payload = entry["payload"]
-                        if payload.get("status") == "ok":
-                            results[key] = self._absorb(
-                                key, spec, payload, outcomes
-                            )
+                        attempt = _attempt_from_payload(key, entry["payload"])
+                        if attempt[1] is None:
+                            results[key] = self._conclude(key, spec, attempt)
                         else:
-                            errors[digest] = payload
+                            errors[digest] = attempt
             if budget is not None and pending and not interrupted:
                 wedged = self._find_wedged_point(
                     budget, current, absorbed, pending, futures,
@@ -839,38 +851,20 @@ class Engine:
                         process.kill()
                     handle.broken = True
                     absorbed.add(wedged)
-                    errors[wedged] = {
-                        "status": "error",
-                        "error_type": "DeadlineExceededError",
-                        "message": (
-                            f"worker exceeded the {timeout:g}s point "
-                            f"budget plus {budget - timeout:g}s grace "
-                            "without responding; killed by the parent"
-                        ),
-                    }
+                    error = WorkerFailureError(
+                        by_digest[wedged][0],
+                        "DeadlineExceededError",
+                        f"worker exceeded the {timeout:g}s point "
+                        f"budget plus {budget - timeout:g}s grace "
+                        "without responding; killed by the parent",
+                    )
+                    errors[wedged] = (None, error, budget)
                     profile.timeout_points += 1
         profile.drain_seconds = time.monotonic() - drain_start
-
-        if recorder is not None:
-            # Worker span marks can trail the chunk futures (the queue
-            # is asynchronous); give stragglers a bounded settle window
-            # -- two consecutive quiet drains or ~1s, whichever first.
-            quiet = 0
-            settle_deadline = time.monotonic() + 1.0
-            while quiet < 2 and time.monotonic() < settle_deadline:
-                before = recorder.recorded
-                self._drain_dispatch_queue(
-                    handle, hub, profile, current, chunks_started, span_state
-                )
-                if recorder.recorded == before:
-                    quiet += 1
-                    time.sleep(0.02)
-                else:
-                    quiet = 0
-            # Close whatever the loop never saw finish (broken pool,
-            # interrupt) so the trace has no dangling open spans.
-            for chunk_id in list(chunk_spans):
-                _close_chunk_span(chunk_spans, chunk_waits, chunk_id)
+        # Close whatever the loop never saw finish (broken pool,
+        # interrupt) so the trace has no dangling open spans.
+        for chunk_id in list(chunk_spans):
+            _close_chunk_span(chunk_spans, chunk_waits, chunk_id)
 
         # Deterministic re-sequencing: the serial-policy tail walks the
         # batch in plan order, replaying worker failures through the
@@ -882,15 +876,15 @@ class Engine:
         ):
             for key, spec in points:
                 digest = key.digest
-                payload = errors.get(digest)
-                if payload is not None:
-                    results[key] = self._absorb(key, spec, payload, outcomes)
+                attempt = errors.get(digest)
+                if attempt is not None:
+                    results[key] = self._conclude(key, spec, attempt)
                 elif digest not in absorbed and not interrupted:
                     if shutdown_requested():
                         interrupted = True
                         continue
                     profile.fallback_points += 1
-                    results[key] = self.run_point(key, spec, outcomes)
+                    results[key] = self.run_point(key, spec)
         profile.retry_seconds = time.monotonic() - retry_start
         profile.interrupted = interrupted
         profile.wall_seconds = time.monotonic() - batch_start
@@ -911,74 +905,28 @@ class Engine:
             raise SweepInterrupted(len(results), len(points) - len(results))
         return results
 
-    def _drain_dispatch_queue(
-        self, handle: _PoolHandle, hub, profile, current, chunks_started,
-        span_state=None,
-    ) -> None:
-        """Absorb queued worker marks (and heartbeats) without blocking.
+    @staticmethod
+    def _drain_dispatch_queue(handle: _PoolHandle, hub, current) -> None:
+        """Absorb this batch's queued worker marks without blocking.
 
-        ``span_state`` -- ``(recorder, chunk_waits, profile)`` when the
-        sweep span recorder is live -- lets the drain fold worker span
-        marks into the trace, close a chunk's queue-wait span on its
-        first ``point-start``, and stamp steal instants.
+        A ``point-start`` pins its chunk's in-flight point for the wedge
+        backstop and feeds live progress; heartbeats go to the hub.
+        Marks tagged with an earlier batch are dropped.
         """
-        import queue as queue_mod
         import time
 
-        recorder = chunk_waits = None
-        if span_state is not None:
-            recorder, chunk_waits, _ = span_state
         while True:
             try:
                 message = handle.queue.get_nowait()
-            except (queue_mod.Empty, EOFError, OSError):
+            except Exception:  # noqa: BLE001 - empty or torn: the drain ends
                 return
-            except Exception:  # noqa: BLE001 - a torn queue ends the drain
-                return
-            if not isinstance(message, dict):
+            if not isinstance(message, dict) or message.get("batch") != handle.batch:
                 continue
-            kind = message.get("type")
-            if kind == "span":
-                if recorder is not None:
-                    recorder.record(message.get("data"))
-                continue
-            if kind == "point-start":
-                chunk_id = message.get("chunk")
-                worker = message.get("worker", "?")
+            if message.get("type") == "point-start":
                 digest = message.get("digest", "")
-                current[chunk_id] = (
-                    digest,
-                    message.get("label", ""),
-                    time.monotonic(),
-                )
-                if chunk_id not in chunks_started:
-                    chunks_started.add(chunk_id)
-                    profile.chunk_started(worker)
-                    if recorder is not None:
-                        wait_span = chunk_waits.pop(chunk_id, None)
-                        if wait_span is not None:
-                            wait_span.set(worker=worker)
-                            started_at = message.get("t")
-                            wait_span.close(
-                                end=float(started_at) if started_at else None
-                            )
-                        # A worker picking up its second chunk is a
-                        # steal in this self-scheduling scheme.
-                        if profile.worker_stats(worker).chunks > 1:
-                            recorder.instant(
-                                "chunk.steal", chunk=chunk_id, worker=worker
-                            )
+                current[message.get("chunk")] = (digest, time.monotonic())
                 if hub is not None:
                     hub.point_started(digest[:12], message.get("label", ""))
-            elif kind == "point-done":
-                chunk_id = message.get("chunk")
-                entry = current.get(chunk_id)
-                if entry is not None and entry[0] == message.get("digest"):
-                    current.pop(chunk_id, None)
-                profile.point_done(
-                    message.get("worker", "?"),
-                    float(message.get("busy") or 0.0),
-                )
             elif hub is not None:
                 try:
                     hub.handle(message)
@@ -1000,7 +948,7 @@ class Engine:
         import time
 
         now = time.monotonic()
-        for digest, _label, since in current.values():
+        for digest, since in current.values():
             if digest not in absorbed and now - since > budget:
                 return digest
         for future in pending:
@@ -1017,38 +965,6 @@ class Engine:
                     if key.digest not in absorbed:
                         return key.digest
         return None
-
-    def _absorb(
-        self,
-        key: ExperimentKey,
-        spec: "WorkloadSpec",
-        payload: dict,
-        outcomes: "dict[ExperimentKey, str] | None" = None,
-    ) -> SimulationResult:
-        """Fold one worker response into the cache layers / failure log."""
-        from repro.robustness.runner import current_failure_log
-
-        hub = telemetry.active_hub()
-        seconds = payload.get("seconds")
-        if seconds is not None:
-            self.point_seconds[key] = float(seconds)
-        if payload.get("status") == "ok":
-            result = result_from_dict(payload["result"])
-            self.remember(key, spec, result)
-            self._mark(key, "simulated")
-            if outcomes is not None:
-                outcomes[key] = "simulated"
-            if hub is not None:
-                hub.point_finished(
-                    telemetry._point_id(key), key.label, "simulated"
-                )
-            return result
-        error_type = payload.get("error_type", "UnknownError")
-        message = payload.get("message", "worker returned no detail")
-        log = current_failure_log()
-        if log is None:
-            raise WorkerFailureError(key, error_type, message)
-        return self._retry(key, spec, log, error_type, message, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -1179,7 +1095,6 @@ class ExecutionPlan:
 
         engine = self.engine
         points = dict(self._points)
-        outcomes: dict[ExperimentKey, str] = {}
         results: dict[ExperimentKey, SimulationResult] = {}
         checkpoint = None
         if (
@@ -1202,6 +1117,7 @@ class ExecutionPlan:
                     hub.sweep_resumed(previously)
         start = time.monotonic()
         engine.checkpoint = checkpoint
+        engine.outcomes = {}
         engine.point_seconds = {}
         # The sweep span recorder (``--spans-out`` / REPRO_SPANS): every
         # store-backed batch becomes one trace rooted at a ``sweep``
@@ -1212,13 +1128,14 @@ class ExecutionPlan:
             from repro.engine.ledger import plan_digest
 
             trace_id = obs_spans.next_trace_id(plan_digest(points))
+        interrupted = None
         try:
             if trace_id is not None:
                 try:
                     with recorder.trace(
                         trace_id, "sweep", points=len(points), jobs=engine.jobs
                     ):
-                        engine.run_batch(points, outcomes, results)
+                        engine.run_batch(points, results)
                 finally:
                     hub = telemetry.active_hub()
                     if hub is not None:
@@ -1226,46 +1143,38 @@ class ExecutionPlan:
                             recorder.summary(trace_id=trace_id)
                         )
             else:
-                engine.run_batch(points, outcomes, results)
+                engine.run_batch(points, results)
         except SweepInterrupted as stop:
-            wall = time.monotonic() - start
-            self._results.update(results)
-            if engine.store is not None and results:
-                self._record_run(
-                    engine,
-                    results,
-                    results,
-                    outcomes,
-                    wall,
-                    interrupted=True,
-                    span_trace=trace_id,
-                )
-            if checkpoint is not None:
-                stop.checkpoint_path = str(checkpoint.path)
-            raise
+            interrupted = stop
         finally:
             engine.checkpoint = None
         wall = time.monotonic() - start
         self._results.update(results)
-        if engine.store is not None and points:
+        # A clean batch resolved every point; an interrupted one records
+        # the part that finished.
+        if engine.store is not None and results:
             self._record_run(
-                engine, points, results, outcomes, wall, span_trace=trace_id
+                engine,
+                results,
+                wall,
+                interrupted=interrupted is not None,
+                span_trace=trace_id,
             )
-        if checkpoint is not None:
-            clean = all(
-                outcome not in ("gap", "timeout")
-                for outcome in outcomes.values()
-            )
-            if clean:
-                checkpoint.remove()
+        if interrupted is not None:
+            if checkpoint is not None:
+                interrupted.checkpoint_path = str(checkpoint.path)
+            raise interrupted
+        if checkpoint is not None and all(
+            outcome not in ("gap", "timeout")
+            for outcome in engine.outcomes.values()
+        ):
+            checkpoint.remove()
         return dict(self._results)
 
     def _record_run(
         self,
         engine: Engine,
-        points: "dict[ExperimentKey, object]",
         results: dict[ExperimentKey, SimulationResult],
-        outcomes: dict[ExperimentKey, str],
         wall: float,
         interrupted: bool = False,
         span_trace: str | None = None,
@@ -1279,8 +1188,8 @@ class ExecutionPlan:
         if recorder is not None and span_trace is not None:
             spans_info = recorder.run_info(trace_id=span_trace)
         record = build_record(
-            {key: results[key] for key in points},
-            outcomes,
+            results,
+            engine.outcomes,
             wall_seconds=wall,
             jobs=engine.jobs,
             store_schema=SCHEMA_VERSION,
@@ -1297,7 +1206,7 @@ class ExecutionPlan:
             else None
         )
         with obs_spans.adopt(span_ctx):
-            with obs_spans.span("ledger.append", points=len(points)):
+            with obs_spans.span("ledger.append", points=len(results)):
                 run_id = engine.store.ledger().append(record)
         if recorder is not None:
             recorder.flush()
@@ -1307,7 +1216,7 @@ class ExecutionPlan:
                 0,
                 run_id=run_id,
                 plan_digest=record["plan_digest"][:12],
-                points=len(points),
+                points=len(results),
             )
 
     def resolve(self, key: ExperimentKey) -> SimulationResult:

@@ -1,4 +1,4 @@
-"""Observability: event tracing, metrics registry, profiling, breakdowns.
+"""Observability: event tracing, metrics registry, spans, breakdowns.
 
 Public surface:
 
@@ -8,8 +8,6 @@ Public surface:
   :class:`EventChannel` that feeds both invariant taps and the tracer;
 * :mod:`repro.observability.metrics` -- hierarchical named counters and
   the per-simulation metrics snapshot riding ``SimulationResult``;
-* :mod:`repro.observability.profile` -- per-phase wall-clock/event
-  throughput behind the CLI ``--profile`` flag;
 * :mod:`repro.observability.utilization` -- the per-design-point
   pipeline-utilization breakdown table;
 * :mod:`repro.observability.attribution` -- per-access critical-path
@@ -63,7 +61,6 @@ from repro.observability.metrics import (
     snapshot_memory_system,
     snapshot_simulation,
 )
-from repro.observability.profile import PhaseProfiler, PhaseRecord
 from repro.observability.spans import (
     SPANS_ENV,
     SpanRecorder,
@@ -101,8 +98,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsRegistry",
     "MetricsServer",
-    "PhaseProfiler",
-    "PhaseRecord",
     "ProgressDisplay",
     "SPANS_ENV",
     "SpanRecorder",

@@ -15,9 +15,9 @@ Design mirrors the tracer's discipline:
   :data:`NULL_SPAN`) and skip even building attribute dicts.
 * **Cross-process propagation.**  Workers never see the recorder --
   the pool initializer installs a lightweight *emit* function that
-  ships finished span dicts back over the same ``multiprocessing``
-  queue the telemetry marks use; the parent re-records them verbatim,
-  so one JSONL stream holds the whole tree.  ``span_context()`` /
+  collects finished span dicts into the chunk result the worker
+  returns; the parent re-records them verbatim, so one JSONL stream
+  holds the whole tree.  ``span_context()`` /
   :func:`adopt` carry the (trace id, parent span id) pair across the
   pickle boundary.
 * **Timestamps are epoch seconds** (``time.time()``), not monotonic --

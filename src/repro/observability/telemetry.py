@@ -12,10 +12,11 @@ through the engine's worker protocol:
   telemetry is off and a cheap counter mask when it is on;
 * worker processes ship heartbeats to the parent over the engine's
   pool channel -- the same plain ``multiprocessing.Queue`` that carries
-  dispatch marks -- installed by the pool initializer *only when a hub
-  is active*; the executor's wait loop drains it into
-  :class:`TelemetryHub.handle` (no manager process, no extra thread,
-  and the no-telemetry path never wires a queue into beacons at all);
+  ``point-start`` marks, each message tagged with its batch -- and
+  build beacons *only when a hub is active*; the executor's wait loop
+  drains the queue into :class:`TelemetryHub.handle` as chunks
+  complete, in any order (no manager process, no extra thread, and
+  the no-telemetry path never builds a beacon at all);
 * the hub aggregates per-point and per-worker state (status, progress,
   instructions/second, heartbeat recency via
   :class:`~repro.robustness.watchdog.LivenessMonitor`) and serves three
@@ -25,11 +26,10 @@ through the engine's worker protocol:
   heartbeat evidence (a stuck worker is *reported stalled*, not just
   timed out).
 
-Nothing here perturbs simulation results: heartbeats only observe, the
-futures of a parallel run are still consumed in submission order, and
-with telemetry off (`active_hub()` is ``None``, the default) every hook
-degenerates to a single pointer test -- the same zero-overhead contract
-the tracer keeps.
+Nothing here perturbs simulation results: heartbeats only observe and
+never feed the result path, and with telemetry off (`active_hub()` is
+``None``, the default) every hook degenerates to a single pointer test
+-- the same zero-overhead contract the tracer keeps.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class TelemetryBeacon:
 
     ``send`` is any callable taking a message dict: the hub's
     :meth:`TelemetryHub.handle` when simulating in the parent process,
-    or the manager-queue forwarder in a worker.  Send errors disable
-    the beacon rather than fail the simulation -- telemetry is an
-    observer, never a correctness dependency.
+    or a put onto the engine's pool queue in a worker.  Send errors
+    disable the beacon rather than fail the simulation -- telemetry is
+    an observer, never a correctness dependency.
     """
 
     __slots__ = (
@@ -187,10 +187,12 @@ class TelemetryBeacon:
         self._emit({"type": "counters", "index": index, "row": row})
 
     def end(self, status: str, error_type: str | None = None) -> None:
+        """Final message; the beacon sends nothing after it."""
         message: dict = {"type": "end", "status": status}
         if error_type is not None:
             message["error_type"] = error_type
         self._emit(message)
+        self._send = None
 
 
 #: The process-wide active beacon (worker or parent); ``None`` = off.
@@ -219,24 +221,6 @@ def notify_stall(cycle: int, stalled_cycles: int) -> None:
         active.stall(cycle, stalled_cycles)
 
 
-# ---------------------------------------------------------------------------
-# Worker plumbing: the manager queue crosses the process boundary
-# ---------------------------------------------------------------------------
-
-#: Set by the pool initializer in each worker process.
-_WORKER_QUEUE = None
-
-
-def _init_worker(queue) -> None:
-    """``ProcessPoolExecutor`` initializer: remember the heartbeat queue."""
-    global _WORKER_QUEUE
-    _WORKER_QUEUE = queue
-
-
-def _queue_send(message: dict) -> None:
-    _WORKER_QUEUE.put(message)
-
-
 def point_beacon(
     key: "ExperimentKey",
     send: Callable[[dict], None] | None = None,
@@ -244,18 +228,47 @@ def point_beacon(
 ) -> TelemetryBeacon | None:
     """A beacon for one design point, or ``None`` when telemetry is off.
 
-    With no explicit ``send`` the worker queue is used -- which is only
-    installed when the parent opened a telemetry channel, so workers of
-    an untelemetered run return ``None`` here and pay nothing.
+    Telemetry is off for a simulation exactly when nobody gave it a
+    ``send``: the parent passes its hub's :meth:`TelemetryHub.handle`,
+    pool workers a put onto the engine's queue -- and workers of an
+    untelemetered run pass nothing and pay nothing.
     """
     if send is None:
-        if _WORKER_QUEUE is None:
-            return None
-        send = _queue_send
+        return None
     budget = key.settings.timing_warmup + key.settings.instructions
     return TelemetryBeacon(
         _point_id(key), key.label, send, budget=budget, attempt=attempt
     )
+
+
+@contextmanager
+def beaconing(
+    key: "ExperimentKey",
+    send: Callable[[dict], None] | None,
+    attempt: int = 1,
+) -> Iterator[TelemetryBeacon | None]:
+    """Run one simulation attempt under a heartbeat beacon.
+
+    Yields the installed beacon, or ``None`` (and does nothing) when
+    ``send`` is ``None``.  On exit the beacon is uninstalled and ended:
+    ``error`` with the exception type when the body raises, ``ok``
+    otherwise -- unless the body already ended it itself.
+    """
+    active = point_beacon(key, send, attempt)
+    if active is None:
+        yield None
+        return
+    install_beacon(active)
+    active.start()
+    status, error_type = "ok", None
+    try:
+        yield active
+    except BaseException as error:
+        status, error_type = "error", type(error).__name__
+        raise
+    finally:
+        clear_beacon()
+        active.end(status, error_type)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +342,9 @@ class _WorkerStats:
 class TelemetryHub:
     """Aggregates heartbeats and lifecycle events for one sweep run.
 
-    Thread-safe: the executor calls lifecycle methods from the main
-    thread while the queue drain thread feeds :meth:`handle` and the
-    display/metrics threads read :meth:`snapshot`.
+    Thread-safe: the executor calls lifecycle methods and feeds
+    :meth:`handle` from the main thread while the display/metrics
+    threads read :meth:`snapshot`.
     """
 
     def __init__(
@@ -370,13 +383,6 @@ class TelemetryHub:
         #: emit one message per boundary; only the newest row matters
         #: for live gauges).
         self._counters: dict[str, dict] = {}
-        # Legacy parallel channel state: the engine now forwards worker
-        # heartbeats from its own pool channel, so the manager queue is
-        # only built when a caller explicitly asks for worker_queue().
-        self._manager = None
-        self._queue = None
-        self._drain: threading.Thread | None = None
-        self._drain_stop = threading.Event()
 
     # -- wiring ---------------------------------------------------------
 
@@ -385,65 +391,6 @@ class TelemetryHub:
 
     def attach_failure_log(self, log: "FailureLog | None") -> None:
         self._failure_log = log
-
-    def worker_queue(self):
-        """A standalone heartbeat queue (created lazily; legacy path).
-
-        The engine's persistent pool now shares its dispatch-mark queue
-        with the beacons and forwards heartbeats to :meth:`handle`
-        directly, so ordinary sweeps never call this -- no manager
-        process, no drain thread, nothing paid when telemetry is off.
-        Kept for external callers that feed a hub from their own worker
-        processes.  Returns ``None`` if the multiprocessing manager
-        cannot start (telemetry then degrades to parent-side lifecycle
-        events only).
-        """
-        with self._lock:
-            if self._queue is not None:
-                return self._queue
-            try:
-                import multiprocessing
-
-                self._manager = multiprocessing.Manager()
-                self._queue = self._manager.Queue()
-            except Exception:  # noqa: BLE001 - degrade, don't break the sweep
-                self._manager = None
-                self._queue = None
-                return None
-            self._drain = threading.Thread(
-                target=self._drain_loop, name="telemetry-drain", daemon=True
-            )
-            self._drain.start()
-            return self._queue
-
-    def _drain_loop(self) -> None:
-        import queue as queue_mod
-
-        while not self._drain_stop.is_set():
-            try:
-                message = self._queue.get(timeout=0.2)
-            except (queue_mod.Empty, EOFError, OSError):
-                continue
-            if message is None:
-                break
-            try:
-                self.handle(message)
-            except Exception:  # noqa: BLE001 - a bad message must not kill the drain
-                continue
-
-    def close(self) -> None:
-        """Stop the drain thread and the manager process, if any."""
-        self._drain_stop.set()
-        if self._drain is not None:
-            self._drain.join(timeout=2.0)
-            self._drain = None
-        if self._manager is not None:
-            try:
-                self._manager.shutdown()
-            except Exception:  # noqa: BLE001
-                pass
-            self._manager = None
-            self._queue = None
 
     # -- lifecycle (called by the executor) -----------------------------
 
@@ -1233,4 +1180,3 @@ def sweep_telemetry(
             display.close()
         if server is not None:
             server.close()
-        hub.close()

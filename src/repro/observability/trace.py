@@ -12,7 +12,7 @@ Captured events land in a bounded ring buffer (a ``deque`` with
 ``maxlen``), so an arbitrarily long simulation traces in O(capacity)
 memory: once full, the oldest events fall off and ``dropped`` counts
 them.  A ``capacity`` of 0 keeps only the per-kind counts -- the cheap
-"counting" mode the ``--profile`` flag uses.  An optional sink receives
+"counting" mode.  An optional sink receives
 every event as one JSON line, for offline analysis of full streams.
 
 Two levers keep the tracing-*enabled* overhead proportionate to what

@@ -1,6 +1,8 @@
 """Cost model, chunk planning, dispatch profiling, and the persistent pool."""
 
 import multiprocessing
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -262,6 +264,42 @@ def _run_batch(eng, names, settings=FAST):
     return keys, plan
 
 
+class TestChunkResult:
+    """The chunk result is the authoritative record of a worker's chunk."""
+
+    def test_carries_worker_start_busy_and_spans(self):
+        from repro.engine.executor import run_chunk_payload
+
+        keys = [_key("gcc"), _key("li")]
+        before = time.time()
+        outcome = run_chunk_payload(7, [key.to_dict() for key in keys])
+        assert outcome["chunk"] == 7
+        assert outcome["worker"].startswith("pid:")
+        assert before <= outcome["started"] <= time.time()
+        assert outcome["spans"] == []  # spans off
+        assert [e["digest"] for e in outcome["entries"]] == [
+            key.digest for key in keys
+        ]
+        for entry in outcome["entries"]:
+            assert entry["payload"]["status"] == "ok"
+            assert entry["busy"] >= entry["payload"]["seconds"] > 0
+
+    def test_failures_travel_as_data(self, monkeypatch):
+        from repro.core import experiment
+        from repro.engine.executor import run_chunk_payload
+        from repro.robustness import SimulationInvariantError
+
+        def boom(org, spec, settings):
+            raise SimulationInvariantError("injected")
+
+        monkeypatch.setattr(experiment, "_simulate", boom)
+        outcome = run_chunk_payload(0, [_key().to_dict()])
+        (entry,) = outcome["entries"]
+        assert entry["payload"]["status"] == "error"
+        assert entry["payload"]["error_type"] == "SimulationInvariantError"
+        assert entry["payload"]["message"] == "injected"
+
+
 class TestPersistentPool:
     def test_fingerprint_tracks_jobs_telemetry_and_env(self, monkeypatch):
         eng = Engine(jobs=2)
@@ -324,6 +362,34 @@ class TestPersistentPool:
         assert sum(s["points"] for s in stats.values()) == len(keys)
         assert sum(s["chunks"] for s in stats.values()) == profile.chunks
         assert profile.fallback_points == 0
+
+    def test_every_batch_counts_exactly_its_own_points(self, engine):
+        """Chunk results are authoritative: over many back-to-back
+        batches on one pool, no batch counts a point or chunk twice or
+        inherits one from the batch before it."""
+        for batch in range(20):
+            settings = replace(FAST, instructions=FAST.instructions + batch)
+            keys, _plan = _run_batch(engine, ["gcc", "tomcatv", "li"], settings)
+            profile = engine.last_dispatch
+            assert profile.pool_reused is (batch > 0)
+            stats = profile.as_dict()["worker_stats"].values()
+            assert sum(s["points"] for s in stats) == len(keys), batch
+            assert sum(s["chunks"] for s in stats) == profile.chunks, batch
+
+    def test_marks_of_an_earlier_batch_are_dropped(self, engine):
+        _run_batch(engine, ["gcc", "tomcatv"])
+        handle = engine._pool
+        for batch, digest in ((handle.batch - 1, "stale"), (handle.batch, "fresh")):
+            handle.queue.put(
+                {"type": "point-start", "batch": batch, "chunk": digest,
+                 "digest": digest, "label": digest}
+            )
+        current: dict = {}
+        deadline = time.monotonic() + 5.0
+        while "fresh" not in current and time.monotonic() < deadline:
+            Engine._drain_dispatch_queue(handle, None, current)
+            time.sleep(0.01)
+        assert [digest for digest, _since in current.values()] == ["fresh"]
 
     def test_parallel_run_never_creates_a_manager(self, engine, monkeypatch):
         """The no-telemetry path must not pay for a Manager process."""

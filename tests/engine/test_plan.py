@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import time
 from dataclasses import replace
 
 import pytest
@@ -71,6 +72,53 @@ class TestPlanning:
         again.execute()
         assert calls == ["gcc"]
         assert again.resolve(key) is plan.resolve(key)
+
+
+class TestOnePointPath:
+    def test_serial_points_never_round_trip_through_dicts(
+        self, tmp_path, monkeypatch
+    ):
+        """In-process attempts keep the result object; only the pool
+        boundary serializes."""
+        from repro.engine import executor
+
+        def forbidden(*args):
+            raise AssertionError("serial point crossed the pool boundary")
+
+        monkeypatch.setattr(executor, "result_to_dict", forbidden)
+        monkeypatch.setattr(executor, "result_from_dict", forbidden)
+        plan = ExecutionPlan(Engine(store=ResultStore(tmp_path / "cache")))
+        keys = [plan.add(duplicate(), name, FAST) for name in ("gcc", "li")]
+        plan.execute()
+        assert all(not plan.resolve(key).failed for key in keys)
+
+    def test_settle_lands_every_resolution_once(self, tmp_path):
+        """Cache hits and fresh points reach the ledger, the checkpoint
+        and the hub through the one settle step."""
+        from repro.observability import telemetry
+
+        store = ResultStore(tmp_path / "cache")
+        warm = ExecutionPlan(Engine(store=store))
+        warm.add(duplicate(), "gcc", FAST)
+        warm.execute()  # gcc now in the store
+        engine = Engine(store=store)
+        plan = ExecutionPlan(engine)
+        stored = plan.add(duplicate(), "gcc", FAST)
+        fresh = plan.add(duplicate(), "li", FAST)
+        hub = telemetry.TelemetryHub()
+        telemetry.install_hub(hub)
+        try:
+            plan.execute()
+        finally:
+            telemetry.clear_hub()
+        assert engine.outcomes == {stored: "store", fresh: "simulated"}
+        assert set(engine.point_seconds) == {fresh}
+        assert hub.totals["cached"] == 1
+        assert hub.totals["simulated"] == 1
+        record = store.ledger().records()[-1]
+        assert {row["outcome"] for row in record["points"]} == {
+            "store", "simulated"
+        }
 
 
 class TestStoreLayering:
@@ -177,6 +225,38 @@ class TestParallel:
         for key in keys:
             assert not plan.resolve(key).failed
         assert all(r.resolution == "recovered" for r in log.records)
+
+
+class TestPointSeconds:
+    """A ledger row's ``seconds`` is the wall time of all the point's
+    simulation attempts, whether it ran serially or in the pool."""
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_recovered_point_counts_its_retry(self, jobs, tmp_path, monkeypatch):
+        real = experiment._simulate
+
+        def flaky(org, spec, settings):
+            if settings.instructions >= FAST.instructions:
+                raise SimulationInvariantError("injected at full budget")
+            time.sleep(0.2)
+            return real(org, spec, settings)
+
+        monkeypatch.setattr(experiment, "_simulate", flaky)
+        store = ResultStore(tmp_path / "cache")
+        engine = Engine(jobs=jobs, store=store)
+        plan = ExecutionPlan(engine)
+        for name in ("gcc", "tomcatv"):
+            plan.add(duplicate(), name, FAST)
+        try:
+            with resilient_sweeps():
+                plan.execute()
+        finally:
+            engine.shutdown_pool()
+        (record,) = store.ledger().records()
+        assert record["jobs"] == jobs
+        for row in record["points"]:
+            assert row["outcome"] == "recovered"
+            assert row["seconds"] >= 0.2
 
 
 class TestAverageIpc:

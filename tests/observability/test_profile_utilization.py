@@ -1,107 +1,13 @@
-"""The profiler and the pipeline-utilization breakdown table."""
-
-import pytest
+"""The pipeline-utilization breakdown table."""
 
 from repro.core.experiment import ExperimentSettings, run_experiment
 from repro.core.organizations import banked, duplicate
 from repro.cpu.result import SimulationResult
-from repro.observability import PhaseProfiler, tracing
 from repro.observability.utilization import utilization_rows, utilization_summary
 
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
 )
-
-
-class TestPhaseProfiler:
-    def test_records_phases_in_order(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("alpha"):
-            pass
-        with profiler.phase("beta"):
-            pass
-        assert [r.name for r in profiler.records()] == ["alpha", "beta"]
-        assert profiler.total_seconds >= 0.0
-
-    def test_reentering_a_phase_accumulates(self):
-        profiler = PhaseProfiler()
-        for _ in range(3):
-            with profiler.phase("alpha"):
-                pass
-        assert len(profiler.records()) == 1
-
-    def test_counts_events_when_tracing(self):
-        profiler = PhaseProfiler()
-        with tracing(capacity=0) as tracer:
-            with profiler.phase("sim"):
-                tracer.capture("k", 0, {})
-                tracer.capture("k", 1, {})
-        assert profiler.records()[0].events == 2
-
-    def test_summary_renders_table(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("alpha"):
-            pass
-        summary = profiler.summary()
-        assert "alpha" in summary
-        assert "events/s" in summary
-        assert "total" in summary
-
-    def test_empty_summary_is_empty(self):
-        assert PhaseProfiler().summary() == ""
-
-
-class TestPhaseRecordMath:
-    def test_events_per_second_guards_zero_wall_clock(self):
-        from repro.observability import PhaseRecord
-
-        record = PhaseRecord("idle")
-        assert record.events_per_second == 0.0
-        record.seconds = 2.0
-        record.events = 500
-        assert record.events_per_second == 250.0
-
-    def test_phase_yields_its_record(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("alpha") as record:
-            assert record.name == "alpha"
-        assert profiler.records() == [record]
-
-    def test_summary_reports_throughput_and_dashes(self):
-        profiler = PhaseProfiler()
-        with tracing(capacity=0) as tracer:
-            with profiler.phase("traced"):
-                for cycle in range(100):
-                    tracer.capture("k", cycle, {})
-        with profiler.phase("quiet"):
-            pass
-        summary = profiler.summary()
-        traced_row = next(
-            line for line in summary.splitlines() if "traced" in line
-        )
-        quiet_row = next(
-            line for line in summary.splitlines() if "quiet" in line
-        )
-        assert "100" in traced_row  # event count column
-        assert "-" in quiet_row  # no events -> dashes, not zeros
-        total_row = next(
-            line for line in summary.splitlines() if "total" in line
-        )
-        assert "100.0%" in total_row
-
-    def test_events_only_counted_while_tracing(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("untraced"):
-            pass
-        assert profiler.records()[0].events == 0
-
-    def test_phase_records_time_even_when_body_raises(self):
-        profiler = PhaseProfiler()
-        with pytest.raises(RuntimeError):
-            with profiler.phase("boom"):
-                raise RuntimeError("body failed")
-        assert [r.name for r in profiler.records()] == ["boom"]
-        assert profiler.records()[0].seconds >= 0.0
 
 
 class TestUtilizationRowMath:

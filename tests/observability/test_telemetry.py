@@ -116,7 +116,6 @@ class TestBeacon:
 
 class TestBeaconGlobals:
     def test_point_beacon_is_none_when_telemetry_off(self):
-        assert telemetry._WORKER_QUEUE is None
         assert point_beacon(_key()) is None
 
     def test_point_beacon_with_explicit_send(self):
@@ -126,6 +125,35 @@ class TestBeaconGlobals:
         assert beacon.budget == FAST.timing_warmup + FAST.instructions
         beacon.start()
         assert sent[0]["point"] == _key().digest[:12]
+
+    def test_beaconing_is_a_noop_without_send(self):
+        with telemetry.beaconing(_key(), None) as beacon:
+            assert beacon is None
+            assert telemetry.beacon() is None
+
+    def test_beaconing_ends_ok_and_uninstalls(self):
+        sent = []
+        with telemetry.beaconing(_key(), sent.append, attempt=2) as beacon:
+            assert telemetry.beacon() is beacon
+        assert telemetry.beacon() is None
+        assert [m["type"] for m in sent] == ["start", "end"]
+        assert sent[0]["attempt"] == 2
+        assert sent[-1]["status"] == "ok"
+
+    def test_beaconing_ends_with_the_error_type(self):
+        sent = []
+        with pytest.raises(KeyError):
+            with telemetry.beaconing(_key(), sent.append):
+                raise KeyError("boom")
+        assert telemetry.beacon() is None
+        assert sent[-1] == dict(sent[-1], status="error", error_type="KeyError")
+
+    def test_an_ended_beacon_stays_silent(self):
+        sent = []
+        with telemetry.beaconing(_key(), sent.append) as beacon:
+            beacon.end("error", "DeadlockError")
+        ends = [m for m in sent if m["type"] == "end"]
+        assert ends == [dict(ends[0], status="error", error_type="DeadlockError")]
 
     def test_install_and_clear(self):
         beacon = TelemetryBeacon("p", "l", lambda m: None)
@@ -595,44 +623,6 @@ class TestSweepTelemetryScope:
             ) as resp:
                 assert resp.status == 200
         assert telemetry.active_hub() is None
-
-
-class TestWorkerQueue:
-    def test_queue_round_trip_through_drain_thread(self):
-        import time as time_mod
-
-        hub = _hub()
-        queue = hub.worker_queue()
-        try:
-            if queue is None:
-                pytest.skip("multiprocessing manager unavailable in sandbox")
-            assert hub.worker_queue() is queue  # lazily created once
-            queue.put(
-                {
-                    "type": "beat",
-                    "point": "p1",
-                    "label": "org / gcc",
-                    "worker": "pid:42",
-                    "instructions": 10,
-                    "cycle": 8,
-                    "budget": 100,
-                }
-            )
-            deadline = time_mod.monotonic() + 5.0
-            while time_mod.monotonic() < deadline:
-                if hub.snapshot()["in_flight"]:
-                    break
-                time_mod.sleep(0.05)
-            (point,) = hub.snapshot()["in_flight"]
-            assert point["worker"] == "pid:42"
-            assert point["instructions"] == 10
-        finally:
-            hub.close()
-
-    def test_close_without_queue_is_safe(self):
-        hub = _hub()
-        hub.close()
-        hub.close()
 
 
 class TestSpansSurface:
