@@ -1,7 +1,9 @@
 """Precomputed workload artifacts shared across design points.
 
-Profiling the headline sweep shows ~70% of every design point's wall
-clock is spent *regenerating the same instruction stream*: all 30
+A design point that builds its own streams spends most of its time
+doing so: a cProfile of one cold fast-backend ``gcc`` point (a 24 k
+instruction window after 200 k instructions of functional warm-up)
+puts about 65% of self time in workload generation.  Yet all 30
 organizations of one benchmark consume an identical warm-up reference
 stream and an identical timing trace, because neither depends on the
 cache organization -- only on ``(spec, seed, functional_warmup)``.

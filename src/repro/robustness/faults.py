@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.memory.sram import EMPTY
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memory.hierarchy import MemorySystem
 
@@ -139,18 +141,26 @@ def inject_lost_port_release(memory: "MemorySystem", *, mode: str = "hold") -> N
 def inject_corrupt_lru(memory: "MemorySystem", *, phantom_dirty: bool = False) -> None:
     """Scramble the L1's replacement state behind the model's back.
 
-    Duplicates the MRU way of the first populated set (or, with
-    ``phantom_dirty``, marks a non-resident tag dirty).  The periodic
-    structural audit raises
-    :class:`~repro.robustness.errors.SimulationInvariantError`.
+    Copies the MRU tag of the first populated set into the set's next
+    way, a duplicate tag.  A direct-mapped set has no second way, so
+    there the MRU tag is wiped instead, and the resident count no longer
+    matches the tag array.  With ``phantom_dirty``, it marks a
+    non-resident tag of that set dirty.  The periodic structural audit
+    raises :class:`~repro.robustness.errors.SimulationInvariantError`.
     """
     l1 = memory.l1
-    for index, ways in enumerate(l1._ways):
-        if ways:
-            if phantom_dirty:
-                phantom_line = ((max(ways) + 1) << l1._tag_shift) | index
-                l1._dirty.add(phantom_line)
-            else:
-                ways.append(ways[0])
-            return
+    tags = l1._tags
+    assoc = l1.associativity
+    for slot, tag in enumerate(tags):
+        if tag == EMPTY:
+            continue
+        index = slot // assoc
+        if phantom_dirty:
+            ways = tags[index * assoc:(index + 1) * assoc]
+            l1._dirty.add(((max(ways) + 1) << l1._tag_shift) | index)
+        elif assoc == 1:
+            tags[slot] = EMPTY
+        else:
+            tags[slot + 1] = tag  # the first valid slot is its set's MRU way
+        return
     raise RuntimeError("cannot corrupt an empty cache; warm it first")

@@ -22,11 +22,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
-try:  # optional: vectorizes footprint math; generation stays pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.cpu.isa import MicroOp, Op
 from repro.workloads.branches import BranchModel, BranchProfile
 from repro.workloads.deps import DependenceTracker, IlpProfile
@@ -204,29 +199,14 @@ class WorkloadGenerator:
         address space (processes + kernel).  Feed to
         :meth:`repro.memory.hierarchy.MemorySystem.prefill_backside`.
 
-        Pure span arithmetic over the region layout -- no randomness --
-        so the multiprogrammed footprints (hundreds of thousands of
-        lines) vectorize through numpy when available; the pure-Python
-        fallback produces the identical list.
+        Pure span arithmetic over the region layout -- no randomness.
         """
         spaces = list(self._user_spaces)
         if self._kernel_space is not None:
             spaces.append(self._kernel_space)
-        spans = [
-            span
-            for space in spaces
-            for span in space.memory.line_spans(line_bytes)
-        ]
-        if _np is not None and spans:
-            return _np.concatenate(
-                [
-                    _np.arange(first, last + 1, dtype=_np.int64)
-                    for first, last in spans
-                ]
-            ).tolist()
         lines: list[int] = []
-        for first, last in spans:
-            lines.extend(range(first, last + 1))
+        for space in spaces:
+            lines.extend(space.memory.all_lines(line_bytes))
         return lines
 
     def memory_references(self, instructions: int) -> list[tuple[bool, int]]:

@@ -141,27 +141,17 @@ class RegionAddressModel:
         return len(self._cumulative) - 1  # pragma: no cover - fp safety
 
     def all_lines(self, line_bytes: int = 32) -> list[int]:
-        """Every cache line this model can ever touch (footprint lines).
+        """Every cache line this model can ever touch (footprint lines),
+        region by region in ascending order.
 
         Used to pre-fill second-level state to its long-run steady
         state before a short measured simulation window.
         """
         lines: list[int] = []
-        for first, last in self.line_spans(line_bytes):
-            lines.extend(range(first, last + 1))
+        for region, base in zip(self.regions, self._bases):
+            last = (base + region.size_bytes - 1) // line_bytes
+            lines.extend(range(base // line_bytes, last + 1))
         return lines
-
-    def line_spans(self, line_bytes: int = 32) -> list[tuple[int, int]]:
-        """Per-region ``(first_line, last_line)`` inclusive spans.
-
-        The span form lets callers vectorize footprint enumeration
-        (see :meth:`WorkloadGenerator.footprint_lines`) without this
-        model depending on numpy itself.
-        """
-        return [
-            (base // line_bytes, (base + region.size_bytes - 1) // line_bytes)
-            for region, base in zip(self.regions, self._bases)
-        ]
 
     def total_weight_footprint(self) -> int:
         """Weighted working-set size estimate in bytes."""

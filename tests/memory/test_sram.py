@@ -1,5 +1,7 @@
 """Tests for the functional set-associative / fully-associative caches."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,182 @@ class TestSetAssociativeProperties:
                 if evicted is not None:
                     reference.discard(evicted.line)
             reference.add(line)
+
+
+class OracleCache:
+    """List-of-lists LRU cache: one MRU-first Python list per set.
+
+    The straightforward model of set-associative LRU state, kept here as
+    the specification that the flat tag array must reproduce exactly.
+    """
+
+    def __init__(self, size_bytes, associativity, line_bytes):
+        self.associativity = associativity
+        self.num_sets = size_bytes // (associativity * line_bytes)
+        self.shift = self.num_sets.bit_length() - 1
+        self.ways = [[] for _ in range(self.num_sets)]
+        self.dirty = set()
+
+    def _set(self, line):
+        return self.ways[line & (self.num_sets - 1)], line >> self.shift
+
+    def lookup(self, line, write=False):
+        ways, tag = self._set(line)
+        if tag not in ways:
+            return False
+        ways.remove(tag)
+        ways.insert(0, tag)
+        if write:
+            self.dirty.add(line)
+        return True
+
+    def probe(self, line):
+        ways, tag = self._set(line)
+        return tag in ways
+
+    def fill(self, line, dirty=False):
+        ways, tag = self._set(line)
+        if tag in ways:
+            self.lookup(line, write=dirty)
+            return None
+        evicted = None
+        if len(ways) == self.associativity:
+            victim = (ways.pop() << self.shift) | (line & (self.num_sets - 1))
+            evicted = (victim, victim in self.dirty)
+            self.dirty.discard(victim)
+        ways.insert(0, tag)
+        if dirty:
+            self.dirty.add(line)
+        return evicted
+
+    def invalidate(self, line):
+        ways, tag = self._set(line)
+        if tag not in ways:
+            return False
+        ways.remove(tag)
+        self.dirty.discard(line)
+        return True
+
+    def resident_lines(self):
+        return [
+            (tag << self.shift) | index
+            for index, ways in enumerate(self.ways)
+            for tag in ways
+        ]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "fill", "fill_dirty", "invalidate", "probe"]),
+        st.integers(min_value=0, max_value=63),
+    ),
+    max_size=300,
+)
+
+
+class TestCacheState:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 8]), _OPS)
+    def test_matches_list_of_lists_oracle(self, assoc, ops):
+        cache = SetAssociativeCache(4 * assoc * 32, assoc, 32)  # 4 sets
+        oracle = OracleCache(4 * assoc * 32, assoc, 32)
+        for op, line in ops:
+            if op in ("read", "write"):
+                write = op == "write"
+                assert cache.lookup(line, write=write) == oracle.lookup(line, write)
+            elif op.startswith("fill"):
+                dirty = op == "fill_dirty"
+                evicted = cache.fill(line, dirty=dirty)
+                expected = oracle.fill(line, dirty)
+                got = None if evicted is None else (evicted.line, evicted.dirty)
+                assert got == expected
+            elif op == "invalidate":
+                assert cache.invalidate(line) == oracle.invalidate(line)
+            else:
+                assert cache.probe(line) == oracle.probe(line)
+            assert cache.resident_lines() == oracle.resident_lines()
+            assert len(cache) == len(oracle.resident_lines())
+            assert all(cache.is_dirty(n) == (n in oracle.dirty) for n in range(64))
+        assert cache.audit() == []
+
+    def _warm(self, cache, lines=range(0, 4000, 3)):
+        for line in lines:
+            cache.fill(line, dirty=line % 2 == 0)
+        return cache
+
+    def test_snapshot_roundtrip(self):
+        warm = self._warm(SetAssociativeCache(4096, 2, 32))
+        clone = SetAssociativeCache(4096, 2, 32)
+        clone.restore_state(warm.snapshot_state())
+        assert clone.resident_lines() == warm.resident_lines()
+        assert len(clone) == len(warm)
+        assert all(clone.is_dirty(n) == warm.is_dirty(n) for n in range(4000))
+        assert clone.audit() == []
+
+    def test_restored_caches_share_nothing(self):
+        """One snapshot restored into two caches: mutating one leaves the
+        other cache and the snapshot itself untouched."""
+        warm = self._warm(SetAssociativeCache(4096, 2, 32))
+        snapshot = warm.snapshot_state()
+        frozen = (list(snapshot[1]), set(snapshot[2]), snapshot[3])
+        first = SetAssociativeCache(4096, 2, 32)
+        second = SetAssociativeCache(4096, 2, 32)
+        first.restore_state(snapshot)
+        second.restore_state(snapshot)
+        expected = second.resident_lines()
+        for line in range(5000, 5400):
+            first.fill(line, dirty=True)
+        for line in expected[:20]:
+            first.invalidate(line)
+            first.lookup(line + 1, write=True)
+        assert second.resident_lines() == expected
+        assert not any(second.is_dirty(n) for n in range(5000, 5400))
+        assert (snapshot[1], snapshot[2], snapshot[3]) == frozen
+        third = SetAssociativeCache(4096, 2, 32)
+        third.restore_state(snapshot)
+        assert third.resident_lines() == expected
+
+    def test_big_cache_state_is_a_handful_of_objects(self):
+        """Building or restoring the 4 MB two-way L2 allocates no per-set
+        containers for the cyclic garbage collector to walk."""
+        warm = self._warm(SetAssociativeCache(4 << 20, 2, 64), range(0, 200_000, 5))
+        snapshot = warm.snapshot_state()
+        gc.collect()
+        before = len(gc.get_objects())
+        cache = SetAssociativeCache(4 << 20, 2, 64)
+        assert len(gc.get_objects()) - before < 10
+        before = len(gc.get_objects())
+        cache.restore_state(snapshot)
+        assert len(gc.get_objects()) - before < 10
+        assert len(cache) == len(warm)
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ((16 * 1024, 1, 32), (32 * 1024, 2, 32)),  # both 512 sets
+            ((16 * 1024, 1, 32), (16 * 1024, 2, 32)),  # both 512 tag slots
+            ((16 * 1024, 2, 32), (32 * 1024, 2, 64)),  # same sets and ways
+        ],
+    )
+    def test_restore_rejects_another_geometry(self, source, target):
+        snapshot = SetAssociativeCache(*source).snapshot_state()
+        cache = SetAssociativeCache(*target)
+        with pytest.raises(ValueError, match="does not fit"):
+            cache.restore_state(snapshot)
+
+    def test_audit_flags_a_hole(self):
+        cache = SetAssociativeCache(128, 2, 32)  # 2 sets
+        cache.fill(0)
+        cache._tags[0], cache._tags[1] = cache._tags[1], cache._tags[0]
+        assert any("empty way" in p for p in cache.audit())
+
+    def test_audit_flags_duplicates_and_counts(self):
+        cache = SetAssociativeCache(256, 4, 32)  # 2 sets
+        cache.fill(0)
+        cache._tags[1] = cache._tags[0]
+        problems = cache.audit()
+        assert any("duplicate" in p for p in problems)
+        assert any("resident count" in p for p in problems)
 
 
 class TestFullyAssociativeCache:

@@ -83,15 +83,17 @@ class TestLostPortRelease:
 
 
 class TestCorruptLru:
-    def test_duplicate_way_caught_by_audit(self):
-        system = make_system()
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_duplicate_way_caught_by_audit(self, assoc):
+        system = make_system(l1_assoc=assoc)
         system.load(0, 0)  # populate one set
         inject_corrupt_lru(system)
         with pytest.raises(SimulationInvariantError, match="audit failed"):
             run_guarded(system)
 
-    def test_phantom_dirty_caught_by_audit(self):
-        system = make_system()
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_phantom_dirty_caught_by_audit(self, assoc):
+        system = make_system(l1_assoc=assoc)
         system.load(0, 0)
         inject_corrupt_lru(system, phantom_dirty=True)
         with pytest.raises(SimulationInvariantError, match="audit failed"):

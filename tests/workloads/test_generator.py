@@ -1,6 +1,10 @@
 """Tests for workload generation and the benchmark catalog."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +184,19 @@ class TestMissRateShape:
 
     def test_database_retains_misses_at_1mb(self):
         assert self.miss_rate("database", 1024, n=40_000, warm=40_000) > 0.005
+
+
+class TestStandardLibraryOnly:
+    def test_cli_import_leaves_numpy_out(self):
+        """numpy is not a dependency: importing the CLI must not pull it
+        in, even on an interpreter that has it installed."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        snippet = "import sys, repro.cli; print('numpy' in sys.modules)"
+        output = subprocess.run(
+            [sys.executable, "-c", snippet],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        assert output == "False"
