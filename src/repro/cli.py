@@ -33,6 +33,10 @@ Usage::
     python -m repro spans last
     python -m repro spans --from-jsonl sweep.jsonl.gz --format chrome
 
+Each verb is its own sub-parser and takes only the flags it reads
+(``python -m repro <verb> --help`` lists them); a flag on the wrong
+verb or an out-of-range number is a usage error before anything runs.
+
 Instruction budgets can also be scaled globally with ``REPRO_SCALE``
 (a multiplier) or pinned with ``REPRO_INSTRUCTIONS`` (absolute measured
 count).  ``--backend {reference,fast}`` (or ``REPRO_BACKEND``) selects
@@ -95,8 +99,9 @@ recorded as a ``timeout`` gap instead of hanging the sweep.  ``cache
 verify`` scans the store and ledger for torn/corrupt/mis-stamped
 entries and quarantines them under ``.repro-cache/quarantine/``.
 
-Exit codes: 0 -- everything regenerated cleanly; 3 -- finished, but
-with gaps, failures, or drift; 4 -- interrupted, resumable.
+Exit codes: 0 -- everything regenerated cleanly; 2 -- usage error, or
+nothing to act on; 3 -- finished, but with gaps, failures, or drift;
+4 -- interrupted, resumable.
 """
 
 from __future__ import annotations
@@ -105,6 +110,8 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 
 from repro.core import ExperimentSettings, figures
 from repro.core import reporting
@@ -135,78 +142,73 @@ EXPERIMENTS = (
 EXIT_INTERRUPTED = 4
 
 
-def _point_timeout_scope(timeout: float | None):
-    """Export ``--point-timeout`` to workers via the environment.
+@contextmanager
+def _exported(name: str, value) -> Iterator[None]:
+    """Set environment variable ``name`` to ``value`` for the scope.
 
-    The deadline rides ``REPRO_POINT_TIMEOUT`` so pool workers inherit
-    it without protocol changes; the previous value is restored on exit
-    (tests call ``main()`` in-process).
+    Pool workers inherit the environment, so this is how sweep settings
+    reach them without protocol changes.  The previous value is
+    restored on exit (tests call ``main()`` in-process); ``None`` leaves
+    the environment alone.
     """
-    from contextlib import contextmanager
-
-    from repro.robustness.deadline import POINT_TIMEOUT_ENV
-
-    @contextmanager
-    def scope():
-        if timeout is None:
-            yield
-            return
-        previous = os.environ.get(POINT_TIMEOUT_ENV)
-        os.environ[POINT_TIMEOUT_ENV] = str(timeout)
-        try:
-            yield
-        finally:
-            if previous is None:
-                os.environ.pop(POINT_TIMEOUT_ENV, None)
-            else:
-                os.environ[POINT_TIMEOUT_ENV] = previous
-
-    return scope()
+    if value is None:
+        yield
+        return
+    previous = os.environ.get(name)
+    os.environ[name] = str(value)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous
 
 
-def _spans_scope(args: argparse.Namespace):
-    """Collect orchestration spans when ``--spans-out``/``REPRO_SPANS`` ask.
+@contextmanager
+def _sweep_scope(args: argparse.Namespace, store: ResultStore | None):
+    """Everything a sweep runs inside; yields the failure log.
 
-    Only sweep-shaped invocations (the figures, ``all``, ``runs
-    resume``) open a collector -- ``trace``/``metrics`` run one point
-    and have no orchestration to span.  The path is exported as
-    ``REPRO_SPANS`` (and restored afterwards -- tests drive ``main()``
-    in-process), and the closing status line goes to stderr so stdout
-    stays byte-identical with spans on or off.
+    Shared by the experiment verbs and ``runs resume``: orchestration
+    spans when ``--spans-out``/``REPRO_SPANS`` ask (the closing status
+    line goes to stderr, so stdout stays byte-identical with spans on or
+    off), the engine configured with ``--jobs`` and ``store``, the
+    ``--point-timeout`` deadline, graceful SIGINT/SIGTERM, live
+    telemetry, and the resilient-sweep failure log.  The persistent
+    worker pool lives for the whole scope (reused across figures) and
+    is torn down before the engine is handed back.
     """
-    from contextlib import contextmanager
-
     from repro.observability import spans as obs_spans
+    from repro.observability.telemetry import sweep_telemetry
+    from repro.robustness.deadline import POINT_TIMEOUT_ENV
+    from repro.robustness.shutdown import ShutdownController
 
-    experiment = args.experiment.lower()
-    sweeping = (
-        experiment in EXPERIMENTS
-        or experiment == "all"
-        or (experiment == "runs" and args.action == "resume")
-    )
-    path = args.spans_out or os.environ.get(obs_spans.SPANS_ENV)
-
-    @contextmanager
-    def scope():
-        if not sweeping or not path:
-            yield
-            return
-        previous = os.environ.get(obs_spans.SPANS_ENV)
-        os.environ[obs_spans.SPANS_ENV] = path
+    spans_path = args.spans_out or os.environ.get(obs_spans.SPANS_ENV)
+    with ExitStack() as stack:
+        if spans_path:
+            stack.enter_context(_exported(obs_spans.SPANS_ENV, spans_path))
+            recorder = stack.enter_context(obs_spans.collecting(spans_path))
+        previous = configure_engine(jobs=args.jobs, store=store)
         try:
-            with obs_spans.collecting(path) as recorder:
-                yield
+            with (
+                _exported(POINT_TIMEOUT_ENV, args.point_timeout),
+                ShutdownController(),
+                sweep_telemetry(
+                    progress=args.progress,
+                    serve_port=args.serve_metrics,
+                    store=store,
+                ),
+                resilient_sweeps() as log,
+            ):
+                yield log
         finally:
-            if previous is None:
-                os.environ.pop(obs_spans.SPANS_ENV, None)
-            else:
-                os.environ[obs_spans.SPANS_ENV] = previous
+            get_engine().shutdown_pool()
+            configure_engine(jobs=previous[0], store=previous[1])
+    if spans_path:
         print(
-            f"[spans: {recorder.recorded} span(s) -> {path}]",
+            f"[spans: {recorder.recorded} span(s) -> {spans_path}]",
             file=sys.stderr,
         )
-
-    return scope()
 
 
 #: Default measured instructions per design point.
@@ -319,44 +321,15 @@ def _run_ablations(settings: ExperimentSettings) -> str:
     return "\n\n".join(blocks)
 
 
-def _validated_benchmarks(
-    parser: argparse.ArgumentParser, names: list[str]
-) -> list[str]:
-    """Case-insensitive benchmark validation with a one-line error."""
-    by_lower = {key.lower(): key for key in BENCHMARKS}
-    resolved = []
-    for name in names:
-        canonical = by_lower.get(name.lower())
-        if canonical is None:
-            parser.error(
-                f"unknown benchmark {name!r}; choose from: "
-                + ", ".join(sorted(BENCHMARKS))
-            )
-        resolved.append(canonical)
-    return resolved
-
-
-def _resolve_format(
-    parser: argparse.ArgumentParser,
-    raw: str | None,
-    *,
-    verb: str,
-    allowed: tuple[str, ...],
-) -> str:
-    """Per-verb ``--format`` validation: case-insensitive, one-line error.
-
-    The first entry of ``allowed`` is the default when the flag is
-    absent.
-    """
-    if raw is None:
-        return allowed[0]
-    lowered = raw.lower()
-    if lowered not in allowed:
-        parser.error(
-            f"unknown {verb} format {raw!r}; choose from: "
-            + ", ".join(sorted(allowed))
+def _validated_benchmarks(name: str) -> str:
+    """Case-insensitive benchmark validation (an argparse ``type=``)."""
+    canonical = {key.lower(): key for key in BENCHMARKS}.get(name.lower())
+    if canonical is None:
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmark {name!r}; choose from: "
+            + ", ".join(sorted(BENCHMARKS))
         )
-    return lowered
+    return canonical
 
 
 def _recommended_organization():
@@ -403,23 +376,43 @@ def _convert_jsonl(args: argparse.Namespace) -> int:
 
 
 def _trace_command(args: argparse.Namespace) -> int:
-    """``python -m repro trace <benchmark>``: one fully traced simulation."""
-    from contextlib import ExitStack
-
+    """``python -m repro trace <benchmark>``: one fully traced simulation
+    (``--from-jsonl``: convert an existing stream instead)."""
     from repro.core.experiment import run_experiment
     from repro.observability import attributing, tracing, utilization_summary
 
+    if args.from_jsonl is not None:
+        if args.fmt != "chrome":
+            raise argparse.ArgumentError(
+                None, "--from-jsonl requires --format chrome"
+            )
+        if args.benchmark is not None:
+            raise argparse.ArgumentError(
+                None,
+                "--from-jsonl converts an existing trace; "
+                "drop the benchmark name",
+            )
+        return _convert_jsonl(args)
+    if args.benchmark is None:
+        raise argparse.ArgumentError(
+            None, "'trace' takes a benchmark name (or --from-jsonl PATH)"
+        )
     organization = _recommended_organization()
-    benchmark = args.benchmarks[0]
-    chrome = args.trace_format == "chrome"
-    with ExitStack() as stack:
-        sink = None
-        if args.trace_out is not None and not chrome:
-            sink = stack.enter_context(obs_trace.open_sink(args.trace_out))
-        if args.attribution:
-            stack.enter_context(attributing())
-        with tracing(capacity=args.trace_limit, sink=sink) as tracer:
-            result = run_experiment(organization, benchmark, _settings(args))
+    benchmark = args.benchmark
+    chrome = args.fmt == "chrome"
+    # No store: the point of 'trace' is watching a live run.
+    previous = configure_engine(jobs=1, store=None)
+    try:
+        with ExitStack() as stack:
+            sink = None
+            if args.trace_out is not None and not chrome:
+                sink = stack.enter_context(obs_trace.open_sink(args.trace_out))
+            if args.attribution:
+                stack.enter_context(attributing())
+            with tracing(capacity=args.trace_limit, sink=sink) as tracer:
+                result = run_experiment(organization, benchmark, _settings(args))
+    finally:
+        configure_engine(jobs=previous[0], store=previous[1])
     _warn_overflow(tracer)
     print(f"traced {organization.label} on {benchmark}: {result.summary()}")
     print()
@@ -443,7 +436,7 @@ def _trace_command(args: argparse.Namespace) -> int:
         )
     elif args.trace_out is not None:
         print(f"full stream written to {args.trace_out}")
-    tail = tracer.events()[-args.trace_tail:]
+    tail = tracer.events()[-args.trace_tail:] if args.trace_tail else []
     if tail:
         print(f"\nlast {len(tail)} events:")
         for event in tail:
@@ -473,17 +466,23 @@ def _print_json(payload) -> None:
 
 def _metrics_command(args: argparse.Namespace) -> int:
     """``python -m repro metrics [benchmark]``: every named counter."""
-    from contextlib import ExitStack
-
     from repro.core.experiment import run_experiment
     from repro.observability import attributing, utilization_summary
 
     organization = _recommended_organization()
-    benchmark = args.benchmarks[0]
-    with ExitStack() as stack:
-        if args.attribution:
-            stack.enter_context(attributing())
-        result = run_experiment(organization, benchmark, _settings(args))
+    benchmark = args.benchmark
+    # With --attribution a stored (unattributed) result would lack the
+    # attribution.* metrics, so bypass the store for that run.
+    use_store = not args.no_cache and not args.attribution
+    store = ResultStore(args.cache_dir) if use_store else None
+    previous = configure_engine(jobs=1, store=store)
+    try:
+        with ExitStack() as stack:
+            if args.attribution:
+                stack.enter_context(attributing())
+            result = run_experiment(organization, benchmark, _settings(args))
+    finally:
+        configure_engine(jobs=previous[0], store=previous[1])
     if not result.metrics:
         print(
             "no metrics on this result (stale cache entry?); "
@@ -491,7 +490,7 @@ def _metrics_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    if args.metrics_format == "json":
+    if args.fmt == "json":
         _print_json(
             {
                 "organization": organization.label,
@@ -519,10 +518,14 @@ def _metrics_command(args: argparse.Namespace) -> int:
 
 
 def _diagnose_command(args: argparse.Namespace) -> int:
-    """``python -m repro diagnose <benchmark>``: rank stall sources."""
+    """``python -m repro diagnose <benchmark>``: rank stall sources.
+
+    Simulates directly: attribution must not ride or pollute the shared
+    result store, so the engine is not involved at all.
+    """
     from repro.observability.diagnose import diagnose_benchmark, render_diagnosis
 
-    benchmark = args.benchmarks[0]
+    benchmark = args.benchmark
     settings = _settings(args)
     counter_interval = None
     if args.from_counters:
@@ -561,10 +564,10 @@ def _counters_command(args: argparse.Namespace) -> int:
     from repro.workloads.catalog import benchmark as benchmark_spec
 
     organization = _recommended_organization()
-    benchmark = args.benchmarks[0]
+    benchmark = args.benchmark
     settings = _settings(args)
     every = _counter_interval(args, settings)
-    chrome = args.counters_format == "chrome"
+    chrome = args.fmt == "chrome"
     with obs_counters.sampling(every):
         if chrome:
             # The Chrome export wants the event stream too, so the
@@ -585,7 +588,7 @@ def _counters_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    if args.counters_format == "json":
+    if args.fmt == "json":
         _print_json(
             {
                 "organization": organization.label,
@@ -599,7 +602,7 @@ def _counters_command(args: argparse.Namespace) -> int:
             }
         )
         return 0
-    if args.counters_format == "csv":
+    if args.fmt == "csv":
         print(obs_counters.render_csv(series))
         return 0
     if chrome:
@@ -651,7 +654,7 @@ def _compare_command(args: argparse.Namespace) -> int:
 
     label_a, figure_a, org_a = resolve(args.compare_a)
     label_b, figure_b, org_b = resolve(args.compare_b)
-    benchmark = args.benchmarks[0]
+    benchmark = args.benchmark
     settings = _settings(args)
     spec = benchmark_spec(benchmark)
     every = _counter_interval(args, settings)
@@ -668,7 +671,7 @@ def _compare_command(args: argparse.Namespace) -> int:
         result_b.counters,
         figure=figure,
     )
-    if args.compare_format == "json":
+    if args.fmt == "json":
         _print_json(
             {
                 "benchmark": benchmark,
@@ -720,10 +723,10 @@ def _compare_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_command(action: str, cache_dir: str | None) -> int:
+def _cache_command(args: argparse.Namespace) -> int:
     """``python -m repro cache {info,clear,verify}`` on the result store."""
-    store = ResultStore(cache_dir)
-    if action == "info":
+    store = ResultStore(args.cache_dir)
+    if args.action == "info":
         info = store.info()
         print(f"cache root:      {info['root']}")
         print(f"schema version:  {info['schema']}")
@@ -747,7 +750,7 @@ def _cache_command(action: str, cache_dir: str | None) -> int:
         else:
             print("run ledger:      no runs recorded")
         return 0
-    if action == "verify":
+    if args.action == "verify":
         report = store.verify()
         print(
             f"scanned {report['scanned']} entr"
@@ -811,9 +814,10 @@ def _run_summary_row(record: dict) -> list[str]:
     ]
 
 
-def _runs_list(ledger, fmt: str) -> int:
+def _runs_list(args: argparse.Namespace) -> int:
+    ledger = ResultStore(args.cache_dir).ledger()
     records = ledger.records()
-    if fmt == "json":
+    if args.fmt == "json":
         _print_json(
             [
                 {key: value for key, value in record.items() if key != "points"}
@@ -835,14 +839,16 @@ def _runs_list(ledger, fmt: str) -> int:
     return 0
 
 
-def _runs_show(ledger, ref: str, fmt: str, parser) -> int:
-    record = ledger.resolve(ref)
+def _runs_show(args: argparse.Namespace) -> int:
+    ledger = ResultStore(args.cache_dir).ledger()
+    record = ledger.resolve(args.ref)
     if record is None:
-        parser.error(
-            f"no run matches {ref!r} in {ledger.path} "
-            "(use an index, a run id or prefix, or 'last')"
+        raise argparse.ArgumentError(
+            None,
+            f"no run matches {args.ref!r} in {ledger.path} "
+            "(use an index, a run id or prefix, or 'last')",
         )
-    if fmt == "json":
+    if args.fmt == "json":
         _print_json(record)
         return 0
     summary = record.get("summary", {})
@@ -899,22 +905,24 @@ def _runs_show(ledger, ref: str, fmt: str, parser) -> int:
     return 0
 
 
-def _runs_compare(ledger, refs: list[str], rel_tol: float, fmt: str, parser) -> int:
+def _runs_compare(args: argparse.Namespace) -> int:
     from repro.engine.ledger import compare_runs
 
-    if len(refs) > 2:
-        parser.error("'runs compare' takes at most two run references")
-    if len(refs) == 2:
-        record_a = ledger.resolve(refs[0])
-        record_b = ledger.resolve(refs[1])
+    ledger = ResultStore(args.cache_dir).ledger()
+    rel_tol = args.rel_tol
+    if args.newer is not None:
+        record_a = ledger.resolve(args.ref)
+        record_b = ledger.resolve(args.newer)
         if record_a is None or record_b is None:
-            missing = refs[0] if record_a is None else refs[1]
-            parser.error(f"no run matches {missing!r} in {ledger.path}")
+            missing = args.ref if record_a is None else args.newer
+            raise argparse.ArgumentError(
+                None, f"no run matches {missing!r} in {ledger.path}"
+            )
     else:
-        record_b = ledger.resolve(refs[0] if refs else "last")
+        record_b = ledger.resolve(args.ref)
         if record_b is None:
-            parser.error(
-                f"nothing to compare: no runs recorded in {ledger.path}"
+            raise argparse.ArgumentError(
+                None, f"nothing to compare: no runs recorded in {ledger.path}"
             )
         record_a = ledger.previous_of_same_plan(record_b)
         if record_a is None:
@@ -926,7 +934,7 @@ def _runs_compare(ledger, refs: list[str], rel_tol: float, fmt: str, parser) -> 
             )
             return 2
     comparison = compare_runs(record_a, record_b, rel_tol=rel_tol)
-    if fmt == "json":
+    if args.fmt == "json":
         _print_json(
             {
                 "run_a": comparison.run_a,
@@ -977,7 +985,7 @@ def _runs_compare(ledger, refs: list[str], rel_tol: float, fmt: str, parser) -> 
     return 3
 
 
-def _runs_resume(args: argparse.Namespace, parser) -> int:
+def _runs_resume(args: argparse.Namespace) -> int:
     """``python -m repro runs resume [ref]``: finish an interrupted sweep.
 
     Rebuilds the interrupted plan from its checkpoint header and
@@ -988,14 +996,10 @@ def _runs_resume(args: argparse.Namespace, parser) -> int:
     """
     from repro.engine.checkpoint import list_checkpoints, resolve_checkpoint
     from repro.engine.executor import ExecutionPlan
-    from repro.observability.telemetry import sweep_telemetry
-    from repro.robustness.shutdown import ShutdownController, SweepInterrupted
+    from repro.robustness.shutdown import SweepInterrupted
 
-    if len(args.refs) > 1:
-        parser.error("'runs resume' takes at most one checkpoint reference")
-    ref = args.refs[0] if args.refs else "last"
     store = ResultStore(args.cache_dir)
-    checkpoint = resolve_checkpoint(store.root, ref)
+    checkpoint = resolve_checkpoint(store.root, args.ref)
     if checkpoint is None:
         available = list_checkpoints(store.root)
         if not available:
@@ -1005,10 +1009,11 @@ def _runs_resume(args: argparse.Namespace, parser) -> int:
                 file=sys.stderr,
             )
             return 2
-        parser.error(
-            f"no checkpoint matches {ref!r}; choose 'last' or a digest "
+        raise argparse.ArgumentError(
+            None,
+            f"no checkpoint matches {args.ref!r}; choose 'last' or a digest "
             "prefix from: "
-            + ", ".join(cp.digest[:12] for cp in available)
+            + ", ".join(cp.digest[:12] for cp in available),
         )
     keys = checkpoint.keys()
     if not keys:
@@ -1025,35 +1030,23 @@ def _runs_resume(args: argparse.Namespace, parser) -> int:
         f"{status['completed']} of {status['planned']} point(s) already "
         f"done, {status['remaining']} to go"
     )
-    previous = configure_engine(jobs=args.jobs, store=store)
     hits_before = store.hits
-    try:
-        with _point_timeout_scope(args.point_timeout):
-            with ShutdownController():
-                with sweep_telemetry(
-                    progress=args.progress,
-                    serve_port=args.serve_metrics,
-                    store=store,
-                ):
-                    with resilient_sweeps() as log:
-                        plan = ExecutionPlan()
-                        for key in keys:
-                            # Checkpoint keys carry already-scaled
-                            # settings; add_key skips re-scaling.
-                            plan.add_key(key)
-                        try:
-                            plan.execute()
-                        except SweepInterrupted as stop:
-                            print(f"[{stop}]", file=sys.stderr)
-                            print(
-                                "[resume again with: python -m repro runs "
-                                f"resume {checkpoint.digest[:12]}]",
-                                file=sys.stderr,
-                            )
-                            return EXIT_INTERRUPTED
-    finally:
-        get_engine().shutdown_pool()
-        configure_engine(jobs=previous[0], store=previous[1])
+    with _sweep_scope(args, store) as log:
+        plan = ExecutionPlan()
+        for key in keys:
+            # Checkpoint keys carry already-scaled settings; add_key
+            # skips re-scaling.
+            plan.add_key(key)
+        try:
+            plan.execute()
+        except SweepInterrupted as stop:
+            print(f"[{stop}]", file=sys.stderr)
+            print(
+                "[resume again with: python -m repro runs "
+                f"resume {checkpoint.digest[:12]}]",
+                file=sys.stderr,
+            )
+            return EXIT_INTERRUPTED
     served = store.hits - hits_before
     simulated = len(keys) - served
     print(
@@ -1066,7 +1059,7 @@ def _runs_resume(args: argparse.Namespace, parser) -> int:
     return 3 if log.records else 0
 
 
-def _spans_command(args: argparse.Namespace, parser) -> int:
+def _spans_command(args: argparse.Namespace) -> int:
     """``python -m repro spans [ref]``: critical-path analysis of a sweep.
 
     Resolves the span file through the run ledger (``last`` by default)
@@ -1075,19 +1068,11 @@ def _spans_command(args: argparse.Namespace, parser) -> int:
     """
     from repro.observability.spans import analyze, read_spans, render_analysis
 
-    if args.refs:
-        parser.error("'spans' takes at most one run reference")
     source = args.from_jsonl
     trace_id = None
-    if source is not None:
-        if args.action is not None:
-            parser.error(
-                "--from-jsonl reads a span file directly; "
-                "drop the run reference"
-            )
-    else:
+    if source is None:
         ledger = ResultStore(args.cache_dir).ledger()
-        ref = args.action or "last"
+        ref = args.ref or "last"
         record = ledger.resolve(ref)
         if record is None:
             print(
@@ -1121,7 +1106,7 @@ def _spans_command(args: argparse.Namespace, parser) -> int:
     if not spans:
         print(f"no spans in {source}", file=sys.stderr)
         return 2
-    if args.spans_format == "chrome":
+    if args.fmt == "chrome":
         from repro.observability.chrometrace import write_chrome_spans
 
         selected = (
@@ -1145,33 +1130,91 @@ def _spans_command(args: argparse.Namespace, parser) -> int:
     if analysis is None:
         print(f"no complete trace found in {source}", file=sys.stderr)
         return 2
-    if args.spans_format == "json":
+    if args.fmt == "json":
         _print_json(analysis)
         return 0
     print(render_analysis(analysis))
     return 0
 
 
-def _runs_command(args: argparse.Namespace, parser) -> int:
-    """``python -m repro runs {list,show,compare,resume}``."""
-    ledger = ResultStore(args.cache_dir).ledger()
-    action = args.action or "list"
-    if action == "list":
-        if args.refs:
-            parser.error(f"unexpected extra argument {args.refs[0]!r}")
-        return _runs_list(ledger, args.runs_format)
-    if action == "show":
-        if len(args.refs) > 1:
-            parser.error("'runs show' takes at most one run reference")
-        ref = args.refs[0] if args.refs else "last"
-        return _runs_show(ledger, ref, args.runs_format, parser)
-    if action == "compare":
-        return _runs_compare(
-            ledger, args.refs, args.rel_tol, args.runs_format, parser
+def _experiments_command(args: argparse.Namespace) -> int:
+    """``python -m repro <experiment>``: regenerate tables and figures
+    (``all``: every one, in paper order)."""
+    from repro.robustness.shutdown import SweepInterrupted
+
+    store = None if args.no_cache else ResultStore(args.cache_dir)
+    if args.resume:
+        from repro.engine.checkpoint import list_checkpoints
+
+        checkpoints = list_checkpoints(store.root)
+        if checkpoints:
+            status = checkpoints[0].status()
+            print(
+                f"[--resume: checkpoint {status['plan_digest'][:12]} has "
+                f"{status['completed']} of {status['planned']} point(s) "
+                "done; completed points resolve from the store]",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                "[--resume: no checkpoint found; running from scratch "
+                "(the store still serves anything already simulated)]",
+                file=sys.stderr,
+            )
+    names = EXPERIMENTS if args.command == "all" else (args.command,)
+    broken: list[str] = []
+    interrupted: SweepInterrupted | None = None
+    with _sweep_scope(args, store) as log:
+        for name in names:
+            start = time.time()
+            try:
+                output = _run_one(name, args)
+            except SweepInterrupted as stop:
+                interrupted = stop
+                print(f"[{name} interrupted: {stop}]", file=sys.stderr)
+                break
+            except Exception as error:  # noqa: BLE001 - keep figures alive
+                broken.append(name)
+                first_line = (str(error).splitlines() or [repr(error)])[0]
+                print(
+                    f"[{name} FAILED: {type(error).__name__}: "
+                    f"{first_line}]\n",
+                    file=sys.stderr,
+                )
+                continue
+            elapsed = time.time() - start
+            print(output)
+            # Stderr like every other bracketed status line: stdout
+            # carries only simulated numbers, so runs are byte-comparable
+            # across backends (and machines).
+            print(f"[{name} regenerated in {elapsed:.1f}s]\n", file=sys.stderr)
+
+    summary = log.summary()
+    if summary:
+        print(summary, file=sys.stderr)
+    if broken:
+        print(
+            f"[{len(broken)} experiment(s) failed outright: {', '.join(broken)}]",
+            file=sys.stderr,
         )
-    if action == "resume":
-        return _runs_resume(args, parser)
-    parser.error("'runs' takes an action: list, show, compare, or resume")
+    if interrupted is not None:
+        hint = (
+            f"python -m repro {args.command} --resume"
+            if interrupted.checkpoint_path
+            else f"python -m repro {args.command}"
+        )
+        print(
+            f"[interrupted -- finished work is saved"
+            + (
+                f"; checkpoint: {interrupted.checkpoint_path}"
+                if interrupted.checkpoint_path
+                else ""
+            )
+            + f"; continue with: {hint} (or 'python -m repro runs resume')]",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
+    return 3 if (broken or log.records) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1194,50 +1237,78 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduce tables and figures from 'Designing High Bandwidth "
-            "On-Chip Caches' (Wilson & Olukotun, ISCA 1997)."
-        ),
-    )
+    parser = _parser()
+    args = parser.parse_args(argv)
+    with ExitStack() as stack:
+        if getattr(args, "backend", None) is not None:
+            # Scope, not a global set: tests drive main() in-process, and
+            # the scope also exports REPRO_BACKEND so pool workers
+            # inherit the selection.
+            from repro import kernel
+
+            stack.enter_context(kernel.use_backend(args.backend))
+        try:
+            return args.func(args)
+        except argparse.ArgumentError as error:
+            # A check only the handler can make (an unknown run
+            # reference, an empty ledger): a usage error like argparse's.
+            parser.error(str(error))
+
+
+def _checked(cast, holds, requirement: str):
+    """An argparse ``type=``: ``cast``, then reject values that fail
+    ``holds`` with a usage error naming the flag."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda value: value >= 1, ">= 1")
+_positive_float = _checked(float, lambda value: value > 0, "positive")
+_non_negative_int = _checked(int, lambda value: value >= 0, ">= 0")
+_port = _checked(int, lambda value: 0 <= value <= 65535, "a port from 0 to 65535")
+
+
+def _add_format(parser: argparse.ArgumentParser, *choices: str) -> None:
+    """``--format``, case-insensitive; the first choice is the default."""
     parser.add_argument(
-        "experiment",
-        help=(
-            "which table/figure to regenerate (or 'all', 'cache', "
-            "'trace', 'metrics', 'counters', 'compare', 'diagnose', "
-            "'runs', 'spans')"
-        ),
+        "--format",
+        dest="fmt",
+        type=str.lower,
+        choices=choices,
+        default=choices[0],
+        help=f"output format (default {choices[0]})",
     )
-    parser.add_argument(
-        "action",
-        nargs="?",
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro`` command line: one sub-parser per verb.
+
+    Each sub-parser declares only the flags its handler reads, so
+    argparse itself rejects a flag on the wrong verb; flags several
+    verbs share are declared once on the ``parents=`` parsers below.
+    The experiments share one sub-parser under aliases because every
+    sub-parser adds to start-up time.
+    """
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument(
+        "--backend",
+        choices=("reference", "fast"),
         default=None,
         help=(
-            "subcommand argument: 'cache' takes 'info', 'clear', or "
-            "'verify'; 'trace', 'metrics', 'counters', 'compare', and "
-            "'diagnose' take a benchmark name; 'runs' takes 'list', "
-            "'show', 'compare', or 'resume'; 'spans' takes a run "
-            "reference (default 'last')"
+            "simulation kernel (default: $REPRO_BACKEND or 'reference'); "
+            "'fast' is event-driven and bit-identical to 'reference'"
         ),
     )
-    parser.add_argument(
-        "refs",
-        nargs="*",
-        default=[],
-        help=(
-            "('runs' only) run references for 'show' and 'compare': an "
-            "index (1 is oldest, -1 newest), a run id or unique prefix, "
-            "or 'last'"
-        ),
-    )
-    parser.add_argument(
-        "--benchmarks",
-        nargs="+",
-        default=list(REPRESENTATIVES),
-        help="benchmarks to simulate (default: the three representatives)",
-    )
-    parser.add_argument(
+    sim = argparse.ArgumentParser(add_help=False, parents=[backend])
+    sim.add_argument(
         "--instructions",
         type=int,
         default=None,
@@ -1247,27 +1318,20 @@ def _main(argv: list[str] | None = None) -> int:
             f"{HEADLINE_INSTRUCTIONS}); REPRO_INSTRUCTIONS overrides"
         ),
     )
-    parser.add_argument("--timing-warmup", type=int, default=2_000)
-    parser.add_argument("--functional-warmup", type=int, default=300_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--backend",
-        choices=("reference", "fast"),
-        default=None,
-        help=(
-            "simulation kernel (default: $REPRO_BACKEND or 'reference'); "
-            "'fast' is event-driven and bit-identical to 'reference'"
-        ),
-    )
-    parser.add_argument(
+    sim.add_argument("--timing-warmup", type=int, default=2_000)
+    sim.add_argument("--functional-warmup", type=int, default=300_000)
+    sim.add_argument("--seed", type=int, default=1)
+
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for design points (default: 1, serial)",
     )
-    parser.add_argument(
+    sweep.add_argument(
         "--point-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help=(
@@ -1276,35 +1340,26 @@ def _main(argv: list[str] | None = None) -> int:
             "'timeout' gap instead of hanging the sweep"
         ),
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "continue an interrupted run of the same command: already-"
-            "completed points resolve from the store, only the rest "
-            "re-simulate (output stays identical to an unbroken run)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the persistent result store for this run",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result store location (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--trace-out",
+    sweep.add_argument(
+        "--progress",
+        action=argparse.BooleanOptionalAction,
         default=None,
         help=(
-            "('trace'/'spans') output file: the JSONL event stream "
-            "(gzipped when the name ends in .gz), or the Chrome trace "
-            "with --format chrome"
+            "live per-point progress display during sweeps "
+            "(default: auto, on when stderr is a TTY)"
         ),
     )
-    parser.add_argument(
+    sweep.add_argument(
+        "--serve-metrics",
+        type=_port,
+        default=None,
+        metavar="PORT",
+        help=(
+            "serve Prometheus /metrics and /healthz on 127.0.0.1:PORT "
+            "while the run is in flight (0 picks a free port)"
+        ),
+    )
+    sweep.add_argument(
         "--spans-out",
         default=None,
         metavar="PATH",
@@ -1314,345 +1369,276 @@ def _main(argv: list[str] | None = None) -> int:
             "also via REPRO_SPANS); analyze with 'repro spans last'"
         ),
     )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
+
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument(
+        "--cache-dir",
         default=None,
+        help="result store location (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    tabular = argparse.ArgumentParser(add_help=False)
+    _add_format(tabular, "table", "json")
+    interval = argparse.ArgumentParser(add_help=False)
+    interval.add_argument(
+        "--interval",
+        type=_positive_int,
+        default=None,
+        metavar="INSTRUCTIONS",
         help=(
-            "output format: jsonl (default) or chrome for 'trace'; "
-            "table (default) or json for 'metrics' and 'runs'; "
-            "report (default), json, or chrome for 'spans'"
+            "committed instructions per sampled interval (default: "
+            "$REPRO_COUNTER_INTERVAL, else ~20 intervals per run)"
         ),
     )
-    parser.add_argument(
-        "--progress",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+    attribution = argparse.ArgumentParser(add_help=False)
+    attribution.add_argument(
+        "--attribution",
+        action="store_true",
         help=(
-            "live per-point progress display during sweeps "
-            "(default: auto, on when stderr is a TTY)"
+            "enable per-load critical-path attribution (adds "
+            "attribution.* metrics and per-event path fields)"
         ),
     )
-    parser.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve Prometheus /metrics and /healthz on 127.0.0.1:PORT "
-            "while the run is in flight (0 picks a free port)"
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument(
+        "--trace-limit",
+        type=_non_negative_int,
+        default=obs_trace.DEFAULT_CAPACITY,
+        help=f"ring-buffer capacity (default {obs_trace.DEFAULT_CAPACITY})",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduce tables and figures from 'Designing High Bandwidth "
+            "On-Chip Caches' (Wilson & Olukotun, ISCA 1997)."
         ),
     )
-    parser.add_argument(
+    verbs = parser.add_subparsers(dest="command", metavar="command", required=True)
+
+    run = verbs.add_parser(
+        EXPERIMENTS[0],
+        aliases=[*EXPERIMENTS[1:], "all"],
+        prog="repro EXPERIMENT",
+        parents=[sim, sweep, store],
+        help="regenerate a table or figure ('all': every one)",
+    )
+    run.add_argument(
+        "--benchmarks",
+        nargs="+",
+        type=_validated_benchmarks,
+        default=list(REPRESENTATIVES),
+        help="benchmarks to simulate (default: the three representatives)",
+    )
+    reuse = run.add_mutually_exclusive_group()
+    reuse.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="skip the persistent result store for this run",
+    )
+    reuse.add_argument(
+        "--resume",
+        action="store_true",
+        help=(
+            "continue an interrupted run of the same command: already-"
+            "completed points resolve from the store, only the rest "
+            "re-simulate (output stays identical to an unbroken run)"
+        ),
+    )
+    run.set_defaults(func=_experiments_command)
+
+    ref_help = (
+        "an index (1 is oldest, -1 newest), a run id or unique prefix, "
+        "or 'last' (the default)"
+    )
+    runs = verbs.add_parser(
+        "runs", help="the run ledger: list (the default), show, compare, resume"
+    )
+    # Bare 'runs' lists with the default flags.  The actions declare the
+    # flags; on 'runs' as well, an action's defaults would silently
+    # overwrite a flag given before it.
+    runs.set_defaults(func=_runs_list, cache_dir=None, fmt="table")
+    actions = runs.add_subparsers(dest="action", metavar="action")
+    actions.add_parser(
+        "list", parents=[store, tabular], help="every recorded run"
+    ).set_defaults(func=_runs_list)
+    show = actions.add_parser(
+        "show", parents=[store, tabular], help="one run's per-point outcomes"
+    )
+    show.add_argument("ref", nargs="?", default="last", help=ref_help)
+    show.set_defaults(func=_runs_show)
+    compare_runs = actions.add_parser(
+        "compare",
+        parents=[store, tabular],
+        help="per-point drift between two runs (exit 3 on any drift)",
+    )
+    compare_runs.add_argument(
+        "ref",
+        nargs="?",
+        default="last",
+        help=(
+            f"{ref_help}; compared with the previous run of its plan, or "
+            "with NEWER when given"
+        ),
+    )
+    compare_runs.add_argument("newer", nargs="?", help="a second run reference")
+    compare_runs.add_argument(
         "--rel-tol",
         type=float,
         default=0.0,
         help=(
-            "('runs compare' only) relative tolerance before a metric "
-            "difference counts as drift (default 0.0: exact agreement, "
-            "the golden-suite bar)"
+            "relative tolerance before a metric difference counts as "
+            "drift (default 0.0: exact agreement, the golden-suite bar)"
         ),
     )
-    parser.add_argument(
+    compare_runs.set_defaults(func=_runs_compare)
+    resume = actions.add_parser(
+        "resume",
+        parents=[sweep, backend, store],
+        help="finish an interrupted sweep from its checkpoint",
+    )
+    resume.add_argument(
+        "ref",
+        nargs="?",
+        default="last",
+        help="checkpoint: 'last' (the default) or a plan-digest prefix",
+    )
+    resume.set_defaults(func=_runs_resume)
+
+    cache = verbs.add_parser(
+        "cache", parents=[store], help="inspect, clear or verify the result store"
+    )
+    cache.add_argument("action", choices=("info", "clear", "verify"))
+    cache.set_defaults(func=_cache_command)
+
+    trace = verbs.add_parser(
+        "trace",
+        parents=[sim, attribution, ring],
+        help="one fully traced simulation of the recommended organization",
+    )
+    trace.add_argument("benchmark", nargs="?", type=_validated_benchmarks)
+    trace.add_argument(
         "--from-jsonl",
         default=None,
-        help=(
-            "('trace'/'spans') read an existing JSONL/JSONL.gz file "
-            "instead of running a simulation or resolving the ledger"
-        ),
+        metavar="PATH",
+        help="convert an existing JSONL(.gz) event stream instead of simulating",
     )
-    parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help=(
-            "('trace'/'metrics' only) enable per-load critical-path "
-            "attribution (adds attribution.* metrics and per-event "
-            "path fields)"
-        ),
-    )
-    parser.add_argument(
-        "--interval",
-        type=int,
+    _add_format(trace, "jsonl", "chrome")
+    trace.add_argument(
+        "--trace-out",
         default=None,
-        metavar="INSTRUCTIONS",
         help=(
-            "('counters'/'compare'/'diagnose --from-counters') committed "
-            "instructions per sampled interval (default: "
-            "$REPRO_COUNTER_INTERVAL, else ~20 intervals per run)"
+            "output file: the JSONL event stream (gzipped when the name "
+            "ends in .gz), or the Chrome trace with --format chrome"
         ),
     )
-    parser.add_argument(
+    trace.add_argument(
+        "--trace-tail",
+        type=_non_negative_int,
+        default=10,
+        help="how many trailing events to print (default 10)",
+    )
+    trace.set_defaults(func=_trace_command)
+
+    metrics = verbs.add_parser(
+        "metrics",
+        parents=[sim, store, tabular, attribution],
+        help="every named counter of the recommended organization",
+    )
+    metrics.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="skip the persistent result store for this run",
+    )
+    metrics.set_defaults(func=_metrics_command)
+
+    counters = verbs.add_parser(
+        "counters",
+        parents=[sim, interval, ring],
+        help="the interval-sampled counter time series",
+    )
+    _add_format(counters, "table", "json", "csv", "chrome")
+    counters.add_argument(
+        "--trace-out",
+        default=None,
+        help=(
+            "Chrome trace file for --format chrome "
+            "(default <benchmark>.counters.trace.json)"
+        ),
+    )
+    counters.set_defaults(func=_counters_command)
+
+    compare = verbs.add_parser(
+        "compare",
+        parents=[sim, interval, tabular],
+        help="race two organizations interval by interval",
+    )
+    compare.add_argument(
         "--a",
         dest="compare_a",
         default="banked-2",
         metavar="ORG",
         help=(
-            "('compare' only) first design point label "
+            "first design point label "
             "(default banked-2; see 'repro compare' errors for choices)"
         ),
     )
-    parser.add_argument(
+    compare.add_argument(
         "--b",
         dest="compare_b",
         default="dual-ported",
         metavar="ORG",
-        help=(
-            "('compare' only) second design point label "
-            "(default dual-ported)"
-        ),
+        help="second design point label (default dual-ported)",
     )
-    parser.add_argument(
+    compare.set_defaults(func=_compare_command)
+    for verb in (metrics, counters, compare):
+        verb.add_argument(
+            "benchmark",
+            nargs="?",
+            type=_validated_benchmarks,
+            default=REPRESENTATIVES[0],
+            help=f"benchmark to simulate (default {REPRESENTATIVES[0]})",
+        )
+
+    diagnose = verbs.add_parser(
+        "diagnose",
+        parents=[sim, interval],
+        help="rank the stall sources of the Figure 4-7 design points",
+    )
+    diagnose.add_argument("benchmark", type=_validated_benchmarks)
+    diagnose.add_argument(
         "--from-counters",
         action="store_true",
         help=(
-            "('diagnose' only) also sample interval counters and cite "
-            "each point's worst interval in the narrative"
+            "also sample interval counters and cite each point's worst "
+            "interval in the narrative"
         ),
     )
-    parser.add_argument(
-        "--trace-limit",
-        type=int,
-        default=obs_trace.DEFAULT_CAPACITY,
-        help="('trace' only) ring-buffer capacity "
-        f"(default {obs_trace.DEFAULT_CAPACITY})",
+    diagnose.set_defaults(func=_diagnose_command)
+
+    spans = verbs.add_parser(
+        "spans",
+        parents=[store],
+        help="critical-path analysis of a recorded sweep",
     )
-    parser.add_argument(
-        "--trace-tail",
-        type=int,
-        default=10,
-        help="('trace' only) how many trailing events to print (default 10)",
+    source = spans.add_mutually_exclusive_group()
+    source.add_argument("ref", nargs="?", default=None, help=ref_help)
+    source.add_argument(
+        "--from-jsonl",
+        default=None,
+        metavar="PATH",
+        help="analyze a span file instead of resolving the run ledger",
     )
-    args = parser.parse_args(argv)
-    if args.point_timeout is not None and args.point_timeout <= 0:
-        parser.error(f"--point-timeout must be positive, got {args.point_timeout}")
-    if args.interval is not None and args.interval < 1:
-        parser.error(f"--interval must be >= 1, got {args.interval}")
-
-    if args.backend is not None:
-        # Scope, not a global set: tests drive main() in-process, and
-        # the scope also exports REPRO_BACKEND so pool workers inherit
-        # the selection.
-        from repro import kernel
-
-        with kernel.use_backend(args.backend):
-            with _spans_scope(args):
-                return _dispatch(parser, args)
-    with _spans_scope(args):
-        return _dispatch(parser, args)
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    experiment = args.experiment.lower()
-    if experiment == "runs":
-        args.runs_format = _resolve_format(
-            parser, args.fmt, verb="runs", allowed=("table", "json")
-        )
-        return _runs_command(args, parser)
-    if experiment == "spans":
-        args.spans_format = _resolve_format(
-            parser, args.fmt, verb="spans", allowed=("report", "json", "chrome")
-        )
-        return _spans_command(args, parser)
-    if args.refs:
-        parser.error(f"unexpected extra argument {args.refs[0]!r}")
-    if experiment == "cache":
-        if args.action not in ("info", "clear", "verify"):
-            parser.error("'cache' takes an action: info, clear, or verify")
-        return _cache_command(args.action, args.cache_dir)
-    if experiment in ("trace", "metrics", "diagnose", "counters", "compare"):
-        if experiment == "trace":
-            args.trace_format = _resolve_format(
-                parser, args.fmt, verb="trace", allowed=("jsonl", "chrome")
-            )
-        elif experiment == "counters":
-            args.counters_format = _resolve_format(
-                parser,
-                args.fmt,
-                verb="counters",
-                allowed=("table", "json", "csv", "chrome"),
-            )
-        elif experiment == "compare":
-            args.compare_format = _resolve_format(
-                parser, args.fmt, verb="compare", allowed=("table", "json")
-            )
-        else:
-            args.metrics_format = _resolve_format(
-                parser, args.fmt, verb="metrics", allowed=("table", "json")
-            )
-        if experiment == "trace" and args.from_jsonl is not None:
-            if args.trace_format != "chrome":
-                parser.error("--from-jsonl requires --format chrome")
-            if args.action is not None:
-                parser.error(
-                    "--from-jsonl converts an existing trace; "
-                    "drop the benchmark name"
-                )
-            return _convert_jsonl(args)
-        if args.action is not None:
-            args.benchmarks = _validated_benchmarks(parser, [args.action])
-        elif experiment in ("metrics", "counters", "compare"):
-            args.benchmarks = [REPRESENTATIVES[0]]
-        else:
-            parser.error(f"{experiment!r} takes a benchmark name")
-        if experiment == "diagnose":
-            # Diagnosis simulates directly (attribution must not ride
-            # or pollute the shared result store), so the engine is
-            # not involved at all.
-            return _diagnose_command(args)
-        if experiment == "counters":
-            # Same store discipline as diagnose: sampling-enabled runs
-            # simulate directly, never through the shared result store.
-            return _counters_command(args)
-        if experiment == "compare":
-            return _compare_command(args)
-        if experiment == "trace":
-            if args.trace_limit < 0:
-                parser.error("--trace-limit cannot be negative")
-            # No store: the point of 'trace' is watching a live run.
-            previous = configure_engine(jobs=1, store=None)
-            try:
-                return _trace_command(args)
-            finally:
-                configure_engine(jobs=previous[0], store=previous[1])
-        # With --attribution a stored (unattributed) result would lack
-        # the attribution.* metrics, so bypass the store for that run.
-        use_store = not args.no_cache and not args.attribution
-        store = ResultStore(args.cache_dir) if use_store else None
-        previous = configure_engine(jobs=1, store=store)
-        try:
-            return _metrics_command(args)
-        finally:
-            configure_engine(jobs=previous[0], store=previous[1])
-    if args.fmt is not None:
-        parser.error(
-            "--format applies to the 'trace', 'metrics', 'counters', "
-            "'compare', 'runs', and 'spans' verbs"
-        )
-    if args.action is not None:
-        parser.error(f"unexpected extra argument {args.action!r}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if experiment != "all" and experiment not in EXPERIMENTS:
-        parser.error(
-            f"unknown experiment {args.experiment!r}; choose from: "
-            + ", ".join(
-                EXPERIMENTS
-                + (
-                    "all",
-                    "cache",
-                    "trace",
-                    "metrics",
-                    "counters",
-                    "compare",
-                    "diagnose",
-                    "runs",
-                    "spans",
-                )
-            )
-        )
-    args.benchmarks = _validated_benchmarks(parser, args.benchmarks)
-    if args.resume and args.no_cache:
-        parser.error(
-            "--resume needs the persistent result store; drop --no-cache"
-        )
-
-    from repro.observability.telemetry import sweep_telemetry
-    from repro.robustness.shutdown import ShutdownController, SweepInterrupted
-
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    if args.resume and store is not None:
-        from repro.engine.checkpoint import list_checkpoints
-
-        checkpoints = list_checkpoints(store.root)
-        if checkpoints:
-            status = checkpoints[0].status()
-            print(
-                f"[--resume: checkpoint {status['plan_digest'][:12]} has "
-                f"{status['completed']} of {status['planned']} point(s) "
-                "done; completed points resolve from the store]",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "[--resume: no checkpoint found; running from scratch "
-                "(the store still serves anything already simulated)]",
-                file=sys.stderr,
-            )
-    previous = configure_engine(jobs=args.jobs, store=store)
-    names = EXPERIMENTS if experiment == "all" else (experiment,)
-    broken: list[str] = []
-    interrupted: SweepInterrupted | None = None
-    try:
-        with _point_timeout_scope(args.point_timeout):
-            with ShutdownController():
-                with sweep_telemetry(
-                    progress=args.progress,
-                    serve_port=args.serve_metrics,
-                    store=store,
-                ):
-                    with resilient_sweeps() as log:
-                        for name in names:
-                            start = time.time()
-                            try:
-                                output = _run_one(name, args)
-                            except SweepInterrupted as stop:
-                                interrupted = stop
-                                print(f"[{name} interrupted: {stop}]", file=sys.stderr)
-                                break
-                            except Exception as error:  # noqa: BLE001 - keep figures alive
-                                broken.append(name)
-                                first_line = (
-                                    str(error).splitlines() or [repr(error)]
-                                )[0]
-                                print(
-                                    f"[{name} FAILED: {type(error).__name__}: "
-                                    f"{first_line}]\n",
-                                    file=sys.stderr,
-                                )
-                                continue
-                            elapsed = time.time() - start
-                            print(output)
-                            # Stderr like every other bracketed status
-                            # line: stdout carries only simulated
-                            # numbers, so runs are byte-comparable
-                            # across backends (and machines).
-                            print(
-                                f"[{name} regenerated in {elapsed:.1f}s]\n",
-                                file=sys.stderr,
-                            )
-    finally:
-        # The persistent worker pool lives for the whole invocation
-        # (reused across figures); tear it down before handing the
-        # engine back.
-        get_engine().shutdown_pool()
-        configure_engine(jobs=previous[0], store=previous[1])
-
-    summary = log.summary()
-    if summary:
-        print(summary, file=sys.stderr)
-    if broken:
-        print(
-            f"[{len(broken)} experiment(s) failed outright: {', '.join(broken)}]",
-            file=sys.stderr,
-        )
-    if interrupted is not None:
-        hint = (
-            f"python -m repro {args.experiment} --resume"
-            if interrupted.checkpoint_path
-            else f"python -m repro {args.experiment}"
-        )
-        print(
-            f"[interrupted -- finished work is saved"
-            + (
-                f"; checkpoint: {interrupted.checkpoint_path}"
-                if interrupted.checkpoint_path
-                else ""
-            )
-            + f"; continue with: {hint} (or 'python -m repro runs resume')]",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    return 3 if (broken or log.records) else 0
+    _add_format(spans, "report", "json", "chrome")
+    spans.add_argument(
+        "--trace-out",
+        default=None,
+        help=(
+            "Chrome trace file for --format chrome "
+            "(default: the span file's name with .trace.json)"
+        ),
+    )
+    spans.set_defaults(func=_spans_command)
+    return parser
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -112,10 +112,11 @@ class TestCli:
         assert "Figure 4" in capsys.readouterr().out
 
     def test_rejects_unknown_experiment(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["figure42"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown experiment 'figure42'" in err
+        assert "invalid choice: 'figure42'" in err
         assert "figure1" in err and "headlines" in err  # lists valid names
         assert "Traceback" not in err
 

@@ -102,7 +102,9 @@ class TestSpansRecording:
 
     def test_non_sweep_verbs_do_not_record(self, tmp_path, capsys):
         path = tmp_path / "no-spans.jsonl"
-        assert main(["cache", "info", "--spans-out", str(path)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "info", "--spans-out", str(path)])
+        assert excinfo.value.code == 2
         assert not path.exists()
 
 
@@ -194,17 +196,21 @@ class TestSpansVerbErrors:
         assert "does not exist" in capsys.readouterr().err
 
     def test_from_jsonl_rejects_a_ref(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["spans", "last", "--from-jsonl", str(tmp_path / "x.jsonl")])
-        assert "drop the run reference" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --from-jsonl: not allowed with argument ref" in err
 
     def test_extra_refs_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["spans", "last", "extra"])
-        assert "at most one run reference" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
 
     def test_unknown_format(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["spans", "last", "--format", "BOGUS"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert "unknown spans format" in err
+        assert "argument --format: invalid choice: 'bogus'" in err
