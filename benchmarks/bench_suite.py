@@ -20,11 +20,10 @@ emits ``BENCH_repro.json`` at the repo root:
   stay within 5% of the plain headline run (the counters-off case is
   the headline mode itself -- no sampler is ever installed, so off
   costs nothing by construction);
-* **telemetry** -- ``--progress --serve-metrics 0``: live heartbeats,
-  the progress display, and the /metrics endpoint all on, gated at
-  <10% over the plain headline run (and the headline mode itself
-  proves telemetry *off* costs nothing, since it never installs a
-  beacon or hub);
+* **telemetry** -- ``--progress``: live heartbeats and the progress
+  display on, gated at <10% over the plain headline run (and the
+  headline mode itself proves telemetry *off* costs nothing, since it
+  never installs a beacon or hub);
 * **spans** -- the telemetry run plus ``--spans-out`` (the sweep-scope
   orchestration span trace): the span recorder rides the telemetry
   mark channel, so its marginal cost over telemetry alone is gated at
@@ -96,7 +95,7 @@ COUNTERS_GATE = 0.05
 #: Sampling interval (committed instructions) the counters mode uses.
 COUNTERS_INTERVAL = "5000"
 
-#: Live telemetry (heartbeats + progress + /metrics) may cost at most
+#: Live telemetry (heartbeats + the progress display) may cost at most
 #: this much on top of the plain headline run.
 TELEMETRY_GATE = 0.10
 
@@ -256,7 +255,7 @@ def measure(jobs: int, scale: float, repeats: int) -> dict:
                 _run_headlines(
                     base / "telemetered",
                     scale,
-                    extra_args=["--progress", "--serve-metrics", "0"],
+                    extra_args=["--progress"],
                 )[0]
             )
             spanned.append(
@@ -265,8 +264,6 @@ def measure(jobs: int, scale: float, repeats: int) -> dict:
                     scale,
                     extra_args=[
                         "--progress",
-                        "--serve-metrics",
-                        "0",
                         "--spans-out",
                         str(base / "spans.jsonl.gz"),
                     ],

@@ -7,7 +7,7 @@ Usage::
     python -m repro figure9 --instructions 20000
     python -m repro headlines --jobs 4
     python -m repro headlines --backend fast
-    python -m repro figure8 --jobs 4 --progress --serve-metrics 9100
+    python -m repro figure8 --jobs 4 --progress
     python -m repro all
     python -m repro figure4 --jobs 2 --point-timeout 120
     python -m repro figure4 --resume
@@ -68,11 +68,10 @@ streams every event of any command to ``<path>`` as JSON lines
 per-load critical-path metrics to trace/metrics runs.
 
 Live telemetry: during any figure/sweep run, ``--progress`` renders a
-live per-point status display with ETA (auto-enabled on a TTY;
-``--no-progress`` forces it off) and ``--serve-metrics PORT`` starts a
-background HTTP thread exposing Prometheus text-format ``/metrics``
-plus ``/healthz`` while the sweep is in flight.  Every ``execute()``
-against the persistent store also appends a record to the run ledger
+live per-point status display with ETA on stderr (auto-enabled on a
+TTY; ``--no-progress`` forces it off) and closes with a one-line
+``sweep finished:`` recap.  Every ``execute()`` against the persistent
+store also appends a record to the run ledger
 (``.repro-cache/runs.jsonl``); ``runs list`` shows the history,
 ``runs show [ref]`` one record, and ``runs compare [a] [b]`` diffs two
 runs' per-point metrics, flagging any drift beyond ``--rel-tol``
@@ -193,11 +192,7 @@ def _sweep_scope(args: argparse.Namespace, store: ResultStore | None):
             with (
                 _exported(POINT_TIMEOUT_ENV, args.point_timeout),
                 ShutdownController(),
-                sweep_telemetry(
-                    progress=args.progress,
-                    serve_port=args.serve_metrics,
-                    store=store,
-                ),
+                sweep_telemetry(progress=args.progress),
                 resilient_sweeps() as log,
             ):
                 yield log
@@ -1273,7 +1268,6 @@ def _checked(cast, holds, requirement: str):
 _positive_int = _checked(int, lambda value: value >= 1, ">= 1")
 _positive_float = _checked(float, lambda value: value > 0, "positive")
 _non_negative_int = _checked(int, lambda value: value >= 0, ">= 0")
-_port = _checked(int, lambda value: 0 <= value <= 65535, "a port from 0 to 65535")
 
 
 def _add_format(parser: argparse.ArgumentParser, *choices: str) -> None:
@@ -1347,16 +1341,6 @@ def _parser() -> argparse.ArgumentParser:
         help=(
             "live per-point progress display during sweeps "
             "(default: auto, on when stderr is a TTY)"
-        ),
-    )
-    sweep.add_argument(
-        "--serve-metrics",
-        type=_port,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve Prometheus /metrics and /healthz on 127.0.0.1:PORT "
-            "while the run is in flight (0 picks a free port)"
         ),
     )
     sweep.add_argument(

@@ -20,8 +20,8 @@ instead:
   (pool reuse, submit, drain, absorb, retry tail) and what every worker
   did (points, chunks, busy seconds, steals).  The profile is kept on
   the engine (``engine.last_dispatch``), emitted on the trace channel
-  (``engine.dispatch``), and surfaced by the telemetry hub in
-  ``--progress`` and ``/metrics``.
+  (``engine.dispatch``), and surfaced by the telemetry hub in the
+  ``--progress`` display.
 
 Cost estimates influence *scheduling only*: results, the ledger (rows
 are digest-sorted), checkpoint marks (set semantics), and the failure

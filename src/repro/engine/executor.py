@@ -614,13 +614,11 @@ class Engine:
         SweepInterrupted` still holds everything that did finish.  A
         shutdown request stops the batch between design points.
         """
-        from repro.robustness.runner import current_failure_log
         from repro.robustness.shutdown import SweepInterrupted, shutdown_requested
 
         hub = telemetry.active_hub()
         if hub is not None:
             hub.batch_started(len(points))
-            hub.attach_failure_log(current_failure_log())
         if results is None:
             results = {}
         pending: list[tuple[ExperimentKey, WorkloadSpec]] = []

@@ -56,9 +56,9 @@ class ResultStore:
 
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
-        #: Load outcomes this process, for the live /metrics endpoint.
+        #: Loads served from disk this process (``runs resume`` reports
+        #: how many of its points the store answered).
         self.hits = 0
-        self.misses = 0
 
     @property
     def version_dir(self) -> Path:
@@ -75,9 +75,7 @@ class ResultStore:
     def load(self, key: ExperimentKey) -> SimulationResult | None:
         """The stored result for ``key``, or None on any kind of miss."""
         result = self._load(key)
-        if result is None:
-            self.misses += 1
-        else:
+        if result is not None:
             self.hits += 1
         return result
 

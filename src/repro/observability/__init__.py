@@ -29,9 +29,9 @@ Public surface:
   a JSONL(.gz) sink (``REPRO_SPANS``/``--spans-out``), and the
   critical-path analyzer behind ``repro spans``;
 * :mod:`repro.observability.telemetry` -- live sweep telemetry: worker
-  heartbeats over a multiprocessing queue, the per-point progress
-  display, and the Prometheus ``/metrics`` + ``/healthz`` endpoint
-  (``sweep_telemetry()`` scope, zero overhead when off).
+  heartbeats over a multiprocessing queue feeding the per-point
+  ``--progress`` display (``sweep_telemetry()`` scope, zero overhead
+  when off).
 """
 
 from repro.observability import (
@@ -70,11 +70,9 @@ from repro.observability.spans import (
     render_analysis,
 )
 from repro.observability.telemetry import (
-    MetricsServer,
     ProgressDisplay,
     TelemetryBeacon,
     TelemetryHub,
-    render_prometheus,
     sweep_telemetry,
 )
 from repro.observability.trace import (
@@ -97,7 +95,6 @@ __all__ = [
     "EventChannel",
     "LatencyHistogram",
     "MetricsRegistry",
-    "MetricsServer",
     "ProgressDisplay",
     "SPANS_ENV",
     "SpanRecorder",
@@ -119,7 +116,6 @@ __all__ = [
     "read_jsonl",
     "read_spans",
     "render_analysis",
-    "render_prometheus",
     "sampling",
     "snapshot_memory_system",
     "snapshot_simulation",

@@ -277,16 +277,6 @@ class CounterSampler:
         self._last_cycle = cycle
         self._last_committed = committed
         mshrs.occupancy_peak = 0
-        # Live gauges: boundary-rate (cold path), so the hot loop never
-        # sees the beacon.  The series itself is already complete here;
-        # a dead or absent beacon changes nothing downstream.
-        from repro.observability import telemetry
-
-        beacon = telemetry._BEACON
-        if beacon is not None:
-            beacon.counters(
-                len(self.rows) - 1, dict(zip(COLUMNS, row))
-            )
 
     def series(self) -> dict:
         """The finished columnar payload for ``SimulationResult.counters``."""

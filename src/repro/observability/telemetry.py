@@ -1,4 +1,4 @@
-"""Live sweep telemetry: heartbeats, progress display, ``/metrics``.
+"""Live sweep telemetry: heartbeats and the progress display.
 
 A running sweep used to be opaque: ``ExecutionPlan.execute`` fanned
 design points out over worker processes and nothing came back until the
@@ -17,14 +17,12 @@ through the engine's worker protocol:
   drains the queue into :class:`TelemetryHub.handle` as chunks
   complete, in any order (no manager process, no extra thread, and
   the no-telemetry path never builds a beacon at all);
-* the hub aggregates per-point and per-worker state (status, progress,
-  instructions/second, heartbeat recency via
-  :class:`~repro.robustness.watchdog.LivenessMonitor`) and serves three
-  consumers: the live TTY :class:`ProgressDisplay`, the Prometheus
-  text-format ``/metrics`` endpoint (:class:`MetricsServer`, with
-  ``/healthz``), and the deadlock watchdog, whose reports gain
-  heartbeat evidence (a stuck worker is *reported stalled*, not just
-  timed out).
+* the hub aggregates per-point state (status, progress, attempt, and
+  heartbeat recency via
+  :class:`~repro.robustness.watchdog.LivenessMonitor`) for the live
+  :class:`ProgressDisplay` and its closing recap line; a stall
+  heartbeat marks its point *stalled* there, so a deadlocked worker is
+  named rather than inferred from silence.
 
 Nothing here perturbs simulation results: heartbeats only observe and
 never feed the result path, and with telemetry off (`active_hub()` is
@@ -34,8 +32,6 @@ never feed the result path, and with telemetry off (`active_hub()` is
 
 from __future__ import annotations
 
-import json
-import re
 import threading
 import time
 from contextlib import contextmanager
@@ -46,8 +42,6 @@ from repro.observability.events import TELEMETRY_HEARTBEAT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.key import ExperimentKey
-    from repro.engine.store import ResultStore
-    from repro.robustness.runner import FailureLog
 
 #: Minimum wall-clock seconds between heartbeats from one simulation.
 HEARTBEAT_INTERVAL_SECONDS = 0.25
@@ -177,15 +171,6 @@ class TelemetryBeacon:
             }
         )
 
-    def counters(self, index: int, row: dict) -> None:
-        """Interval-boundary hook: latest counter row for this point.
-
-        Cold path by construction -- the sampler calls it once per
-        interval, never per commit -- so no rate limiting is needed;
-        the hub keeps only the newest row per point.
-        """
-        self._emit({"type": "counters", "index": index, "row": row})
-
     def end(self, status: str, error_type: str | None = None) -> None:
         """Final message; the beacon sends nothing after it."""
         message: dict = {"type": "end", "status": status}
@@ -286,29 +271,19 @@ class PointState:
         "worker",
         "instructions",
         "budget",
-        "cycle",
         "attempt",
-        "outcome",
         "stalled_cycles",
-        "error_type",
-        "started",
-        "updated",
     )
 
-    def __init__(self, point: str, label: str, status: str, now: float):
+    def __init__(self, point: str, label: str, status: str):
         self.point = point
         self.label = label
         self.status = status  #: queued/running/stalled/<terminal outcome>
         self.worker: str | None = None
         self.instructions = 0
         self.budget = 0
-        self.cycle = 0
         self.attempt = 1
-        self.outcome: str | None = None
         self.stalled_cycles = 0
-        self.error_type: str | None = None
-        self.started = now
-        self.updated = now
 
     @property
     def fraction(self) -> float:
@@ -317,34 +292,12 @@ class PointState:
         return min(1.0, self.instructions / self.budget)
 
 
-class _WorkerStats:
-    """Instructions/second per worker, from consecutive heartbeats."""
-
-    __slots__ = ("worker", "instructions", "at", "rate", "beats")
-
-    def __init__(self, worker: str):
-        self.worker = worker
-        self.instructions = 0
-        self.at = 0.0
-        self.rate = 0.0
-        self.beats = 0
-
-    def observe(self, instructions: int, now: float) -> None:
-        if self.beats and instructions >= self.instructions and now > self.at:
-            instant = (instructions - self.instructions) / (now - self.at)
-            # Light smoothing so the display does not flicker.
-            self.rate = instant if self.rate == 0.0 else 0.5 * self.rate + 0.5 * instant
-        self.instructions = instructions
-        self.at = now
-        self.beats += 1
-
-
 class TelemetryHub:
     """Aggregates heartbeats and lifecycle events for one sweep run.
 
     Thread-safe: the executor calls lifecycle methods and feeds
-    :meth:`handle` from the main thread while the display/metrics
-    threads read :meth:`snapshot`.
+    :meth:`handle` from the main thread while the display thread reads
+    :meth:`snapshot`.
     """
 
     def __init__(
@@ -361,7 +314,6 @@ class TelemetryHub:
         self._lock = threading.Lock()
         self._clock = clock
         self._points: dict[str, PointState] = {}
-        self._workers: dict[str, _WorkerStats] = {}
         self.liveness = LivenessMonitor(stale_after=stale_after, clock=clock)
         self.started = clock()
         self.totals = {
@@ -373,33 +325,17 @@ class TelemetryHub:
             "timeouts": 0,
             "resumed": 0,
         }
-        self._store: "ResultStore | None" = None
-        self._failure_log: "FailureLog | None" = None
         #: Dispatch summary of the engine's latest parallel batch.
         self._dispatch: dict | None = None
         #: Span-recorder summary of the latest executed sweep.
         self._spans: dict | None = None
-        #: Latest interval-counter row per point (interval samplers
-        #: emit one message per boundary; only the newest row matters
-        #: for live gauges).
-        self._counters: dict[str, dict] = {}
-
-    # -- wiring ---------------------------------------------------------
-
-    def attach_store(self, store: "ResultStore | None") -> None:
-        self._store = store
-
-    def attach_failure_log(self, log: "FailureLog | None") -> None:
-        self._failure_log = log
 
     # -- lifecycle (called by the executor) -----------------------------
 
     def _state(self, point: str, label: str, status: str) -> PointState:
         state = self._points.get(point)
         if state is None:
-            state = self._points[point] = PointState(
-                point, label, status, self._clock()
-            )
+            state = self._points[point] = PointState(point, label, status)
         return state
 
     def batch_started(self, planned: int) -> None:
@@ -407,11 +343,9 @@ class TelemetryHub:
             self.totals["planned"] += planned
 
     def point_cached(self, point: str, label: str, layer: str) -> None:
+        """A point served by ``layer`` (memo or store) without simulating."""
         with self._lock:
-            state = self._state(point, label, "cached")
-            state.status = "cached"
-            state.outcome = layer
-            state.updated = self._clock()
+            self._state(point, label, "cached").status = "cached"
             self.totals["cached"] += 1
 
     def point_queued(self, point: str, label: str) -> None:
@@ -420,28 +354,23 @@ class TelemetryHub:
 
     def point_started(self, point: str, label: str) -> None:
         with self._lock:
-            state = self._state(point, label, "running")
-            state.status = "running"
-            state.started = state.updated = self._clock()
+            self._state(point, label, "running").status = "running"
 
     def point_retrying(self, point: str, label: str, attempt: int) -> None:
         with self._lock:
             state = self._state(point, label, "running")
             state.status = "running"
             state.attempt = attempt
-            state.updated = self._clock()
 
     def point_finished(self, point: str, label: str, outcome: str) -> None:
         """Terminal transition: simulated / recovered / gap / timeout."""
         with self._lock:
             state = self._state(point, label, "done")
             state.status = "failed" if outcome in ("gap", "timeout") else "done"
-            state.outcome = outcome
-            state.updated = self._clock()
             if outcome == "timeout":
                 # A timeout is a gap (the point is lost) with its own
-                # counter so the display and /metrics can tell a hang
-                # from an ordinary failure.
+                # counter so the display can tell a hang from an
+                # ordinary failure.
                 self.totals["gaps"] += 1
                 self.totals["timeouts"] += 1
             elif outcome == "gap":
@@ -461,9 +390,9 @@ class TelemetryHub:
     def record_dispatch(self, dispatch: dict) -> None:
         """The engine's dispatch profile for its latest parallel batch.
 
-        Carries per-worker utilization/steal counters (see
+        Carries the pool's utilization/steal counters (see
         :class:`repro.engine.dispatch.DispatchProfile`) into the
-        ``--progress`` display and ``/metrics``.
+        ``--progress`` pool line and recap.
         """
         with self._lock:
             self._dispatch = dispatch
@@ -471,9 +400,9 @@ class TelemetryHub:
     def record_spans(self, summary: dict) -> None:
         """The sweep span recorder's summary for the latest batch.
 
-        Threads the orchestration-span totals (see
+        Threads the orchestration-span count (see
         :meth:`repro.observability.spans.SpanRecorder.summary`) into the
-        snapshot and the ``repro_span_*`` Prometheus series.
+        snapshot and the recap line.
         """
         with self._lock:
             self._spans = summary
@@ -486,46 +415,25 @@ class TelemetryHub:
         point = message.get("point", "?")
         label = message.get("label", point)
         worker = message.get("worker")
-        now = self._clock()
         with self._lock:
             state = self._state(point, label, "running")
             if worker is not None:
                 state.worker = worker
                 self.liveness.beat(worker)
-            state.updated = now
             if kind == "start":
                 if state.status not in _TERMINAL:
                     state.status = "running"
                 state.budget = message.get("budget", state.budget)
                 state.attempt = message.get("attempt", state.attempt)
-                state.started = now
             elif kind == "beat":
                 if state.status not in _TERMINAL:
                     state.status = "running"
                 state.instructions = message.get("instructions", state.instructions)
-                state.cycle = message.get("cycle", state.cycle)
                 state.budget = message.get("budget", state.budget)
                 state.attempt = message.get("attempt", state.attempt)
-                if worker is not None:
-                    stats = self._workers.get(worker)
-                    if stats is None:
-                        stats = self._workers[worker] = _WorkerStats(worker)
-                    stats.observe(state.instructions, now)
             elif kind == "stall":
                 state.status = "stalled"
                 state.stalled_cycles = message.get("stalled_cycles", 0)
-                state.cycle = message.get("cycle", state.cycle)
-            elif kind == "end":
-                if message.get("status") != "ok":
-                    state.error_type = message.get("error_type")
-            elif kind == "counters":
-                row = message.get("row")
-                if isinstance(row, dict):
-                    self._counters[point] = {
-                        "label": label,
-                        "index": message.get("index", 0),
-                        "row": row,
-                    }
         obs_trace.emit(
             TELEMETRY_HEARTBEAT,
             message.get("cycle", 0),
@@ -537,11 +445,12 @@ class TelemetryHub:
     # -- read side -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A consistent view for the display and the metrics endpoint."""
+        """A consistent view for the progress display and its recap."""
         now = self._clock()
         with self._lock:
+            cached = self.totals["cached"]
             done = (
-                self.totals["cached"]
+                cached
                 + self.totals["simulated"]
                 + self.totals["recovered"]
                 + self.totals["gaps"]
@@ -549,7 +458,10 @@ class TelemetryHub:
             total = self.totals["planned"]
             elapsed = now - self.started
             remaining = max(0, total - done)
-            eta = (elapsed / done) * remaining if done and remaining else 0.0
+            # Store and memo hits resolve instantly, so the rate comes
+            # from the points that did work; no ETA until one has.
+            worked = done - cached
+            eta = (elapsed / worked) * remaining if worked and remaining else 0.0
             in_flight = [
                 {
                     "point": s.point,
@@ -568,20 +480,12 @@ class TelemetryHub:
                 for s in self._points.values()
                 if s.status in ("running", "queued", "stalled")
             ]
-            workers = {
-                w.worker: {
-                    "rate": w.rate,
-                    "age": self.liveness.age(w.worker),
-                    "alive": self.liveness.status(w.worker) == "alive",
-                }
-                for w in self._workers.values()
-            }
             return {
                 "total": total,
                 "done": done,
                 "dispatch": self._dispatch,
                 "spans": self._spans,
-                "cached": self.totals["cached"],
+                "cached": cached,
                 "simulated": self.totals["simulated"],
                 "recovered": self.totals["recovered"],
                 "gaps": self.totals["gaps"],
@@ -590,24 +494,8 @@ class TelemetryHub:
                 "elapsed": elapsed,
                 "eta": eta,
                 "in_flight": in_flight,
-                "workers": workers,
-                "counters": {
-                    point: dict(entry)
-                    for point, entry in self._counters.items()
-                },
                 "stalled": [p["label"] for p in in_flight if p["status"] == "stalled"],
-                "store_hits": self._store.hits if self._store is not None else 0,
-                "store_misses": self._store.misses if self._store is not None else 0,
-                "failure_log_depth": (
-                    len(self._failure_log.records)
-                    if self._failure_log is not None
-                    else 0
-                ),
             }
-
-    def prometheus(self) -> str:
-        """The sweep state in Prometheus text exposition format."""
-        return render_prometheus(self.snapshot())
 
 
 #: The process-wide active hub; ``None`` means telemetry is off.
@@ -626,264 +514,6 @@ def install_hub(hub: TelemetryHub) -> None:
 def clear_hub() -> None:
     global _HUB
     _HUB = None
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text rendering
-# ---------------------------------------------------------------------------
-
-
-#: Prometheus 0.0.4 metric-name charset (first char, then the rest).
-_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
-
-
-def metric_name(*parts: str) -> str:
-    """Join name parts with ``_`` into one validated Prometheus name.
-
-    Every dynamically built metric name (sweep tallies, the per-point
-    ``repro_counter_*`` gauges) goes through here, so a typo'd or
-    illegal part fails loudly at render time instead of producing
-    exposition text scrapers silently drop.
-    """
-    name = "_".join(parts)
-    if not _METRIC_NAME.match(name):
-        raise ValueError(f"invalid Prometheus metric name: {name!r}")
-    return name
-
-
-def _metric(
-    lines: list[str], name: str, help_text: str, kind: str, value
-) -> None:
-    lines.append(f"# HELP {name} {help_text}")
-    lines.append(f"# TYPE {name} {kind}")
-    lines.append(f"{name} {value:g}" if isinstance(value, float) else f"{name} {value}")
-
-
-def render_prometheus(snapshot: dict) -> str:
-    """Render one hub snapshot as Prometheus 0.0.4 text format."""
-    lines: list[str] = []
-    _metric(
-        lines,
-        "repro_sweep_points_total",
-        "Design points planned in the current sweep",
-        "gauge",
-        snapshot["total"],
-    )
-    _metric(
-        lines,
-        "repro_sweep_points_done",
-        "Design points resolved (simulated, cached, recovered, or gap)",
-        "gauge",
-        snapshot["done"],
-    )
-    for field, help_text in (
-        ("cached", "Points served from the memo or the result store"),
-        ("simulated", "Points simulated at full budget"),
-        ("recovered", "Points recovered at a reduced budget after a failure"),
-        ("gaps", "Points lost to unrecovered failures"),
-        ("timeouts", "Points lost to wall-clock deadline expiry"),
-        ("resumed", "Points skipped because an earlier run completed them"),
-    ):
-        _metric(
-            lines,
-            metric_name("repro_sweep_points", field),
-            help_text,
-            "gauge",
-            snapshot[field],
-        )
-    _metric(
-        lines,
-        "repro_sweep_elapsed_seconds",
-        "Wall-clock seconds since the sweep telemetry started",
-        "gauge",
-        round(snapshot["elapsed"], 3),
-    )
-    _metric(
-        lines,
-        "repro_sweep_eta_seconds",
-        "Estimated wall-clock seconds to finish the remaining points",
-        "gauge",
-        round(snapshot["eta"], 3),
-    )
-    _metric(
-        lines,
-        "repro_sweep_points_in_flight",
-        "Design points currently queued, running, or stalled",
-        "gauge",
-        len(snapshot["in_flight"]),
-    )
-    _metric(
-        lines,
-        "repro_sweep_points_stalled",
-        "Design points whose commit watchdog reported a deadlock",
-        "gauge",
-        len(snapshot["stalled"]),
-    )
-    _metric(
-        lines,
-        "repro_store_hits_total",
-        "Result-store loads served from disk this process",
-        "counter",
-        snapshot["store_hits"],
-    )
-    _metric(
-        lines,
-        "repro_store_misses_total",
-        "Result-store loads that missed this process",
-        "counter",
-        snapshot["store_misses"],
-    )
-    _metric(
-        lines,
-        "repro_failure_log_depth",
-        "Failure records accumulated by the resilient sweep",
-        "gauge",
-        snapshot["failure_log_depth"],
-    )
-    workers = snapshot["workers"]
-    if workers:
-        lines.append(
-            "# HELP repro_worker_alive Worker sent a heartbeat recently (1) "
-            "or went quiet (0)"
-        )
-        lines.append("# TYPE repro_worker_alive gauge")
-        for worker, stats in sorted(workers.items()):
-            lines.append(
-                f'repro_worker_alive{{worker="{worker}"}} '
-                f'{1 if stats["alive"] else 0}'
-            )
-        lines.append(
-            "# HELP repro_worker_instructions_per_second Simulated commit "
-            "rate per worker, from consecutive heartbeats"
-        )
-        lines.append("# TYPE repro_worker_instructions_per_second gauge")
-        for worker, stats in sorted(workers.items()):
-            lines.append(
-                f'repro_worker_instructions_per_second{{worker="{worker}"}} '
-                f'{stats["rate"]:.1f}'
-            )
-        lines.append(
-            "# HELP repro_worker_heartbeat_age_seconds Seconds since each "
-            "worker's last heartbeat"
-        )
-        lines.append("# TYPE repro_worker_heartbeat_age_seconds gauge")
-        for worker, stats in sorted(workers.items()):
-            lines.append(
-                f'repro_worker_heartbeat_age_seconds{{worker="{worker}"}} '
-                f'{stats["age"]:.3f}'
-            )
-    dispatch = snapshot.get("dispatch")
-    if dispatch:
-        _metric(
-            lines,
-            "repro_dispatch_chunks_total",
-            "Work chunks planned for the latest parallel batch",
-            "gauge",
-            dispatch.get("chunks", 0),
-        )
-        _metric(
-            lines,
-            "repro_dispatch_steals_total",
-            "Chunks workers pulled from the shared queue beyond their first",
-            "gauge",
-            dispatch.get("steals", 0),
-        )
-        _metric(
-            lines,
-            "repro_dispatch_utilization",
-            "Aggregate worker busy time over the batch wall clock x workers",
-            "gauge",
-            float(dispatch.get("utilization", 0.0)),
-        )
-        worker_stats = dispatch.get("worker_stats") or {}
-        if worker_stats:
-            lines.append(
-                "# HELP repro_worker_points_total Design points each worker "
-                "simulated in the latest parallel batch"
-            )
-            lines.append("# TYPE repro_worker_points_total gauge")
-            for worker, stats in sorted(worker_stats.items()):
-                lines.append(
-                    f'repro_worker_points_total{{worker="{worker}"}} '
-                    f'{stats["points"]}'
-                )
-            lines.append(
-                "# HELP repro_worker_busy_seconds_total Seconds each worker "
-                "spent simulating in the latest parallel batch"
-            )
-            lines.append("# TYPE repro_worker_busy_seconds_total gauge")
-            for worker, stats in sorted(worker_stats.items()):
-                lines.append(
-                    f'repro_worker_busy_seconds_total{{worker="{worker}"}} '
-                    f'{stats["busy_seconds"]:g}'
-                )
-            lines.append(
-                "# HELP repro_worker_steals_total Chunks each worker pulled "
-                "beyond its first in the latest parallel batch"
-            )
-            lines.append("# TYPE repro_worker_steals_total gauge")
-            for worker, stats in sorted(worker_stats.items()):
-                lines.append(
-                    f'repro_worker_steals_total{{worker="{worker}"}} '
-                    f'{stats["steals"]}'
-                )
-    spans = snapshot.get("spans")
-    if spans:
-        _metric(
-            lines,
-            "repro_span_recorded_total",
-            "Orchestration spans recorded by the latest sweep",
-            "counter",
-            spans.get("recorded", 0),
-        )
-        by_name = spans.get("by_name") or {}
-        if by_name:
-            lines.append(
-                "# HELP repro_span_seconds_total Wall-clock seconds "
-                "accumulated per orchestration span name"
-            )
-            lines.append("# TYPE repro_span_seconds_total counter")
-            for name, row in sorted(by_name.items()):
-                lines.append(
-                    f'repro_span_seconds_total{{name="{name}"}} '
-                    f'{row["seconds"]:g}'
-                )
-            lines.append(
-                "# HELP repro_span_count_total Orchestration spans "
-                "recorded per span name"
-            )
-            lines.append("# TYPE repro_span_count_total counter")
-            for name, row in sorted(by_name.items()):
-                lines.append(
-                    f'repro_span_count_total{{name="{name}"}} {row["count"]}'
-                )
-    counter_rows = snapshot.get("counters") or {}
-    if counter_rows:
-        # Latest interval row per in-flight point, one labeled gauge per
-        # sampled column (all raw per-interval deltas; rates are left to
-        # the scraper so the exposition stays integer-exact).
-        columns: dict[str, list[tuple[str, int]]] = {}
-        index_rows: list[tuple[str, int]] = []
-        for point, entry in sorted(counter_rows.items()):
-            index_rows.append((entry["label"], entry.get("index", 0)))
-            for column, value in entry["row"].items():
-                columns.setdefault(column, []).append((entry["label"], value))
-        name = metric_name("repro_counter", "interval_index")
-        lines.append(
-            f"# HELP {name} Index of each point's latest sampled interval"
-        )
-        lines.append(f"# TYPE {name} gauge")
-        for label, value in index_rows:
-            lines.append(f'{name}{{point="{label}"}} {value}')
-        for column, rows in sorted(columns.items()):
-            name = metric_name("repro_counter", column)
-            lines.append(
-                f"# HELP {name} Latest interval's {column} per design point"
-            )
-            lines.append(f"# TYPE {name} gauge")
-            for label, value in rows:
-                lines.append(f'{name}{{point="{label}"}} {value}')
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1058,80 +688,6 @@ class ProgressDisplay:
 
 
 # ---------------------------------------------------------------------------
-# /metrics + /healthz HTTP endpoint
-# ---------------------------------------------------------------------------
-
-
-class MetricsServer:
-    """Background HTTP thread: Prometheus ``/metrics`` plus ``/healthz``.
-
-    Binds loopback only -- this is an operator's live view of one
-    process, not a public service.  Port 0 picks an ephemeral port;
-    the bound port is in :attr:`port`.
-    """
-
-    def __init__(self, hub: TelemetryHub, port: int, host: str = "127.0.0.1"):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        started = time.monotonic()
-
-        class Handler(BaseHTTPRequestHandler):
-            def _send(self, code: int, content_type: str, body: str) -> None:
-                payload = body.encode("utf-8")
-                self.send_response(code)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                if self.path == "/metrics":
-                    self._send(
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        hub.prometheus(),
-                    )
-                elif self.path == "/healthz":
-                    self._send(
-                        200,
-                        "application/json",
-                        json.dumps(
-                            {
-                                "status": "ok",
-                                "uptime_seconds": round(
-                                    time.monotonic() - started, 3
-                                ),
-                            }
-                        ),
-                    )
-                else:
-                    self._send(404, "text/plain", "not found\n")
-
-            def log_message(self, *args) -> None:  # silence per-request spam
-                pass
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self.port = self._server.server_address[1]
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="telemetry-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-
-# ---------------------------------------------------------------------------
 # The CLI-facing scope
 # ---------------------------------------------------------------------------
 
@@ -1140,43 +696,27 @@ class MetricsServer:
 def sweep_telemetry(
     *,
     progress: bool | None = None,
-    serve_port: int | None = None,
-    store: "ResultStore | None" = None,
     stream: IO[str] | None = None,
 ) -> Iterator[TelemetryHub | None]:
-    """Enable live telemetry for the enclosed sweep run.
+    """Enable the live progress display for the enclosed sweep run.
 
     ``progress=None`` auto-enables the display on a TTY; ``True`` and
-    ``False`` force it.  ``serve_port`` starts the ``/metrics`` HTTP
-    thread.  When neither consumer is wanted, yields ``None`` without
+    ``False`` force it.  When it is off, yields ``None`` without
     installing anything -- the zero-overhead off state.
     """
     import sys
 
     out = stream if stream is not None else sys.stderr
     want_progress = out.isatty() if progress is None else progress
-    if not want_progress and serve_port is None:
+    if not want_progress:
         yield None
         return
     hub = TelemetryHub()
-    hub.attach_store(store)
-    display = ProgressDisplay(hub, out) if want_progress else None
-    server = MetricsServer(hub, serve_port) if serve_port is not None else None
+    display = ProgressDisplay(hub, out)
     install_hub(hub)
     try:
-        if server is not None:
-            server.start()
-            print(
-                f"[serving /metrics and /healthz on "
-                f"http://127.0.0.1:{server.port}]",
-                file=out,
-            )
-        if display is not None:
-            display.start()
+        display.start()
         yield hub
     finally:
         clear_hub()
-        if display is not None:
-            display.close()
-        if server is not None:
-            server.close()
+        display.close()

@@ -4,8 +4,7 @@ Covers the interval-accounting contract (every committed instruction
 lands in exactly one row; the trailing partial interval is emitted and
 flagged, never dropped), the schema-v4 persistence path (store
 round-trip, quarantine of mis-stamped entries, bounded ledger records),
-the series analysis helpers behind ``repro compare``, and the
-Prometheus ``metric_name`` charset validation shared with telemetry.
+and the series analysis helpers behind ``repro compare``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.ledger import build_record
 from repro.engine.serialize import result_from_dict, result_to_dict
 from repro.engine.store import SCHEMA_VERSION, ResultStore
-from repro.observability import counters, telemetry
+from repro.observability import counters
 from repro.workloads.catalog import benchmark
 
 FAST = ExperimentSettings(
@@ -374,62 +373,6 @@ class TestAnalysis:
         cols = counters.columns_of(series)
         last = [e for e in events if e["name"] == "dup+lb: ipc"][-1]
         assert last["ts"] == sum(cols["cycles"][:-1])
-
-
-class TestMetricNames:
-    def test_valid_names_join(self):
-        assert (
-            telemetry.metric_name("repro_counter", "bank_conflicts")
-            == "repro_counter_bank_conflicts"
-        )
-        assert telemetry.metric_name("a:b", "c_1") == "a:b_c_1"
-
-    @pytest.mark.parametrize(
-        "parts",
-        (("repro", "bad-name"), ("1leading",), ("sp ace",), ("",)),
-    )
-    def test_invalid_charset_rejected(self, parts):
-        with pytest.raises(ValueError, match="invalid Prometheus"):
-            telemetry.metric_name(*parts)
-
-    def test_every_series_column_makes_a_valid_gauge_name(self):
-        for column in counters.COLUMNS:
-            name = telemetry.metric_name("repro_counter", column)
-            assert name.startswith("repro_counter_")
-
-    def test_hub_renders_counter_gauges(self):
-        hub = telemetry.TelemetryHub()
-        hub.handle(
-            {
-                "type": "counters",
-                "point": "p1",
-                "label": "banked-2/gcc",
-                "index": 2,
-                "row": {"instructions": 250, "bank_conflicts": 31},
-            }
-        )
-        text = hub.prometheus()
-        assert (
-            'repro_counter_interval_index{point="banked-2/gcc"} 2' in text
-        )
-        assert (
-            'repro_counter_bank_conflicts{point="banked-2/gcc"} 31' in text
-        )
-
-    def test_sampler_feeds_an_active_beacon(self):
-        messages = []
-        beacon = telemetry.TelemetryBeacon(
-            "p1", "dup/gcc", messages.append
-        )
-        telemetry._BEACON = beacon
-        try:
-            result = _run(300)
-        finally:
-            telemetry._BEACON = None
-        rows = [m for m in messages if m["type"] == "counters"]
-        assert len(rows) == counters.row_count(result.counters)
-        assert rows[0]["row"]["instructions"] == 300
-        assert rows[-1]["row"]["partial"] == 1
 
 
 class TestHotPathDiscipline:

@@ -1,9 +1,6 @@
-"""Live sweep telemetry: beacon, hub, display, /metrics endpoint."""
+"""Live sweep telemetry: beacon, hub, progress display and recap."""
 
 import io
-import json
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -13,14 +10,12 @@ from repro.engine.key import ExperimentKey
 from repro.observability import telemetry
 from repro.observability.telemetry import (
     _BEAT_CALL_MASK,
-    MetricsServer,
     ProgressDisplay,
     TelemetryBeacon,
     TelemetryHub,
     point_beacon,
     render_final_summary,
     render_progress_lines,
-    render_prometheus,
     sweep_telemetry,
 )
 from repro.robustness.watchdog import LivenessMonitor
@@ -261,8 +256,6 @@ class TestHubLifecycle:
         assert point["status"] == "running"
         assert point["instructions"] == 1200
         assert point["fraction"] == pytest.approx(1200 / 1800)
-        assert snapshot["workers"]["pid:1"]["rate"] == pytest.approx(600.0)
-        assert snapshot["workers"]["pid:1"]["alive"] is True
 
     def test_stall_heartbeat_marks_point_stalled(self):
         hub = _hub()
@@ -319,6 +312,22 @@ class TestHubLifecycle:
         assert snapshot["elapsed"] == 10.0
         assert snapshot["eta"] == pytest.approx(30.0)
 
+    def test_eta_ignores_cached_points(self):
+        # Store hits resolve instantly: 80 of them, then one simulated
+        # point 5 s later, leave 9 points at 5 s each.
+        clock = FakeClock()
+        hub = _hub(clock=clock)
+        hub.batch_started(90)
+        for index in range(80):
+            hub.point_cached(f"c{index}", "org / gcc", "store")
+        assert hub.snapshot()["eta"] == 0.0  # no rate until a point ran
+        clock.now += 5.0
+        hub.point_finished("p1", "org / gcc", "simulated")
+        snapshot = hub.snapshot()
+        assert snapshot["done"] == 81
+        assert snapshot["eta"] == pytest.approx(45.0)
+        assert "ETA 45s" in render_progress_lines(snapshot)[0]
+
     def test_bad_message_in_handle_is_tolerated_by_drain_contract(self):
         hub = _hub()
         # handle() itself may raise on garbage; the drain loop catches it.
@@ -326,85 +335,6 @@ class TestHubLifecycle:
         # silent no-op, not a crash.
         hub.handle({"type": "mystery", "point": "p", "label": "l"})
         assert hub.snapshot()["in_flight"][0]["status"] == "running"
-
-    def test_failure_log_and_store_counters_flow_through(self, tmp_path):
-        from repro.engine.store import ResultStore
-        from repro.robustness.runner import FailureLog, FailureRecord
-
-        store = ResultStore(tmp_path / "cache")
-        store.load(_key())  # a miss
-        log = FailureLog()
-        log.record(
-            FailureRecord(
-                label="org / gcc",
-                workload="gcc",
-                error_type="DeadlockError",
-                message="stall",
-                attempts=2,
-                resolution="gap",
-            )
-        )
-        hub = _hub()
-        hub.attach_store(store)
-        hub.attach_failure_log(log)
-        snapshot = hub.snapshot()
-        assert snapshot["store_misses"] == 1
-        assert snapshot["store_hits"] == 0
-        assert snapshot["failure_log_depth"] == 1
-
-
-class TestPrometheusRendering:
-    def _snapshot(self) -> dict:
-        hub = _hub()
-        hub.batch_started(2)
-        hub.point_cached("p1", "org / gcc", "store")
-        hub.handle(
-            {
-                "type": "beat",
-                "point": "p2",
-                "label": "org / tomcatv",
-                "worker": "pid:7",
-                "instructions": 100,
-                "cycle": 80,
-                "budget": 1800,
-            }
-        )
-        return hub.snapshot()
-
-    def test_required_series_present(self):
-        text = render_prometheus(self._snapshot())
-        for series in (
-            "repro_sweep_points_total 2",
-            "repro_sweep_points_done 1",
-            "repro_sweep_points_cached 1",
-            "repro_sweep_points_in_flight 1",
-            "repro_store_hits_total 0",
-            "repro_failure_log_depth 0",
-            'repro_worker_alive{worker="pid:7"} 1',
-        ):
-            assert series in text, series
-
-    def test_exposition_format_discipline(self):
-        text = render_prometheus(self._snapshot())
-        assert text.endswith("\n")
-        names = set()
-        for line in text.splitlines():
-            if line.startswith("# HELP "):
-                names.add(line.split()[2])
-            elif not line.startswith("#"):
-                bare = line.split("{")[0].split()[0]
-                assert bare in names, f"sample {bare} without HELP/TYPE"
-        # Every HELP has a TYPE.
-        helps = [ln for ln in text.splitlines() if ln.startswith("# HELP")]
-        types = [ln for ln in text.splitlines() if ln.startswith("# TYPE")]
-        assert len(helps) == len(types)
-
-    def test_no_workers_no_worker_series(self):
-        hub = _hub()
-        hub.batch_started(1)
-        text = hub.prometheus()
-        assert "repro_worker_alive" not in text
-
 
 class TestProgressDisplay:
     def _busy_hub(self) -> TelemetryHub:
@@ -511,32 +441,6 @@ class TestDispatchSurface:
         hub.batch_started(1)
         assert hub.snapshot()["dispatch"] is None
 
-    def test_prometheus_exposes_dispatch_and_worker_series(self):
-        text = render_prometheus(self._hub_with_dispatch().snapshot())
-        for series in (
-            "repro_dispatch_chunks_total 4",
-            "repro_dispatch_steals_total 2",
-            "repro_dispatch_utilization 0.913",
-            'repro_worker_points_total{worker="pid:11"} 4',
-            'repro_worker_points_total{worker="pid:12"} 2',
-            'repro_worker_busy_seconds_total{worker="pid:11"} 2.5',
-            'repro_worker_steals_total{worker="pid:12"} 0',
-        ):
-            assert series in text, series
-
-    def test_prometheus_omits_dispatch_series_without_a_profile(self):
-        hub = _hub()
-        hub.batch_started(1)
-        text = render_prometheus(hub.snapshot())
-        assert "repro_dispatch_" not in text
-        assert "repro_worker_points_total" not in text
-
-    def test_dispatch_series_keep_exposition_discipline(self):
-        text = render_prometheus(self._hub_with_dispatch().snapshot())
-        helps = [ln for ln in text.splitlines() if ln.startswith("# HELP")]
-        types = [ln for ln in text.splitlines() if ln.startswith("# TYPE")]
-        assert len(helps) == len(types)
-
     def test_progress_block_gains_a_pool_line(self):
         lines = render_progress_lines(self._hub_with_dispatch().snapshot())
         pool = [line for line in lines if line.startswith("  pool:")]
@@ -561,32 +465,6 @@ class TestDispatchSurface:
         assert "pool cold" not in pool
 
 
-class TestMetricsServer:
-    def test_metrics_and_healthz_over_http(self):
-        hub = _hub()
-        hub.batch_started(5)
-        server = MetricsServer(hub, 0)  # ephemeral port
-        server.start()
-        try:
-            base = f"http://127.0.0.1:{server.port}"
-            with urllib.request.urlopen(f"{base}/metrics", timeout=5) as resp:
-                assert resp.status == 200
-                assert resp.headers["Content-Type"].startswith(
-                    "text/plain; version=0.0.4"
-                )
-                body = resp.read().decode("utf-8")
-            assert "repro_sweep_points_total 5" in body
-            with urllib.request.urlopen(f"{base}/healthz", timeout=5) as resp:
-                health = json.load(resp)
-            assert health["status"] == "ok"
-            assert health["uptime_seconds"] >= 0
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"{base}/nope", timeout=5)
-            assert excinfo.value.code == 404
-        finally:
-            server.close()
-
-
 class TestSweepTelemetryScope:
     def test_off_state_installs_nothing(self):
         stream = io.StringIO()  # not a TTY: progress auto-off
@@ -609,24 +487,8 @@ class TestSweepTelemetryScope:
         assert telemetry.active_hub() is None
         assert "sweep: 1/1 points" in stream.getvalue()
 
-    def test_serve_port_announces_endpoint(self):
-        stream = io.StringIO()
-        with sweep_telemetry(
-            progress=False, serve_port=0, stream=stream
-        ) as hub:
-            assert hub is not None
-            announced = stream.getvalue()
-            assert "/metrics and /healthz on http://127.0.0.1:" in announced
-            port = int(announced.rstrip().rstrip("]").rsplit(":", 1)[1])
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=5
-            ) as resp:
-                assert resp.status == 200
-        assert telemetry.active_hub() is None
-
-
 class TestSpansSurface:
-    """Sweep span summaries flow through snapshot, /metrics, and recap."""
+    """Sweep span summaries flow through the snapshot and the recap."""
 
     def _spanned_hub(self) -> TelemetryHub:
         hub = _hub()
@@ -649,28 +511,6 @@ class TestSpansSurface:
         snapshot = self._spanned_hub().snapshot()
         assert snapshot["spans"]["recorded"] == 9
         assert _hub().snapshot()["spans"] is None
-
-    def test_prometheus_span_series(self):
-        text = render_prometheus(self._spanned_hub().snapshot())
-        assert "repro_span_recorded_total 9" in text
-        assert 'repro_span_seconds_total{name="point"} 3.5' in text
-        assert 'repro_span_count_total{name="point"} 2' in text
-
-    def test_span_series_keep_exposition_discipline(self):
-        text = render_prometheus(self._spanned_hub().snapshot())
-        names = set()
-        for line in text.splitlines():
-            if line.startswith("# HELP "):
-                names.add(line.split()[2])
-            elif not line.startswith("#") and line.strip():
-                bare = line.split("{")[0].split()[0]
-                assert bare in names, f"sample {bare} without HELP/TYPE"
-
-    def test_no_spans_no_span_series(self):
-        hub = _hub()
-        hub.batch_started(1)
-        assert "repro_span" not in hub.prometheus()
-
 
 class TestFinalSummary:
     def test_recap_line(self):
@@ -710,3 +550,42 @@ class TestFinalSummary:
         display.close()
         output = stream.getvalue()
         assert output.count("sweep finished:") == 1
+
+
+class TestProgressThroughTheCli:
+    def test_progress_leaves_stdout_alone(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.core import experiment
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        argv = [
+            "figure4",
+            "--benchmarks",
+            "li",
+            "--instructions",
+            str(FAST.instructions),
+            "--timing-warmup",
+            str(FAST.timing_warmup),
+            "--functional-warmup",
+            str(FAST.functional_warmup),
+            "--jobs",
+            "2",
+        ]
+        experiment.clear_cache()
+        try:
+            assert main([*argv, "--progress"]) == 0
+            live = capsys.readouterr()
+            assert main([*argv, "--no-progress"]) == 0
+            quiet = capsys.readouterr()
+        finally:
+            experiment.clear_cache()
+        assert live.out == quiet.out
+        (recap,) = [
+            line
+            for line in live.err.splitlines()
+            if line.startswith("sweep finished:")
+        ]
+        done, planned = recap.split()[2].split("/")
+        assert done == planned
+        assert "[serving" not in live.err

@@ -3,7 +3,6 @@
 from repro.observability.telemetry import (
     TelemetryHub,
     render_progress_lines,
-    render_prometheus,
 )
 
 
@@ -26,16 +25,6 @@ class TestTimeoutAccounting:
         hub.batch_started(5)
         hub.sweep_resumed(3)
         assert hub.snapshot()["resumed"] == 3
-
-    def test_prometheus_exports_both_gauges(self):
-        hub = TelemetryHub()
-        hub.batch_started(1)
-        hub.sweep_resumed(2)
-        hub.point_started("p1", "org / gcc")
-        hub.point_finished("p1", "org / gcc", "timeout")
-        text = render_prometheus(hub.snapshot())
-        assert "repro_sweep_points_timeouts 1" in text
-        assert "repro_sweep_points_resumed 2" in text
 
     def test_progress_line_names_timeouts_and_resumed(self):
         hub = TelemetryHub()
