@@ -137,8 +137,10 @@ def _env(cache_dir: Path, scale: float, extra: dict[str, str] | None = None):
     )
     env.pop("REPRO_TRACE", None)
     env.pop("REPRO_ATTRIBUTION", None)
-    env.pop("REPRO_BACKEND", None)
     env.pop("REPRO_COUNTER_INTERVAL", None)
+    # Every mode times the backend BENCH_repro.json recorded; the
+    # backend and scaling legs pick ``fast`` with an explicit flag.
+    env["REPRO_BACKEND"] = "reference"
     if extra:
         env.update(extra)
     return env

@@ -6,7 +6,7 @@ Usage::
     python -m repro figure4 --benchmarks gcc tomcatv
     python -m repro figure9 --instructions 20000
     python -m repro headlines --jobs 4
-    python -m repro headlines --backend fast
+    python -m repro headlines --backend reference
     python -m repro figure8 --jobs 4 --progress
     python -m repro all
     python -m repro figure4 --jobs 2 --point-timeout 120
@@ -40,8 +40,10 @@ verb or an out-of-range number is a usage error before anything runs.
 Instruction budgets can also be scaled globally with ``REPRO_SCALE``
 (a multiplier) or pinned with ``REPRO_INSTRUCTIONS`` (absolute measured
 count).  ``--backend {reference,fast}`` (or ``REPRO_BACKEND``) selects
-the simulation kernel; backends are bit-identical in output, so this is
-purely a speed knob and cached results are shared between them.
+the simulation kernel.  The default, ``fast``, is event-driven;
+``reference`` is the slower oracle loop it is checked against.  Backends
+are bit-identical in output, so this is purely a speed knob and cached
+results are shared between them.
 Results persist in ``.repro-cache/`` (override with ``--cache-dir`` or
 ``REPRO_CACHE_DIR``; disable with ``--no-cache``), so a second run of
 the same figures is nearly free.
@@ -1297,8 +1299,8 @@ def _parser() -> argparse.ArgumentParser:
         choices=("reference", "fast"),
         default=None,
         help=(
-            "simulation kernel (default: $REPRO_BACKEND or 'reference'); "
-            "'fast' is event-driven and bit-identical to 'reference'"
+            "simulation kernel (default: $REPRO_BACKEND or 'fast'); "
+            "'reference' is the slower oracle 'fast' is bit-identical to"
         ),
     )
     sim = argparse.ArgumentParser(add_help=False, parents=[backend])

@@ -219,14 +219,12 @@ def _simulate(
     core = OutOfOrderCore(settings.cpu, memory)
     if chaos is not None:
         chaos.arm(core, spec)
-    result = backend.run(
+    return backend.run(
         core,
         trace,
         settings.instructions,
         warmup_instructions=settings.timing_warmup,
     )
-    result.backend = backend.name
-    return result
 
 
 def _failure_message(error: Exception, limit: int = 8) -> str:

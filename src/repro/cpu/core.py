@@ -19,12 +19,12 @@ The 32-entry load/store buffer gates dispatch of memory operations.
 
 The cycle loop itself lives in :mod:`repro.kernel`: :meth:`run`
 dispatches to the selected :class:`~repro.kernel.SimulationBackend`
-(the reference loop moved verbatim to ``repro.kernel.reference``, the
-event-driven one in ``repro.kernel.fast``).  ``_issue`` and
-``_skip_to_next_event`` remain as instance methods because they are
-the established extension points -- the chaos harness patches them per
-instance -- and both backends route through them (the fast backend
-falls back to the reference loop when it finds them patched).
+(the event-driven default in ``repro.kernel.fast``, the reference
+loop moved verbatim to ``repro.kernel.reference``).
+``_skip_to_next_event`` remains an instance method because the
+reference loop jumps idle stretches through it, and the chaos
+harness's ``hang`` directive patches it per instance (chaos runs
+always take the reference backend).
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from typing import Iterator
 from repro.cpu.branch import BranchStats, make_predictor
 from repro.cpu.config import ProcessorConfig
 from repro.cpu.isa import MAX_DEP_DISTANCE, MicroOp
-from repro.cpu.result import PipelineStats, SimulationResult
+from repro.cpu.result import SimulationResult
 from repro.memory.hierarchy import MemorySystem
-from repro.observability import trace as obs_trace
 
 _NOT_ISSUED = -1
 _RING = 1024
@@ -72,7 +71,6 @@ class OutOfOrderCore:
         max_instructions: int,
         *,
         warmup_instructions: int = 0,
-        backend: str | None = None,
     ) -> SimulationResult:
         """Simulate until ``max_instructions`` commit (post-warmup).
 
@@ -81,39 +79,15 @@ class OutOfOrderCore:
         reported IPC covers only the measured region (the paper likewise
         simulates "an interesting portion" of each benchmark).
 
-        ``backend`` names a :mod:`repro.kernel` backend to run on;
-        ``None`` uses the process-wide selection (``REPRO_BACKEND`` /
-        ``--backend``).  All backends produce bit-identical results.
+        Runs on the selected :mod:`repro.kernel` backend
+        (``REPRO_BACKEND`` / ``--backend``; :func:`repro.kernel.use_backend`
+        scopes a choice).  All backends produce bit-identical results.
         """
         from repro import kernel
 
-        impl = (
-            kernel.active_backend()
-            if backend is None
-            else kernel.get_backend(backend)
-        )
-        return impl.run(
+        return kernel.active_backend().run(
             self, trace, max_instructions, warmup_instructions=warmup_instructions
         )
-
-    # ------------------------------------------------------------------
-    # Extension points: both backends issue through ``_issue``, and the
-    # reference loop jumps idle stretches through ``_skip_to_next_event``.
-    # Per-instance replacements (chaos directives, tests) are honored by
-    # every backend -- the fast one by deferring to the reference loop.
-    # ------------------------------------------------------------------
-
-    def _issue(
-        self,
-        slot: _Slot,
-        cycle: int,
-        store_lines: dict[int, tuple[int, int]],
-        pipeline: PipelineStats,
-        tracer: "obs_trace.Tracer | None" = None,
-    ) -> None:
-        from repro.kernel import reference
-
-        reference.issue_slot(self, slot, cycle, store_lines, pipeline, tracer)
 
     def _skip_to_next_event(
         self,

@@ -3,23 +3,22 @@
 The cycle loop used to live inline in :mod:`repro.cpu.core`; it is now
 a *backend* chosen per run, with two implementations:
 
-* ``reference`` -- the original pure-Python loop, moved here verbatim
-  (:mod:`repro.kernel.reference`).  The golden suite pins its output.
-* ``fast`` -- an event-driven loop with dependency counting, ready
-  heaps, and precomputed workload artifacts
+* ``fast`` (the default) -- an event-driven loop with dependency
+  counting, ready heaps, and precomputed workload artifacts
   (:mod:`repro.kernel.fast`).  It must produce **bit-identical
   results** to ``reference``: same stats, same metrics, same trace
   events.  The parity suite (``tests/engine/test_backends.py``) and a
   CI job enforce that invariant, which is also why the backend name is
   excluded from :class:`~repro.engine.key.ExperimentKey` digests --
   cache entries are shared between backends.
+* ``reference`` -- the oracle: the original pure-Python loop, moved
+  here verbatim (:mod:`repro.kernel.reference`).  The golden suite
+  pins its output, and chaos runs always take it.
 
-Selection, in priority order:
-
-1. an explicit :func:`use_backend` scope (tests, library callers);
-2. the ``REPRO_BACKEND`` environment variable (inherited by pool
-   workers, which is how ``--backend`` reaches parallel runs);
-3. the default, ``reference``.
+Selection is the ``REPRO_BACKEND`` environment variable alone
+(inherited by pool workers, which is how ``--backend`` reaches parallel
+runs); unset or blank means the default, ``fast``.  :func:`use_backend`
+scopes a choice by setting and restoring that variable.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: The default backend; also what an empty/unset environment means.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "fast"
 
 #: Names accepted by :func:`get_backend`, in documentation order.
 BACKEND_NAMES = ("reference", "fast")
@@ -79,7 +78,6 @@ class SimulationBackend(Protocol):
 
 
 _INSTANCES: dict[str, SimulationBackend] = {}
-_SELECTED: str | None = None  # in-process override; beats the environment
 
 
 def get_backend(name: str) -> SimulationBackend:
@@ -111,8 +109,6 @@ def get_backend(name: str) -> SimulationBackend:
 
 def selected_name() -> str:
     """The backend name the next simulation will use."""
-    if _SELECTED is not None:
-        return _SELECTED
     raw = os.environ.get(BACKEND_ENV)
     if raw is None or not raw.strip():
         return DEFAULT_BACKEND
@@ -124,37 +120,21 @@ def active_backend() -> SimulationBackend:
     return get_backend(selected_name())
 
 
-def select_backend(name: str | None) -> str | None:
-    """Set (or with ``None`` clear) the in-process backend override.
-
-    Returns the previous override so callers can restore it.  Unknown
-    names fail immediately rather than at first simulation.
-    """
-    global _SELECTED
-    previous = _SELECTED
-    if name is None:
-        _SELECTED = None
-    else:
-        get_backend(name)  # validate
-        _SELECTED = name.strip().lower()
-    return previous
-
-
 @contextmanager
 def use_backend(name: str):
     """Scope with ``name`` selected; restores the prior choice on exit.
 
-    Also exports ``REPRO_BACKEND`` for the scope so worker processes
-    spawned inside it inherit the same backend.
+    Selection is ``REPRO_BACKEND`` itself, so worker processes spawned
+    inside the scope inherit the same backend.  Unknown names fail
+    immediately rather than at first simulation.
     """
-    previous = select_backend(name)
-    previous_env = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = selected_name()
+    backend = get_backend(name)
+    previous = os.environ.get(BACKEND_ENV)
+    os.environ[BACKEND_ENV] = backend.name
     try:
-        yield get_backend(selected_name())
+        yield backend
     finally:
-        select_backend(previous)
-        if previous_env is None:
+        if previous is None:
             os.environ.pop(BACKEND_ENV, None)
         else:
-            os.environ[BACKEND_ENV] = previous_env
+            os.environ[BACKEND_ENV] = previous

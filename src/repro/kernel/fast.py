@@ -34,9 +34,9 @@ not cycles), which is why the advance/skip structure mirrors it
 exactly.  ``tests/engine/test_backends.py`` and the golden suite hold
 the two backends bit-identical.
 
-When the chaos harness has patched the core's ``_skip_to_next_event``
-or ``_issue`` (per-instance monkeypatching), this backend defers to
-the reference loop, which routes through those hooks.
+This is the default backend.  It has no per-instance hooks: chaos
+runs, whose directives patch the core, are sent to the reference loop
+by :func:`repro.core.experiment._simulate`.
 """
 
 from __future__ import annotations
@@ -141,26 +141,12 @@ class FastBackend:
         *,
         warmup_instructions: int = 0,
     ) -> SimulationResult:
-        # Per-instance hooks (chaos directives, tests) only exist on the
-        # reference path; honor them by taking it.
-        instance = core.__dict__
-        if "_skip_to_next_event" in instance or "_issue" in instance:
-            result = reference.run_loop(
-                core,
-                trace,
-                max_instructions,
-                warmup_instructions=warmup_instructions,
-            )
-            result.backend = self.name
-            return result
-        result = run_loop(
+        return run_loop(
             core,
             trace,
             max_instructions,
             warmup_instructions=warmup_instructions,
         )
-        result.backend = self.name
-        return result
 
 
 def _back_cache(memory: "MemorySystem"):
@@ -294,9 +280,6 @@ def run_loop(
     memory = core.memory
     mshrs = memory.mshrs
     predictor_observe = core.predictor.observe
-    # Safe to bypass the ``core._issue`` indirection: the caller already
-    # verified no per-instance patch exists (FastBackend.run falls back
-    # to the reference loop in that case).
     issue_one = reference.issue_slot
     commit_width = cfg.commit_width
     issue_width = cfg.issue_width

@@ -1,14 +1,15 @@
-"""The reference simulation backend: the original cycle loop, verbatim.
+"""The reference simulation backend: the oracle, the original cycle loop.
 
 This module is the old body of :meth:`OutOfOrderCore.run` (plus its
-``_issue`` / ``_skip_to_next_event`` helpers) moved behind the
+issue and idle-skip helpers) moved behind the
 :class:`~repro.kernel.SimulationBackend` seam.  It is deliberately
-*not* optimized: the golden suite pins its output, and the fast
-backend's correctness bar is bit-identical agreement with this code.
+*not* optimized: the golden suite pins its output, and the default
+``fast`` backend's correctness bar is bit-identical agreement with
+this code.  Select it with ``--backend reference``.
 
-The loop calls ``core._issue`` and ``core._skip_to_next_event`` through
-the core instance, so per-instance patches (the chaos harness's "hang"
-directive replaces ``_skip_to_next_event``) keep working unchanged.
+The loop calls ``core._skip_to_next_event`` through the core instance,
+so the chaos harness's ``hang`` directive can patch it per instance;
+chaos runs always take this backend.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def run_loop(
                         ready = when
             if not ok or ready > cycle:
                 continue
-            core._issue(slot, cycle, store_lines, pipeline, tracer)
+            issue_slot(core, slot, cycle, store_lines, pipeline, tracer)
             comp[seq & _RING_MASK] = slot.complete
             n_issue += 1
             if fu_free is not None:

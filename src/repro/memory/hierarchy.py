@@ -422,9 +422,7 @@ class MemorySystem:
                 f"before its request at cycle {grant.start_cycle}"
             )
         self.mshrs.complete(line, response.ready_cycle, alloc_cycle=grant.start_cycle)
-        self._pending_served[line] = response.served_by
-        if len(self._pending_served) > 4 * self.config.mshrs:
-            self._trim_pending()
+        self._note_served(line, response.served_by)
         self._install(line, response.ready_cycle, dirty=dirty)
         if self.config.next_line_prefetch:
             self._prefetch(line + 1, response.ready_cycle)
@@ -441,10 +439,14 @@ class MemorySystem:
     def _prefetch(self, line: int, cycle: int) -> None:
         """Next-line prefetch into the L1, if a free MSHR allows it.
 
-        The prefetch consumes real resources (an MSHR and bus occupancy)
-        but never delays the demand miss that triggered it.  Early
-        touches to the prefetched line become delayed hits until its
-        fill arrives, via the normal MSHR bookkeeping.
+        Called right after the triggering demand miss took its register,
+        so the file holds exactly the lines in flight now; the prefetch
+        needs a free one of those same registers (it never waits for
+        one), and issues when the demand fill arrives at ``cycle``.  It
+        consumes real resources (an MSHR and bus occupancy) but never
+        delays the demand miss that triggered it.  Early touches to the
+        prefetched line become delayed hits until its fill arrives, via
+        the normal MSHR bookkeeping.
         """
         if self.l1.probe(line) or self.mshrs.pending_ready(line, cycle):
             return
@@ -453,12 +455,12 @@ class MemorySystem:
             # same line resident in both structures; a demand miss will
             # recover it with a one-cycle swap anyway.
             return
-        if self.mshrs.outstanding(cycle) >= self.mshrs.entries:
-            return  # never steal the last MSHR from demand traffic
+        if self.mshrs.full():
+            return  # never wait for (or steal) a register from demand traffic
         self.stats.prefetches_issued += 1
         response = self.backside.fetch_line(line, cycle)
         self.mshrs.complete(line, response.ready_cycle, alloc_cycle=cycle)
-        self._pending_served[line] = response.served_by
+        self._note_served(line, response.served_by)
         self._install(line, response.ready_cycle, dirty=False)
 
     def _install(self, line: int, ready_cycle: int, *, dirty: bool) -> None:
@@ -474,6 +476,12 @@ class MemorySystem:
                 self.backside.writeback_line(displaced[0], ready_cycle)
         elif victim.dirty:
             self.backside.writeback_line(victim.line, ready_cycle)
+
+    def _note_served(self, line: int, served: ServedBy) -> None:
+        """Remember which level fills ``line``, keeping the map bounded."""
+        self._pending_served[line] = served
+        if len(self._pending_served) > 4 * self.config.mshrs:
+            self._trim_pending()
 
     def _trim_pending(self) -> None:
         """Bound the merged-miss bookkeeping map (keep most recent entries).

@@ -48,6 +48,14 @@ class MshrFile:
         """Number of registers still busy at ``cycle``."""
         return sum(1 for ready in self._pending.values() if ready > cycle)
 
+    def full(self) -> bool:
+        """Every register holds a tracked line (as of the latest request).
+
+        The one capacity test: a primary miss that finds the file full
+        waits for a register; a prefetch that finds it full is dropped.
+        """
+        return len(self._pending) >= self.entries
+
     def request(self, line: int, cycle: int) -> MshrGrant:
         """Ask to track a miss on ``line`` observed at ``cycle``."""
         self._expire(cycle)
@@ -60,7 +68,7 @@ class MshrFile:
             return MshrGrant(start_cycle=cycle, merged=True, pending_ready=ready)
         self.stats.primary_misses += 1
         start = cycle
-        if len(self._pending) >= self.entries:
+        if self.full():
             # Wait for the earliest outstanding fill to retire its register.
             earliest_line = min(self._pending, key=self._pending.__getitem__)
             start = max(cycle, self._pending[earliest_line])

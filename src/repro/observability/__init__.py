@@ -1,4 +1,4 @@
-"""Observability: event tracing, metrics registry, spans, breakdowns.
+"""Observability: event tracing, metrics snapshot, spans, breakdowns.
 
 Public surface:
 
@@ -6,8 +6,9 @@ Public surface:
   event trace (``tracing()`` scope, bounded ring, JSONL sink);
 * :mod:`repro.observability.events` -- the event-kind taxonomy and the
   :class:`EventChannel` that feeds both invariant taps and the tracer;
-* :mod:`repro.observability.metrics` -- hierarchical named counters and
-  the per-simulation metrics snapshot riding ``SimulationResult``;
+* :mod:`repro.observability.metrics` -- the per-simulation metrics
+  snapshot (every component counter under a dotted name) riding
+  ``SimulationResult``;
 * :mod:`repro.observability.utilization` -- the per-design-point
   pipeline-utilization breakdown table;
 * :mod:`repro.observability.attribution` -- per-access critical-path
@@ -55,9 +56,6 @@ from repro.observability.chrometrace import (
 )
 from repro.observability.events import ALL_KINDS, EventChannel
 from repro.observability.metrics import (
-    Counter,
-    MetricsRegistry,
-    Timer,
     snapshot_memory_system,
     snapshot_simulation,
 )
@@ -89,12 +87,10 @@ from repro.observability.utilization import utilization_rows, utilization_summar
 __all__ = [
     "ALL_KINDS",
     "AttributionAccumulator",
-    "Counter",
     "CounterSampler",
     "DEFAULT_CAPACITY",
     "EventChannel",
     "LatencyHistogram",
-    "MetricsRegistry",
     "ProgressDisplay",
     "SPANS_ENV",
     "SpanRecorder",
@@ -102,7 +98,6 @@ __all__ = [
     "TelemetryHub",
     "TraceEvent",
     "Tracer",
-    "Timer",
     "activate",
     "active",
     "analyze",

@@ -23,13 +23,12 @@ JSONL traces convert offline (``repro trace --from-jsonl run.jsonl.gz
 
 from __future__ import annotations
 
-import gzip
 import json
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 from repro.observability import events as kinds
-from repro.observability.trace import TraceEvent
+from repro.observability.trace import TraceEvent, read_records
 
 #: Single simulated process; tracks are threads within it.
 PID = 1
@@ -54,17 +53,15 @@ _FIXED_TRACKS = (
 
 
 def read_jsonl(path: Union[str, Path]) -> Iterator[TraceEvent]:
-    """Parse a JSONL trace (``.gz`` transparent) back into events."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = json.loads(raw)
-            cycle = record.pop("cycle")
-            kind = record.pop("kind")
-            yield TraceEvent(cycle, kind, record)
+    """Parse a JSONL trace (``.gz`` transparent) back into events.
+
+    A stream cut short by a killed run converts up to its last complete
+    event.
+    """
+    for record in read_records(path):
+        cycle = record.pop("cycle")
+        kind = record.pop("kind")
+        yield TraceEvent(cycle, kind, record)
 
 
 def chrome_trace_events(trace_events: Iterable[TraceEvent]) -> list[dict]:

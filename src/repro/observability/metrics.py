@@ -1,4 +1,4 @@
-"""Hierarchical counter/timer registry and the simulation snapshot.
+"""The simulation snapshot: every component counter under a dotted name.
 
 The simulator's components keep their statistics in small dataclasses
 (:class:`~repro.memory.stats.MemoryStats`, ``PortStats``, ``MshrStats``,
@@ -9,15 +9,14 @@ garbage collected, and only the ``MemoryStats`` aggregate rode the
 :class:`~repro.cpu.result.SimulationResult`.
 
 This module gives every counter a stable dotted name and exports the
-whole hierarchy into ``SimulationResult.metrics``, which serializes
-through :mod:`repro.engine.serialize` and therefore rides the result
-store, crosses worker-process boundaries bit-identically, and is
-queryable after the fact with ``python -m repro metrics``.
+whole hierarchy as a flat dict into ``SimulationResult.metrics``, which
+serializes through :mod:`repro.engine.serialize` and therefore rides
+the result store, crosses worker-process boundaries bit-identically,
+and is queryable after the fact with ``python -m repro metrics``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.observability import trace
@@ -27,133 +26,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memory.hierarchy import MemorySystem
 
 
-class Counter:
-    """A named monotonic counter: it can only ever grow."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counter {self.name!r} cannot go backwards (add {amount})"
-            )
-        self.value += amount
-
-    def set(self, value: int) -> None:
-        """Snapshot-style assignment; still rejects negative values."""
-        if value < 0:
-            raise ValueError(f"counter {self.name!r} cannot be negative: {value}")
-        self.value = value
-
-
-class Timer:
-    """A named wall-clock accumulator (``with timer: ...``)."""
-
-    __slots__ = ("name", "seconds", "entries", "_started")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.seconds = 0.0
-        self.entries = 0
-        self._started: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._started is not None, "timer exited without entering"
-        self.seconds += time.perf_counter() - self._started
-        self.entries += 1
-        self._started = None
-
-
-class MetricsRegistry:
-    """Named counters and timers under one hierarchical namespace.
-
-    Names are dot-separated paths (``memory.mshr.merged_misses``); the
-    hierarchy is purely lexical, so exporting, filtering by prefix, and
-    merging are all plain dict operations.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._timers: dict[str, Timer] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter at ``name``."""
-        found = self._counters.get(name)
-        if found is None:
-            _validate_name(name)
-            found = self._counters[name] = Counter(name)
-        return found
-
-    def timer(self, name: str) -> Timer:
-        """Get or create the timer at ``name``."""
-        found = self._timers.get(name)
-        if found is None:
-            _validate_name(name)
-            found = self._timers[name] = Timer(name)
-        return found
-
-    def to_dict(self) -> dict[str, int | float]:
-        """Flat ``{name: value}`` export, sorted by name.
-
-        Counters export their integer value; timers export accumulated
-        seconds under ``<name>.seconds`` (and entry counts under
-        ``<name>.calls`` when nonzero), so the export is pure JSON
-        scalars.
-        """
-        out: dict[str, int | float] = {
-            name: counter.value for name, counter in self._counters.items()
-        }
-        for name, timer in self._timers.items():
-            out[f"{name}.seconds"] = timer.seconds
-            if timer.entries:
-                out[f"{name}.calls"] = timer.entries
-        return dict(sorted(out.items()))
-
-    def subtree(self, prefix: str) -> dict[str, int | float]:
-        """Exported metrics under ``prefix.`` (or the exact name)."""
-        dotted = prefix + "."
-        return {
-            name: value
-            for name, value in self.to_dict().items()
-            if name == prefix or name.startswith(dotted)
-        }
-
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._timers)
-
-
-def _validate_name(name: str) -> None:
-    if not name or name.startswith(".") or name.endswith(".") or ".." in name:
-        raise ValueError(f"bad metric name {name!r}: use dotted non-empty parts")
-
-
-# ---------------------------------------------------------------------------
-# Snapshot: component stat dataclasses -> one named hierarchy
-# ---------------------------------------------------------------------------
-
-
-def _snap(registry: MetricsRegistry, prefix: str, **values: int) -> None:
+def _snap(out: dict[str, int], prefix: str, **values: int) -> None:
+    """Record ``prefix.<leaf>`` for each value; counters never go negative."""
     for leaf, value in values.items():
-        registry.counter(f"{prefix}.{leaf}").set(value)
+        name = f"{prefix}.{leaf}"
+        if name.startswith(".") or name.endswith(".") or ".." in name:
+            raise ValueError(
+                f"bad metric name {name!r}: use dotted non-empty parts"
+            )
+        if value < 0:
+            raise ValueError(f"counter {name!r} cannot be negative: {value}")
+        out[name] = value
 
 
 def snapshot_memory_system(
-    memory: "MemorySystem", registry: MetricsRegistry, prefix: str = "memory"
+    memory: "MemorySystem", out: dict[str, int], prefix: str = "memory"
 ) -> None:
-    """Export every live counter of a memory system into ``registry``."""
+    """Export every live counter of a memory system into ``out``."""
     from repro.memory.dram_cache import DramCacheBackside
 
     stats = memory.stats
     _snap(
-        registry,
+        out,
         prefix,
         loads=stats.loads,
         stores=stats.stores,
@@ -162,19 +56,22 @@ def snapshot_memory_system(
         load_latency_total=stats.load_latency_total,
     )
     _snap(
-        registry,
+        out,
         f"{prefix}.l1",
         load_hits=stats.l1_load_hits,
         load_misses=stats.l1_load_misses,
         store_hits=stats.l1_store_hits,
         store_misses=stats.l1_store_misses,
     )
-    for level, count in stats.served_by.items():
-        registry.counter(f"{prefix}.served_by.{level.name.lower()}").set(count)
+    _snap(
+        out,
+        f"{prefix}.served_by",
+        **{level.name.lower(): count for level, count in stats.served_by.items()},
+    )
 
     ports = memory.arbiter.stats
     _snap(
-        registry,
+        out,
         f"{prefix}.ports",
         requests=ports.requests,
         delayed=ports.delayed,
@@ -183,7 +80,7 @@ def snapshot_memory_system(
     )
     mshr = memory.mshrs.stats
     _snap(
-        registry,
+        out,
         f"{prefix}.mshr",
         primary_misses=mshr.primary_misses,
         merged_misses=mshr.merged_misses,
@@ -192,7 +89,7 @@ def snapshot_memory_system(
     if memory.line_buffer is not None:
         lb = memory.line_buffer.stats
         _snap(
-            registry,
+            out,
             f"{prefix}.line_buffer",
             load_lookups=lb.load_lookups,
             load_hits=lb.load_hits,
@@ -203,7 +100,7 @@ def snapshot_memory_system(
     if memory.victim_cache is not None:
         victim = memory.victim_cache.stats
         _snap(
-            registry,
+            out,
             f"{prefix}.victim",
             probes=victim.probes,
             swap_hits=victim.swap_hits,
@@ -214,17 +111,17 @@ def snapshot_memory_system(
     if isinstance(backside, DramCacheBackside):
         dram = backside.stats
         _snap(
-            registry,
+            out,
             f"{prefix}.dram",
             hits=dram.dram_hits,
             misses=dram.dram_misses,
             bank_wait_cycles=dram.bank_wait_cycles,
         )
-        _snap_bus(registry, f"{prefix}.bus.memory", backside.memory_bus)
+        _snap_bus(out, f"{prefix}.bus.memory", backside.memory_bus)
     else:
         l2 = backside.stats
         _snap(
-            registry,
+            out,
             f"{prefix}.l2",
             line_requests=l2.l1_line_requests,
             hits=l2.l2_hits,
@@ -232,13 +129,13 @@ def snapshot_memory_system(
             writebacks_in=l2.writebacks,
             writebacks_out=l2.l2_writebacks,
         )
-        _snap_bus(registry, f"{prefix}.bus.chip", backside.chip_bus)
-        _snap_bus(registry, f"{prefix}.bus.memory", backside.memory_bus)
+        _snap_bus(out, f"{prefix}.bus.chip", backside.chip_bus)
+        _snap_bus(out, f"{prefix}.bus.memory", backside.memory_bus)
 
 
-def _snap_bus(registry: MetricsRegistry, prefix: str, bus) -> None:
+def _snap_bus(out: dict[str, int], prefix: str, bus) -> None:
     _snap(
-        registry,
+        out,
         prefix,
         transfers=bus.stats.transfers,
         bytes_moved=bus.stats.bytes_moved,
@@ -256,16 +153,16 @@ def snapshot_simulation(
     what lands in ``SimulationResult.metrics`` and is serialized by
     :func:`repro.engine.serialize.result_to_dict`.
     """
-    registry = MetricsRegistry()
+    out: dict[str, int | float] = {}
     _snap(
-        registry,
+        out,
         "cpu",
         instructions=result.instructions,
         cycles=result.cycles,
     )
     pipeline = result.pipeline
     _snap(
-        registry,
+        out,
         "cpu.pipeline",
         window_full_stalls=pipeline.window_full_stalls,
         lsq_full_stalls=pipeline.lsq_full_stalls,
@@ -273,13 +170,12 @@ def snapshot_simulation(
         store_forwards=pipeline.store_forwards,
     )
     _snap(
-        registry,
+        out,
         "cpu.branch",
         branches=result.branches.branches,
         mispredictions=result.branches.mispredictions,
     )
-    snapshot_memory_system(memory, registry)
-    out = registry.to_dict()
+    snapshot_memory_system(memory, out)
     if memory.attribution is not None:
         out.update(memory.attribution.to_metrics())
     tracer = trace._ACTIVE

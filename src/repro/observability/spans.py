@@ -33,7 +33,6 @@ renders the paper-style verdict ``repro spans`` prints.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
@@ -392,24 +391,10 @@ def adopt(span_ctx: dict | None) -> Iterator[None]:
         recorder._base_parent = prev_parent
 
 
-def open_sink(path: str) -> IO[str]:
-    """Open the span sink in *append* mode; ``*.gz`` paths are gzipped.
-
-    Append, not truncate: one REPRO_SPANS path commonly collects several
-    sweeps (``repro all``, resume loops), and concatenated gzip members
-    are legal input to every reader here.
-    """
-    if str(path).endswith(".gz"):
-        import gzip
-
-        return gzip.open(path, "at", encoding="utf-8", compresslevel=1)
-    return open(path, "a", encoding="utf-8")
-
-
 @contextmanager
 def collecting(path: str | None = None) -> Iterator[SpanRecorder]:
     """Scope with span recording installed; restores prior state on exit."""
-    sink = open_sink(path) if path else None
+    sink = obs_trace.open_sink(path, "a") if path else None
     recorder = SpanRecorder(sink=sink, proc="coordinator", path=path)
     previous = _ACTIVE
     install(recorder)
@@ -434,52 +419,7 @@ def read_spans(path: str) -> list[dict]:
     gzip member); both are survivable -- every complete span before the
     tear is returned.
     """
-    spans: list[dict] = []
-    if str(path).endswith(".gz"):
-        import gzip
-
-        try:
-            with gzip.open(path, "rb") as fh:
-                raw = fh.read()
-        except (OSError, EOFError):
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-                raw = gzip.decompress(blob)
-            except Exception:
-                raw = _salvage_gzip(path)
-        text = raw.decode("utf-8", errors="replace")
-    else:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn line
-        if isinstance(data, dict) and "span" in data:
-            spans.append(data)
-    return spans
-
-
-def _salvage_gzip(path: str) -> bytes:
-    """Best-effort decompress of a truncated gzip stream."""
-    import gzip
-
-    out = io.BytesIO()
-    try:
-        with open(path, "rb") as fh, gzip.GzipFile(fileobj=fh) as gz:
-            while True:
-                chunk = gz.read(65536)
-                if not chunk:
-                    break
-                out.write(chunk)
-    except (OSError, EOFError):
-        pass
-    return out.getvalue()
+    return [record for record in obs_trace.read_records(path) if "span" in record]
 
 
 # --------------------------------------------------------------------------

@@ -172,21 +172,53 @@ class Tracer:
         return len(self._ring)
 
 
-def open_sink(path: str) -> IO[str]:
-    """Open a JSONL sink for writing; ``*.gz`` paths are gzipped.
+def open_sink(path: str, mode: str = "w") -> IO[str]:
+    """Open a JSONL sink; ``*.gz`` paths are gzipped.
+
+    ``mode`` is ``"w"`` (truncate: event traces, one per run) or ``"a"``
+    (append: one span path commonly collects several sweeps, and
+    concatenated gzip members are legal input to :func:`read_records`).
 
     Full-length traces run to hundreds of MB of JSON lines, and gzip
-    shrinks the highly repetitive stream ~20x, so both ``REPRO_TRACE``
-    and ``--trace-out`` accept a ``.gz`` suffix and route through here.
-    Level 1 already captures most of that ratio on this stream; the
-    default level 9 cost several times the deflate CPU of the whole
-    simulation for a few percent smaller file.
+    shrinks the highly repetitive stream ~20x, so ``REPRO_TRACE``,
+    ``--trace-out`` and ``REPRO_SPANS`` accept a ``.gz`` suffix and
+    route through here.  Level 1 already captures most of that ratio on
+    this stream; the default level 9 cost several times the deflate CPU
+    of the whole simulation for a few percent smaller file.
     """
     if str(path).endswith(".gz"):
         import gzip
 
-        return gzip.open(path, "wt", encoding="utf-8", compresslevel=1)
-    return open(path, "w", encoding="utf-8")
+        return gzip.open(path, mode + "t", encoding="utf-8", compresslevel=1)
+    return open(path, mode, encoding="utf-8")
+
+
+def read_records(path) -> Iterator[dict]:
+    """Stream the JSON objects of a JSONL(.gz) sink, tolerating a torn tail.
+
+    A run killed mid-write leaves a torn last line or a truncated gzip
+    member; every complete record before the cut is still yielded.
+    """
+    if str(path).endswith(".gz"):
+        import gzip
+
+        handle = gzip.open(path, "rt", encoding="utf-8", errors="replace")
+    else:
+        handle = open(path, "r", encoding="utf-8", errors="replace")
+    with handle:
+        try:
+            for raw in handle:
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError:
+                    continue  # torn line
+                if isinstance(record, dict):
+                    yield record
+        except EOFError:
+            return  # gzip member cut short
 
 
 #: The process-wide active tracer; ``None`` means tracing is disabled.

@@ -227,7 +227,7 @@ class TestEnv:
         env = bench_suite._env(tmp_path, 0.5)
         assert "REPRO_TRACE" not in env
         assert "REPRO_ATTRIBUTION" not in env
-        assert "REPRO_BACKEND" not in env
+        assert env["REPRO_BACKEND"] == "reference"
         assert env["REPRO_CACHE_DIR"] == str(tmp_path)
 
     def test_env_extras_reapply(self, tmp_path):

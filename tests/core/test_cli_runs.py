@@ -183,6 +183,23 @@ class TestLedgerThroughFigures:
         assert _ledger().info()["runs"] == 0
 
 
+class TestDefaultBackend:
+    def test_default_path_simulates_on_fast(self, capsys, monkeypatch, tmp_path):
+        from repro import kernel
+        from repro.engine.store import CACHE_DIR_ENV
+
+        monkeypatch.delenv(kernel.BACKEND_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "fresh-cache"))
+        args = ["figure4", "--benchmarks", "li"] + FIGURE_ARGS[3:]
+        assert main(args) == 0
+        capsys.readouterr()
+        (record,) = _ledger().records()
+        assert record["points"]
+        for row in record["points"]:
+            assert row["outcome"] == "simulated"
+            assert row["backend"] == "fast"
+
+
 class TestCacheInfoLedger:
     def test_info_reports_empty_ledger(self, capsys):
         assert main(["cache", "info"]) == 0

@@ -1,6 +1,7 @@
 """Backend parity: the fast kernel must be bit-identical to reference.
 
-Every figure grid plus the headline numbers are computed once per
+Every figure grid, the headline numbers and every ablation study are
+computed once per
 backend (with the engine memo, the disk store, and the trace cache all
 cleared in between -- a shared cache would make the comparison
 vacuous) and compared for **exact** equality: same floats, same ints,
@@ -13,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro import kernel
-from repro.core import figures
+from repro.core import figures, sweeps
 from repro.core.experiment import ExperimentSettings, _simulate
 from repro.core import organizations
 from repro.engine.executor import get_engine
@@ -54,6 +55,38 @@ GRIDS = {
         BENCHMARKS, cycle_times=(10.0, 30.0), settings=SETTINGS
     ),
     "headlines": lambda: figures.headline_numbers(BENCHMARKS, settings=SETTINGS),
+    # The ablation studies, trimmed: each changes one knob the figure
+    # grids hold fixed (MSHRs, LB size, interleave, write policy, victim
+    # cache, prefetch, window, width, line size, FU mix, geometry).
+    "ablation_mshr": lambda: sweeps.mshr_sweep(
+        "database", mshr_counts=(1, 4), settings=SETTINGS
+    ),
+    "ablation_lb_size": lambda: sweeps.line_buffer_size_sweep(
+        "gcc", entry_counts=(4, 32), settings=SETTINGS
+    ),
+    "ablation_interleave": lambda: sweeps.bank_interleave_sweep(
+        "tomcatv", settings=SETTINGS
+    ),
+    "ablation_write_policy": lambda: sweeps.write_policy_sweep(
+        "gcc", settings=SETTINGS
+    ),
+    "ablation_victim": lambda: sweeps.victim_vs_line_buffer(
+        "gcc", settings=SETTINGS
+    ),
+    "ablation_prefetch": lambda: sweeps.prefetch_sweep(settings=SETTINGS),
+    "ablation_window": lambda: sweeps.window_size_sweep(
+        "tomcatv", window_sizes=(16, 64), settings=SETTINGS
+    ),
+    "ablation_width": lambda: sweeps.issue_width_sweep(
+        "gcc", widths=(1, 4), settings=SETTINGS
+    ),
+    "ablation_line_size": lambda: sweeps.line_size_sweep(
+        "tomcatv", line_sizes=(16, 64), settings=SETTINGS
+    ),
+    "ablation_fu": lambda: sweeps.fu_restriction_sweep(settings=SETTINGS),
+    "ablation_dm_equivalence": lambda: sweeps.direct_mapped_equivalence(
+        "gcc", settings=SETTINGS
+    ),
 }
 
 
@@ -136,6 +169,36 @@ class TestPointParity:
             1 if SETTINGS.instructions % every else 0
         )
 
+    @pytest.mark.parametrize("workload", ("su2cor", "gcc", "tomcatv"))
+    @pytest.mark.parametrize(
+        "org",
+        [
+            organizations.ideal_ports(ports=2),
+            organizations.banked(banks=8),
+            organizations.duplicate(16384, 1, True),
+            organizations.dram_cache(line_buffer=True),
+        ],
+        ids=("ports", "banked", "duplicate+lb", "dram+lb"),
+    )
+    def test_trace_events_and_attribution_identical(self, org, workload):
+        """The event stream and the attribution metrics match too."""
+        from repro.observability import attribution, trace
+
+        spec = benchmark(workload)
+        observed = {}
+        for name in kernel.BACKEND_NAMES:
+            tracecache.clear()
+            with (
+                kernel.use_backend(name),
+                attribution.attributing(),
+                trace.tracing(capacity=500_000) as tracer,
+            ):
+                result = _simulate(org, spec, SETTINGS)
+            assert tracer.dropped == 0
+            assert any(key.startswith("attribution.") for key in result.metrics)
+            observed[name] = (tracer.events(), result.metrics)
+        assert observed["reference"] == observed["fast"]
+
     def test_counter_series_identical_through_asdict(self):
         """The counters field rides full-result parity like any other."""
         from repro.observability import counters
@@ -167,12 +230,12 @@ class TestPointParity:
             memory = MemorySystem(org.memory_config(SETTINGS.backside))
             trace = backend.prepare(spec, memory, SETTINGS)
             core = OutOfOrderCore(ProcessorConfig(), memory)
-            result = core.run(
-                trace,
-                SETTINGS.instructions,
-                warmup_instructions=SETTINGS.timing_warmup,
-                backend=name,
-            )
+            with kernel.use_backend(name):
+                result = core.run(
+                    trace,
+                    SETTINGS.instructions,
+                    warmup_instructions=SETTINGS.timing_warmup,
+                )
             assert result.backend == name
             payload = dataclasses.asdict(result)
             payload.pop("backend")

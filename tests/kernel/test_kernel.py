@@ -18,17 +18,14 @@ from repro.workloads.generator import WorkloadGenerator
 
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
-    """Each test starts with no override and no REPRO_BACKEND."""
+    """Each test starts with no REPRO_BACKEND."""
     monkeypatch.delenv(kernel.BACKEND_ENV, raising=False)
-    previous = kernel.select_backend(None)
-    yield
-    kernel.select_backend(previous)
 
 
 class TestSelection:
-    def test_default_is_reference(self):
-        assert kernel.selected_name() == "reference"
-        assert kernel.active_backend().name == "reference"
+    def test_default_is_fast(self):
+        assert kernel.selected_name() == "fast"
+        assert kernel.active_backend().name == "fast"
 
     def test_environment_selects(self, monkeypatch):
         monkeypatch.setenv(kernel.BACKEND_ENV, "fast")
@@ -37,12 +34,7 @@ class TestSelection:
 
     def test_blank_environment_means_default(self, monkeypatch):
         monkeypatch.setenv(kernel.BACKEND_ENV, "   ")
-        assert kernel.selected_name() == "reference"
-
-    def test_explicit_selection_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(kernel.BACKEND_ENV, "fast")
-        kernel.select_backend("reference")
-        assert kernel.selected_name() == "reference"
+        assert kernel.selected_name() == "fast"
 
     def test_use_backend_scopes_and_exports_env(self):
         with kernel.use_backend("fast") as backend:
@@ -50,7 +42,7 @@ class TestSelection:
             assert kernel.selected_name() == "fast"
             # Pool workers inherit the choice through the environment.
             assert os.environ[kernel.BACKEND_ENV] == "fast"
-        assert kernel.selected_name() == "reference"
+        assert kernel.selected_name() == "fast"
         assert kernel.BACKEND_ENV not in os.environ
 
     def test_use_backend_restores_previous_env(self, monkeypatch):
@@ -63,7 +55,8 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown simulation backend"):
             kernel.get_backend("turbo")
         with pytest.raises(ValueError, match="unknown simulation backend"):
-            kernel.select_backend("turbo")
+            with kernel.use_backend("turbo"):
+                pass
 
     def test_backends_are_singletons(self):
         for name in kernel.BACKEND_NAMES:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 
 import pytest
 
@@ -135,6 +136,38 @@ class TestJsonlRoundTrip:
         assert chrome_trace_events(read_jsonl(path)) == chrome_trace_events(
             ring_events
         )
+
+
+class TestTornStreams:
+    """A killed ``REPRO_TRACE`` run leaves a stream cut mid-write."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("torn") / "events.jsonl"
+        events = TestJsonlRoundTrip()._sink_run(path)
+        return path.read_bytes(), events
+
+    def test_torn_last_line_converts_every_complete_event(self, stream, tmp_path):
+        data, events = stream
+        lines = data.splitlines(keepends=True)
+        path = tmp_path / "torn.jsonl"
+        path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        assert list(read_jsonl(path)) == events[:-1]
+
+    def test_truncated_gzip_converts_every_complete_event(self, stream, tmp_path):
+        data, events = stream
+        blob = gzip.compress(data, compresslevel=1)
+        cut = blob[: len(blob) // 2]
+        # What a reader can still inflate from the cut member.
+        survived = zlib.decompressobj(wbits=31).decompress(cut)
+        complete = survived.count(b"\n")
+        assert 0 < complete < len(events)
+        path = tmp_path / "cut.jsonl.gz"
+        path.write_bytes(cut)
+        assert list(read_jsonl(path)) == events[:complete]
+        out = tmp_path / "cut.trace.json"
+        write_chrome_trace(read_jsonl(path), out)
+        assert json.loads(out.read_text(encoding="utf-8"))["traceEvents"]
 
 
 class TestSpanTraceEvents:

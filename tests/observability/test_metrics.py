@@ -1,92 +1,25 @@
-"""Counters, timers, the registry, and the simulation snapshot."""
+"""The simulation snapshot and its value/name checks."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.experiment import ExperimentSettings, run_experiment
 from repro.core.organizations import banked, dram_cache, duplicate
-from repro.observability.metrics import Counter, MetricsRegistry, Timer
+from repro.observability.metrics import _snap
 
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
 )
 
 
-class TestCounter:
-    def test_add_accumulates(self):
-        counter = Counter("x")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
-
-    def test_negative_add_rejected(self):
-        counter = Counter("x")
-        with pytest.raises(ValueError, match="backwards"):
-            counter.add(-1)
-
-    def test_negative_set_rejected(self):
-        counter = Counter("x")
+class TestSnapshotChecks:
+    def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            counter.set(-3)
-
-    @given(amounts=st.lists(st.integers(min_value=0, max_value=10_000)))
-    @settings(max_examples=50, deadline=None)
-    def test_never_negative(self, amounts):
-        counter = Counter("x")
-        for amount in amounts:
-            counter.add(amount)
-            assert counter.value >= 0
-        assert counter.value == sum(amounts)
-
-
-class TestTimer:
-    def test_accumulates_entries(self):
-        timer = Timer("t")
-        with timer:
-            pass
-        with timer:
-            pass
-        assert timer.entries == 2
-        assert timer.seconds >= 0.0
-
-
-class TestRegistry:
-    def test_counter_is_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
-        assert len(registry) == 1
+            _snap({}, "x", leaf=-3)
 
     def test_bad_names_rejected(self):
-        registry = MetricsRegistry()
         for bad in ("", ".x", "x.", "a..b"):
             with pytest.raises(ValueError, match="bad metric name"):
-                registry.counter(bad)
-
-    def test_to_dict_is_sorted_and_flat(self):
-        registry = MetricsRegistry()
-        registry.counter("b.two").set(2)
-        registry.counter("a.one").set(1)
-        exported = registry.to_dict()
-        assert list(exported) == ["a.one", "b.two"]
-        assert exported == {"a.one": 1, "b.two": 2}
-
-    def test_timers_export_seconds_and_calls(self):
-        registry = MetricsRegistry()
-        with registry.timer("phase.run"):
-            pass
-        exported = registry.to_dict()
-        assert "phase.run.seconds" in exported
-        assert exported["phase.run.calls"] == 1
-
-    def test_subtree_filters_by_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("mem.l1.hits").set(1)
-        registry.counter("mem.l2.hits").set(2)
-        registry.counter("cpu.cycles").set(3)
-        assert registry.subtree("mem") == {"mem.l1.hits": 1, "mem.l2.hits": 2}
-        assert registry.subtree("mem.l1") == {"mem.l1.hits": 1}
-        assert registry.subtree("cpu.cycles") == {"cpu.cycles": 3}
+                _snap({}, bad, leaf=1)
 
 
 class TestSimulationSnapshot:
