@@ -14,8 +14,10 @@ schedulable, cacheable unit of work instead of an inline function call:
   parallelism (``--jobs N``) and cache layering;
 * :class:`~repro.engine.store.ResultStore` -- the persistent
   ``.repro-cache/`` content-addressed result store;
-* :mod:`repro.engine.serialize` -- exact to/from-dict round trips for
-  results and configurations.
+* :mod:`repro.engine.serialize` -- the one dataclass codec
+  (:func:`~repro.engine.serialize.to_plain` /
+  :func:`~repro.engine.serialize.from_plain`) behind digests, store
+  entries and checkpoints.
 """
 
 from repro.engine.executor import (
@@ -27,15 +29,7 @@ from repro.engine.executor import (
     run_point_payload,
 )
 from repro.engine.key import ExperimentKey
-from repro.engine.serialize import (
-    SerializationError,
-    organization_from_dict,
-    organization_to_dict,
-    result_from_dict,
-    result_to_dict,
-    settings_from_dict,
-    settings_to_dict,
-)
+from repro.engine.serialize import SerializationError, from_plain, to_plain
 from repro.engine.store import (
     CACHE_DIR_ENV,
     SCHEMA_VERSION,
@@ -52,12 +46,8 @@ __all__ = [
     "run_point_payload",
     "ExperimentKey",
     "SerializationError",
-    "organization_from_dict",
-    "organization_to_dict",
-    "result_from_dict",
-    "result_to_dict",
-    "settings_from_dict",
-    "settings_to_dict",
+    "from_plain",
+    "to_plain",
     "CACHE_DIR_ENV",
     "SCHEMA_VERSION",
     "ResultStore",

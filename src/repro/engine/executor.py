@@ -22,16 +22,19 @@ resolution lands through :meth:`Engine._settle`, the single writer of
 ledger outcomes, checkpoint marks, per-point seconds and the telemetry
 hub's terminal transitions.
 
-Worker protocol: a worker receives one *chunk* of keys in dict form,
-rebuilds each design point (the workload comes from the benchmark
-catalog by name), runs each point's first attempt, and returns one
-chunk result -- worker id, start time, per point the digest, busy
-seconds and a dict payload (``{"status": "ok", ...}`` or ``{"status":
-"error", ...}``), plus the worker's finished spans.  Dict serialization
-happens only at this boundary.  Chunks are planned largest-estimated-
-cost first (:mod:`repro.engine.dispatch`) and self-scheduled: idle
-workers pull the next chunk from the pool's shared queue, which
-balances load like work stealing without per-worker deques.  The pool
+Worker protocol: a worker receives one *chunk* of
+:class:`~repro.engine.key.ExperimentKey` objects, rebuilds each design
+point's workload from the benchmark catalog by name, runs each point's
+first attempt, and returns one chunk result -- worker id, start time,
+per point the digest, busy seconds and a payload (``{"status": "ok",
+"result": <SimulationResult>, ...}`` or ``{"status": "error", ...}``),
+plus the worker's finished spans.  Keys and results cross the pool as
+pickled objects; only a failure is flattened, to its error type and
+message, because the original exception need not pickle.  Chunks are
+planned largest-estimated-cost first (:mod:`repro.engine.dispatch`)
+and self-scheduled: idle workers pull the next chunk from the pool's
+shared queue, which balances load like work stealing without
+per-worker deques.  The pool
 itself is *persistent* -- created once per engine configuration and
 reused across every figure of a CLI invocation.  While a chunk runs,
 workers stream only batch-tagged ``point-start`` marks (wedge backstop,
@@ -58,7 +61,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.cpu.result import SimulationResult
 from repro.engine.key import ExperimentKey
-from repro.engine.serialize import result_from_dict, result_to_dict
 from repro.engine.store import ResultStore
 from repro.observability import spans as obs_spans
 from repro.observability import telemetry
@@ -124,13 +126,13 @@ def _attempt(key: ExperimentKey, spec: "WorkloadSpec", send=None) -> tuple:
 
 
 def run_point_payload(key: ExperimentKey, send=None) -> dict:
-    """Worker side of the pool boundary: one point's attempt as a dict.
+    """Worker side of the pool boundary: one point's attempt as a payload.
 
     Settings arrive already scaled -- workers never re-apply
     ``REPRO_SCALE`` -- and the workload is rebuilt from the catalog by
-    name.  The payload is ``{"status": "ok", "result": ...}`` or
-    ``{"status": "error", "error_type": ..., "message": ...}``, plus
-    the attempt's ``seconds``.
+    name.  The payload is ``{"status": "ok", "result": <the
+    SimulationResult>}`` or ``{"status": "error", "error_type": ...,
+    "message": ...}``, plus the attempt's ``seconds``.
     """
     from repro.core import experiment
 
@@ -144,22 +146,15 @@ def run_point_payload(key: ExperimentKey, send=None) -> dict:
             "message": experiment._failure_message(error),
             "seconds": seconds,
         }
-    with obs_spans.span("point.serialize"):
-        payload = result_to_dict(result)
-    return {"status": "ok", "result": payload, "seconds": seconds}
+    return {"status": "ok", "result": result, "seconds": seconds}
 
 
 def _attempt_from_payload(key: ExperimentKey, payload: dict) -> tuple:
     """Parent side of the pool boundary: a payload in :func:`_attempt` form."""
-    seconds = float(payload.get("seconds") or 0.0)
-    if payload.get("status") == "ok":
-        return result_from_dict(payload["result"]), None, seconds
-    error = WorkerFailureError(
-        key,
-        payload.get("error_type", "UnknownError"),
-        payload.get("message", "worker returned no detail"),
-    )
-    return None, error, seconds
+    error = None
+    if payload["status"] == "error":
+        error = WorkerFailureError(key, payload["error_type"], payload["message"])
+    return payload.get("result"), error, payload["seconds"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def _close_chunk_span(
 
 def run_chunk_payload(
     chunk_id: int,
-    key_dicts: list[dict],
+    keys: list[ExperimentKey],
     span_ctx: dict | None = None,
     batch: int = 0,
 ) -> dict:
@@ -261,10 +256,9 @@ def run_chunk_payload(
     started = time.time()
     entries: list[dict] = []
     with obs_spans.adopt(span_ctx):
-        for key_dict in key_dicts:
+        for key in keys:
             if stop_event is not None and stop_event.is_set():
                 break
-            key = ExperimentKey.from_dict(key_dict)
             if queue is not None:
                 _channel_send(
                     queue,
@@ -754,7 +748,7 @@ class Engine:
                 future = handle.pool.submit(
                     run_chunk_payload,
                     chunk_id,
-                    [key.to_dict() for key, _ in chunk],
+                    [key for key, _ in chunk],
                     span_ctx,
                     handle.batch,
                 )

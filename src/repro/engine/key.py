@@ -3,8 +3,9 @@
 A key pins everything that determines a simulation's outcome -- the
 cache organization, the benchmark name, and the (already REPRO_SCALE-
 scaled) experiment settings.  It is hashable (the in-memory memo),
-JSON-serializable (parallel workers), and content-addressable: the
-digest is a SHA-256 over the canonical JSON form, so it is stable
+JSON-serializable through :mod:`repro.engine.serialize` (store entries,
+checkpoints), and content-addressable: the digest is a SHA-256 over
+the canonical JSON form of every field, so it is stable
 across processes and interpreter invocations -- no dependence on
 ``PYTHONHASHSEED`` or dict iteration order.
 """
@@ -18,12 +19,7 @@ from functools import cached_property
 
 from repro.core.experiment import ExperimentSettings
 from repro.core.organizations import CacheOrganization
-from repro.engine.serialize import (
-    organization_from_dict,
-    organization_to_dict,
-    settings_from_dict,
-    settings_to_dict,
-)
+from repro.engine.serialize import from_plain, to_plain
 
 
 @dataclass(frozen=True)
@@ -35,19 +31,11 @@ class ExperimentKey:
     settings: ExperimentSettings  #: REPRO_SCALE already applied
 
     def to_dict(self) -> dict:
-        return {
-            "organization": organization_to_dict(self.organization),
-            "workload": self.workload,
-            "settings": settings_to_dict(self.settings),
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentKey":
-        return cls(
-            organization=organization_from_dict(data["organization"]),
-            workload=data["workload"],
-            settings=settings_from_dict(data["settings"]),
-        )
+        return from_plain(cls, data)
 
     def canonical_json(self) -> str:
         """Deterministic JSON form: sorted keys, minimal separators."""

@@ -1,283 +1,162 @@
-"""To/from-dict serialization for design points and their results.
+"""One codec for design points and results: dataclass <-> plain dict.
 
-Everything that crosses a process boundary (parallel workers) or lands
-on disk (the persistent result store) goes through these converters:
-configuration dataclasses on the way out to workers, and
-:class:`~repro.cpu.result.SimulationResult` trees on the way back.
+What lands on disk -- the persistent result store, sweep checkpoints --
+and what a design point's digest hashes goes through :func:`to_plain`
+and :func:`from_plain`.  Neither lists a field: each class's
+``dataclasses.fields`` and type hints are read once into a cached
+*field plan*, so a field added to a configuration or result dataclass
+is covered -- hashed, stored, rebuilt -- without touching this module.
 
 The dict forms are plain JSON types only (str/int/float/bool/None,
-lists, string-keyed dicts) and the round trip is bit-identical: ints
-stay ints, floats survive via JSON's shortest-repr encoding, enum keys
-become their names, and tuples are restored as tuples.  Schema changes
-here must bump :data:`repro.engine.store.SCHEMA_VERSION` so stale
-on-disk entries are ignored rather than misread.
+lists, string-keyed dicts) in field-declaration order, and the round
+trip is bit-identical: nested dataclasses become nested dicts, tuples
+become lists and come back as tuples, and enum-keyed dicts become
+name-keyed dicts that come back in enum-declaration order with absent
+members zero-filled.  Decoding is strict: a dict lacking any field, or
+naming an enum member that does not exist, raises
+:class:`SerializationError`.  Schema changes here must bump
+:data:`repro.engine.store.SCHEMA_VERSION` so stale on-disk entries are
+ignored rather than misread.
 
 Schema v3: ``SimulationResult.metrics`` may carry the attribution
 export -- integer component/outcome/bucket counters plus float
 ``attribution.latency.p50/p95/p99`` percentiles -- and, when a trace
 ring overflowed during the run, ``trace.dropped_events``.  All are
 plain JSON scalars in the existing flat metrics dict, so the
-converters below need no shape change; the version bump exists to
+codec needs no shape change; the version bump exists to
 retire v2 entries whose metrics predate those keys' semantics.
 
 Schema v4: ``SimulationResult.counters`` may carry the interval-sampled
 counter series (:mod:`repro.observability.counters`) -- a columnar dict
 of an ``interval``, a ``columns`` name list, and parallel per-column
 int lists -- or ``None`` when sampling was off.  It serializes as-is
-(already plain JSON types) with a tolerant read, and lives only in the
-store payload; the run ledger records a bounded digest instead.
+(already plain JSON types), and lives only in the store payload; the
+run ledger records a bounded digest instead.
 """
 
 from __future__ import annotations
 
-from repro.core.organizations import CacheOrganization
-from repro.cpu.branch import BranchStats
-from repro.cpu.config import ProcessorConfig
-from repro.cpu.result import PipelineStats, SimulationResult
-from repro.memory.backside import BacksideConfig
-from repro.memory.common import ServedBy
-from repro.memory.dram_cache import DramCacheConfig
-from repro.memory.stats import MemoryStats
+import dataclasses
+import enum
+import functools
+import types
+import typing
+from typing import Any, Callable
+
+_SCALARS = (int, float, str, bool)
 
 
 class SerializationError(ValueError):
-    """A dict form does not match the schema these converters emit."""
+    """A dict form does not match the schema the codec emits."""
 
 
-def _require(mapping: dict, *names: str) -> None:
-    missing = [name for name in names if name not in mapping]
+def to_plain(obj: Any) -> dict:
+    """The plain-JSON dict form of a dataclass instance."""
+    out = {}
+    for name, encode, _ in _plan(type(obj)):
+        value = getattr(obj, name)
+        out[name] = value if encode is None else encode(value)
+    return out
+
+
+def from_plain(cls: type, data: Any) -> Any:
+    """Rebuild a ``cls`` instance from its :func:`to_plain` form."""
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"{cls.__name__}: expected an object, got {type(data).__name__}"
+        )
+    plan = _plan(cls)
+    missing = [name for name, _, _ in plan if name not in data]
     if missing:
-        raise SerializationError(f"missing fields: {', '.join(missing)}")
-
-
-# ---------------------------------------------------------------------------
-# Configuration side: what a worker needs to rebuild a design point
-# ---------------------------------------------------------------------------
-
-
-def processor_config_to_dict(config: ProcessorConfig) -> dict:
-    return {
-        "fetch_width": config.fetch_width,
-        "issue_width": config.issue_width,
-        "commit_width": config.commit_width,
-        "window_size": config.window_size,
-        "lsq_size": config.lsq_size,
-        "branch_predictor": config.branch_predictor,
-        "predictor_entries": config.predictor_entries,
-        "mispredict_redirect_penalty": config.mispredict_redirect_penalty,
-        "store_forwarding": config.store_forwarding,
-        "fu_limits": (
-            None
-            if config.fu_limits is None
-            else [[unit, count] for unit, count in config.fu_limits]
-        ),
-        "watchdog_stall_cycles": config.watchdog_stall_cycles,
-        "audit_interval_commits": config.audit_interval_commits,
-    }
-
-
-def processor_config_from_dict(data: dict) -> ProcessorConfig:
-    _require(data, "fetch_width", "window_size", "lsq_size")
-    fu_limits = data.get("fu_limits")
-    return ProcessorConfig(
-        fetch_width=data["fetch_width"],
-        issue_width=data["issue_width"],
-        commit_width=data["commit_width"],
-        window_size=data["window_size"],
-        lsq_size=data["lsq_size"],
-        branch_predictor=data["branch_predictor"],
-        predictor_entries=data["predictor_entries"],
-        mispredict_redirect_penalty=data["mispredict_redirect_penalty"],
-        store_forwarding=data["store_forwarding"],
-        fu_limits=(
-            None
-            if fu_limits is None
-            else tuple((unit, count) for unit, count in fu_limits)
-        ),
-        watchdog_stall_cycles=data["watchdog_stall_cycles"],
-        audit_interval_commits=data["audit_interval_commits"],
+        raise SerializationError(
+            f"{cls.__name__}: missing fields: {', '.join(missing)}"
+        )
+    return cls(
+        **{
+            name: data[name] if decode is None else decode(data[name])
+            for name, _, decode in plan
+        }
     )
 
 
-def backside_config_to_dict(config: BacksideConfig) -> dict:
-    return {
-        "l2_size": config.l2_size,
-        "l2_assoc": config.l2_assoc,
-        "l2_line": config.l2_line,
-        "l2_hit_cycles": config.l2_hit_cycles,
-        "memory_cycles": config.memory_cycles,
-        "chip_bus_bytes_per_cycle": config.chip_bus_bytes_per_cycle,
-        "memory_bus_bytes_per_cycle": config.memory_bus_bytes_per_cycle,
-    }
-
-
-def backside_config_from_dict(data: dict) -> BacksideConfig:
-    _require(data, "l2_size", "memory_cycles")
-    return BacksideConfig(**data)
-
-
-def dram_config_to_dict(config: DramCacheConfig) -> dict:
-    return {
-        "dram_size": config.dram_size,
-        "dram_assoc": config.dram_assoc,
-        "row_bytes": config.row_bytes,
-        "dram_hit_cycles": config.dram_hit_cycles,
-        "dram_banks": config.dram_banks,
-        "row_cache_size": config.row_cache_size,
-        "row_cache_assoc": config.row_cache_assoc,
-        "row_cache_hit_cycles": config.row_cache_hit_cycles,
-        "memory_cycles": config.memory_cycles,
-        "memory_bus_bytes_per_cycle": config.memory_bus_bytes_per_cycle,
-    }
-
-
-def dram_config_from_dict(data: dict) -> DramCacheConfig:
-    _require(data, "dram_size", "dram_hit_cycles")
-    return DramCacheConfig(**data)
-
-
-def organization_to_dict(organization: CacheOrganization) -> dict:
-    return {
-        "size_bytes": organization.size_bytes,
-        "hit_cycles": organization.hit_cycles,
-        "port_policy": organization.port_policy,
-        "ports": organization.ports,
-        "banks": organization.banks,
-        "bank_interleave": organization.bank_interleave,
-        "line_buffer": organization.line_buffer,
-        "line_buffer_entries": organization.line_buffer_entries,
-        "dram": (
-            None if organization.dram is None else dram_config_to_dict(organization.dram)
-        ),
-        "associativity": organization.associativity,
-        "line_bytes": organization.line_bytes,
-        "mshrs": organization.mshrs,
-        "write_policy": organization.write_policy,
-        "write_allocate": organization.write_allocate,
-        "victim_entries": organization.victim_entries,
-        "next_line_prefetch": organization.next_line_prefetch,
-    }
-
-
-def organization_from_dict(data: dict) -> CacheOrganization:
-    _require(data, "size_bytes", "port_policy")
-    dram = data.get("dram")
-    fields = dict(data)
-    fields["dram"] = None if dram is None else dram_config_from_dict(dram)
-    return CacheOrganization(**fields)
-
-
-def settings_to_dict(settings) -> dict:
-    """Serialize :class:`~repro.core.experiment.ExperimentSettings`.
-
-    Typed loosely to dodge the experiment<->engine import cycle; the
-    object shape is what matters.
-    """
-    return {
-        "instructions": settings.instructions,
-        "timing_warmup": settings.timing_warmup,
-        "functional_warmup": settings.functional_warmup,
-        "seed": settings.seed,
-        "cpu": processor_config_to_dict(settings.cpu),
-        "backside": backside_config_to_dict(settings.backside),
-    }
-
-
-def settings_from_dict(data: dict):
-    from repro.core.experiment import ExperimentSettings
-
-    _require(data, "instructions", "cpu", "backside")
-    return ExperimentSettings(
-        instructions=data["instructions"],
-        timing_warmup=data["timing_warmup"],
-        functional_warmup=data["functional_warmup"],
-        seed=data["seed"],
-        cpu=processor_config_from_dict(data["cpu"]),
-        backside=backside_config_from_dict(data["backside"]),
+@functools.cache
+def _plan(cls: type) -> tuple[tuple, ...]:
+    """``(name, encode, decode)`` per field of one dataclass, built once
+    per class; a ``None`` coder passes the value through unchanged."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"no codec for {cls!r}: not a dataclass")
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (field.name, *_coders(hints[field.name]))
+        for field in dataclasses.fields(cls)
     )
 
 
-# ---------------------------------------------------------------------------
-# Result side: what a worker sends back / what the store persists
-# ---------------------------------------------------------------------------
+def _coders(hint: Any) -> tuple[Callable | None, Callable | None]:
+    """``(encode, decode)`` for one field type."""
+    if hint in _SCALARS:
+        return None, None
+    if dataclasses.is_dataclass(hint):
+        return to_plain, functools.partial(from_plain, hint)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        options = [arg for arg in args if arg is not type(None)]
+        if len(options) == 1:
+            return _optional(_coders(options[0]))
+        _require_plain(hint, options)
+        return None, None
+    if hint is dict or origin is dict:
+        key_type, value_type = args or (str, Any)
+        if value_type is not Any:
+            _require_plain(hint, [value_type])
+        if isinstance(key_type, type) and issubclass(key_type, enum.Enum):
+            return _enum_dict(key_type)
+        return dict, dict
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            encode, decode = _coders(args[0])
+        else:
+            _require_plain(hint, args)
+            encode = decode = None
+        if encode is None:
+            return list, tuple
+        return (
+            lambda value: [encode(item) for item in value],
+            lambda data: tuple(decode(item) for item in data),
+        )
+    raise TypeError(f"no codec for field type {hint!r}")
 
 
-def memory_stats_to_dict(stats: MemoryStats) -> dict:
-    return {
-        "loads": stats.loads,
-        "stores": stats.stores,
-        "l1_load_hits": stats.l1_load_hits,
-        "l1_load_misses": stats.l1_load_misses,
-        "l1_store_hits": stats.l1_store_hits,
-        "l1_store_misses": stats.l1_store_misses,
-        "delayed_hits": stats.delayed_hits,
-        "prefetches_issued": stats.prefetches_issued,
-        "served_by": {level.name: count for level, count in stats.served_by.items()},
-        "load_latency_total": stats.load_latency_total,
-    }
+def _require_plain(hint: Any, members) -> None:
+    for member in members:
+        if _coders(member) != (None, None):
+            raise TypeError(f"no codec for field type {hint!r}")
 
 
-def memory_stats_from_dict(data: dict) -> MemoryStats:
-    _require(data, "loads", "served_by")
-    raw = data["served_by"]
-    unknown = set(raw) - {level.name for level in ServedBy}
-    if unknown:
-        raise SerializationError(f"unknown ServedBy levels: {sorted(unknown)}")
-    # Rebuild in enum-declaration order so the dict is identical to the
-    # one MemoryStats' default factory would have produced.
-    served_by = {level: raw.get(level.name, 0) for level in ServedBy}
-    return MemoryStats(
-        loads=data["loads"],
-        stores=data["stores"],
-        l1_load_hits=data["l1_load_hits"],
-        l1_load_misses=data["l1_load_misses"],
-        l1_store_hits=data["l1_store_hits"],
-        l1_store_misses=data["l1_store_misses"],
-        delayed_hits=data["delayed_hits"],
-        prefetches_issued=data["prefetches_issued"],
-        served_by=served_by,
-        load_latency_total=data["load_latency_total"],
+def _optional(coders):
+    encode, decode = coders
+    return (
+        None if encode is None else lambda v: None if v is None else encode(v),
+        None if decode is None else lambda v: None if v is None else decode(v),
     )
 
 
-def result_to_dict(result: SimulationResult) -> dict:
-    return {
-        "instructions": result.instructions,
-        "cycles": result.cycles,
-        "op_counts": dict(result.op_counts),
-        "pipeline": {
-            "window_full_stalls": result.pipeline.window_full_stalls,
-            "lsq_full_stalls": result.pipeline.lsq_full_stalls,
-            "mispredict_stall_cycles": result.pipeline.mispredict_stall_cycles,
-            "store_forwards": result.pipeline.store_forwards,
-        },
-        "branches": {
-            "branches": result.branches.branches,
-            "mispredictions": result.branches.mispredictions,
-        },
-        "memory": memory_stats_to_dict(result.memory),
-        "metrics": dict(result.metrics),
-        "failed": result.failed,
-        "backend": result.backend,
-        "counters": result.counters,
-    }
+def _enum_dict(members: type[enum.Enum]):
+    """Coders for a ``{member: count}`` dict keyed by member names."""
+    names = {member.name for member in members}
 
+    def encode(value: dict) -> dict:
+        return {member.name: count for member, count in value.items()}
 
-def result_from_dict(data: dict) -> SimulationResult:
-    _require(data, "instructions", "cycles", "memory")
-    return SimulationResult(
-        instructions=data["instructions"],
-        cycles=data["cycles"],
-        op_counts=dict(data["op_counts"]),
-        pipeline=PipelineStats(**data["pipeline"]),
-        branches=BranchStats(**data["branches"]),
-        memory=memory_stats_from_dict(data["memory"]),
-        metrics=dict(data.get("metrics") or {}),
-        failed=data["failed"],
-        # Provenance only; pre-seam store entries simply have no record
-        # of which backend ran (tolerant read, no schema bump -- the
-        # measurements themselves are backend-independent by contract).
-        backend=data.get("backend", ""),
-        # Tolerant read: entries written without sampling carry None.
-        counters=data.get("counters"),
-    )
+    def decode(data: dict) -> dict:
+        unknown = set(data) - names
+        if unknown:
+            raise SerializationError(
+                f"unknown {members.__name__} members: {sorted(unknown)}"
+            )
+        # Declaration order, so the dict equals the one a default
+        # factory building every member would have produced.
+        return {member: data.get(member.name, 0) for member in members}
+
+    return encode, decode

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.cpu.result import SimulationResult
 from repro.engine.key import ExperimentKey
-from repro.engine.serialize import SerializationError, result_from_dict, result_to_dict
+from repro.engine.serialize import from_plain, to_plain
 
 #: Bump whenever key or result serialization changes shape (or whenever
 #: a simulator change invalidates previously stored numbers).
@@ -91,8 +91,8 @@ class ResultStore:
         if entry.get("key") != key.to_dict():
             return None  # digest collision or stale/foreign entry
         try:
-            return result_from_dict(entry["result"])
-        except (KeyError, TypeError, SerializationError):
+            return from_plain(SimulationResult, entry["result"])
+        except (KeyError, TypeError, ValueError):
             return None
 
     def save(self, key: ExperimentKey, result: SimulationResult) -> bool:
@@ -109,7 +109,7 @@ class ResultStore:
             "schema": SCHEMA_VERSION,
             "digest": key.digest,
             "key": key.to_dict(),
-            "result": result_to_dict(result),
+            "result": to_plain(result),
         }
         try:
             payload = json.dumps(entry, allow_nan=False, separators=(",", ":"))
@@ -161,7 +161,8 @@ class ResultStore:
     def _entry_problem(self, path: Path) -> str | None:
         """What is wrong with one on-disk entry, or ``None`` if healthy.
 
-        The checks mirror what ``_load`` silently treats as a miss, so
+        The checks mirror what ``_load`` silently treats as a miss --
+        including decoding the key and result through the codec -- so
         ``verify`` surfaces exactly the entries loads are quietly paying
         a re-simulation for.
         """
@@ -184,6 +185,13 @@ class ResultStore:
             return "digest does not match the file name"
         if "key" not in entry or "result" not in entry:
             return "missing key/result fields"
+        try:
+            key = from_plain(ExperimentKey, entry["key"])
+            from_plain(SimulationResult, entry["result"])
+        except (TypeError, ValueError) as error:
+            return f"undecodable key or result ({error})"
+        if key.digest != path.stem or key.to_dict() != entry["key"]:
+            return "key does not hash to its digest"
         return None
 
     def _quarantine(self, path: Path) -> Path | None:
@@ -204,10 +212,11 @@ class ResultStore:
         """Scan every entry and the ledger for damage; optionally heal.
 
         Damaged entries (torn writes, garbage bytes, wrong schema stamp,
-        digest/filename mismatch) are quarantined under ``quarantine/``
-        rather than deleted -- the evidence survives for debugging, and
-        the next sweep simply re-simulates the affected points.  With
-        ``heal=False`` the scan only reports.
+        digest/filename mismatch, a key or result the codec rejects, a
+        key that no longer hashes to its digest) are quarantined under
+        ``quarantine/`` rather than deleted -- the evidence survives for
+        debugging, and the next sweep simply re-simulates the affected
+        points.  With ``heal=False`` the scan only reports.
         """
         report: dict = {
             "scanned": 0,

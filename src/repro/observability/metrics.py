@@ -17,6 +17,7 @@ and is queryable after the fact with ``python -m repro metrics``.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.observability import trace
@@ -151,7 +152,7 @@ def snapshot_simulation(
 
     Called by the core at the end of ``run``; the returned flat dict is
     what lands in ``SimulationResult.metrics`` and is serialized by
-    :func:`repro.engine.serialize.result_to_dict`.
+    :func:`repro.engine.serialize.to_plain`.
     """
     out: dict[str, int | float] = {}
     _snap(
@@ -160,21 +161,8 @@ def snapshot_simulation(
         instructions=result.instructions,
         cycles=result.cycles,
     )
-    pipeline = result.pipeline
-    _snap(
-        out,
-        "cpu.pipeline",
-        window_full_stalls=pipeline.window_full_stalls,
-        lsq_full_stalls=pipeline.lsq_full_stalls,
-        mispredict_stall_cycles=pipeline.mispredict_stall_cycles,
-        store_forwards=pipeline.store_forwards,
-    )
-    _snap(
-        out,
-        "cpu.branch",
-        branches=result.branches.branches,
-        mispredictions=result.branches.mispredictions,
-    )
+    _snap(out, "cpu.pipeline", **asdict(result.pipeline))
+    _snap(out, "cpu.branch", **asdict(result.branches))
     snapshot_memory_system(memory, out)
     if memory.attribution is not None:
         out.update(memory.attribution.to_metrics())

@@ -582,7 +582,7 @@ def analyze(spans: list[dict], trace_id: str | None = None) -> dict | None:
 
     # Which worker carries the most critical-path point time?  The
     # whole point family counts ("point" itself has near-zero self time
-    # because its run/prepare/serialize children cover it).
+    # because its run/prepare children cover it).
     crit_by_proc: dict[str, float] = {}
     for seg in segments:
         if seg["name"].startswith("point"):

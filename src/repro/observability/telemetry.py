@@ -18,11 +18,11 @@ through the engine's worker protocol:
   complete, in any order (no manager process, no extra thread, and
   the no-telemetry path never builds a beacon at all);
 * the hub aggregates per-point state (status, progress, attempt, and
-  heartbeat recency via
-  :class:`~repro.robustness.watchdog.LivenessMonitor`) for the live
+  each worker's last-heartbeat time) for the live
   :class:`ProgressDisplay` and its closing recap line; a stall
   heartbeat marks its point *stalled* there, so a deadlocked worker is
-  named rather than inferred from silence.
+  named rather than inferred from silence, and a running point whose
+  worker has been quiet for :data:`QUIET_WORKER_SECONDS` says so.
 
 Nothing here perturbs simulation results: heartbeats only observe and
 never feed the result path, and with telemetry off (`active_hub()` is
@@ -49,6 +49,11 @@ HEARTBEAT_INTERVAL_SECONDS = 0.25
 #: Commit batches between wall-clock checks inside the beacon: the hot
 #: path pays ``time.monotonic()`` only once per this many calls.
 _BEAT_CALL_MASK = 63
+
+#: Heartbeat silence after which the display flags a running point's
+#: worker.  A healthy worker beats every
+#: :data:`HEARTBEAT_INTERVAL_SECONDS`, so this is far beyond jitter.
+QUIET_WORKER_SECONDS = 5.0
 
 #: Terminal point states (a late heartbeat must not resurrect them).
 _TERMINAL = frozenset({"done", "cached", "failed", "recovered", "gap", "timeout"})
@@ -300,21 +305,12 @@ class TelemetryHub:
     :meth:`snapshot`.
     """
 
-    def __init__(
-        self,
-        *,
-        stale_after: float = 10.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        # Deferred: robustness imports the memory system at package
-        # level, and this module must stay importable from anywhere in
-        # that graph (the CPU core hoists the beacon on every run).
-        from repro.robustness.watchdog import LivenessMonitor
-
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic):
         self._lock = threading.Lock()
         self._clock = clock
         self._points: dict[str, PointState] = {}
-        self.liveness = LivenessMonitor(stale_after=stale_after, clock=clock)
+        #: worker -> clock time of its latest heartbeat or finished point.
+        self._last_beat: dict[str, float] = {}
         self.started = clock()
         self.totals = {
             "planned": 0,
@@ -380,7 +376,7 @@ class TelemetryHub:
             else:
                 self.totals["simulated"] += 1
             if state.worker is not None:
-                self.liveness.beat(state.worker)
+                self._last_beat[state.worker] = self._clock()
 
     def sweep_resumed(self, skipped: int) -> None:
         """A resumed batch skipped ``skipped`` already-completed points."""
@@ -419,7 +415,7 @@ class TelemetryHub:
             state = self._state(point, label, "running")
             if worker is not None:
                 state.worker = worker
-                self.liveness.beat(worker)
+                self._last_beat[worker] = self._clock()
             if kind == "start":
                 if state.status not in _TERMINAL:
                     state.status = "running"
@@ -474,7 +470,7 @@ class TelemetryHub:
                     "attempt": s.attempt,
                     "stalled_cycles": s.stalled_cycles,
                     "heartbeat_age": (
-                        self.liveness.age(s.worker) if s.worker else None
+                        now - self._last_beat[s.worker] if s.worker else None
                     ),
                 }
                 for s in self._points.values()
@@ -572,7 +568,7 @@ def render_progress_lines(snapshot: dict, width: int = 100) -> list[str]:
             if point["attempt"] > 1:
                 detail += f" · retry #{point['attempt']}"
             age = point["heartbeat_age"]
-            if age is not None and age > 5.0:
+            if age is not None and age > QUIET_WORKER_SECONDS:
                 detail += f" · no heartbeat for {age:.0f}s"
         worker = f" [{point['worker']}]" if point["worker"] else ""
         lines.append(f"  {point['label']}{worker}  {detail}"[:width])

@@ -163,7 +163,7 @@ class ChaosPlan:
 # ---------------------------------------------------------------------------
 
 #: Corruption modes understood by :func:`corrupt_entry`.
-CORRUPTION_MODES = ("truncate", "garbage", "schema")
+CORRUPTION_MODES = ("truncate", "garbage", "schema", "result", "key")
 
 
 def corrupt_entry(path: Path | str, mode: str = "truncate") -> None:
@@ -171,7 +171,9 @@ def corrupt_entry(path: Path | str, mode: str = "truncate") -> None:
 
     ``truncate`` -- a torn write: the file ends mid-token;
     ``garbage``  -- the bytes are not JSON at all;
-    ``schema``   -- valid JSON stamped with an impossible schema version.
+    ``schema``   -- valid JSON stamped with an impossible schema version;
+    ``result``   -- a valid envelope whose result lacks most fields;
+    ``key``      -- a key edited so it no longer hashes to its digest.
     """
     path = Path(path)
     if mode == "truncate":
@@ -179,11 +181,16 @@ def corrupt_entry(path: Path | str, mode: str = "truncate") -> None:
         path.write_bytes(data[: max(1, len(data) // 2)])
     elif mode == "garbage":
         path.write_bytes(b"\x00\xffnot json at all\x1f")
-    elif mode == "schema":
+    elif mode in ("schema", "result", "key"):
         import json
 
         entry = json.loads(path.read_text(encoding="utf-8"))
-        entry["schema"] = -1
+        if mode == "schema":
+            entry["schema"] = -1
+        elif mode == "result":
+            entry["result"] = {"instructions": 1}
+        else:
+            entry["key"]["workload"] += "-edited"
         path.write_text(json.dumps(entry), encoding="utf-8")
     else:
         raise ValueError(

@@ -11,9 +11,9 @@ and MSHR file rendered into the error.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro.observability import telemetry
 from repro.robustness import dump
 from repro.robustness.errors import DeadlockError
 
@@ -52,10 +52,7 @@ class CommitWatchdog:
         # Ship the stall through the live-telemetry beacon (if one is
         # active) before raising: a sweep operator then sees *which*
         # point deadlocked, with cycle evidence, instead of inferring a
-        # dead worker from heartbeat silence.  Lazy import -- telemetry
-        # imports this module for LivenessMonitor.
-        from repro.observability import telemetry
-
+        # dead worker from heartbeat silence.
         telemetry.notify_stall(cycle, cycle - self._last_progress_cycle)
         raise DeadlockError(
             f"no instruction committed for {cycle - self._last_progress_cycle} "
@@ -65,66 +62,3 @@ class CommitWatchdog:
                 "MSHR file": dump.dump_mshrs(mshrs, cycle),
             },
         )
-
-
-#: Default wall-clock bound before a quiet worker is called stale.  A
-#: healthy worker heartbeats every ~0.25s, so ten seconds of silence is
-#: two orders of magnitude beyond jitter.
-DEFAULT_STALE_SECONDS = 10.0
-
-
-class LivenessMonitor:
-    """Wall-clock liveness evidence: last-heartbeat age per worker.
-
-    The :class:`CommitWatchdog` bounds stalls in *simulated* cycles from
-    inside one simulation; this monitor bounds silence in *wall-clock*
-    seconds from outside, across worker processes.  Together they
-    distinguish the two failure shapes a parallel sweep can show: a
-    deadlocked pipeline (watchdog fires, beacon reports the stall) and a
-    dead or wedged worker process (heartbeats stop arriving, the age
-    here grows without bound).
-
-    ``clock`` is injectable for tests; production uses ``monotonic``.
-    """
-
-    def __init__(
-        self,
-        stale_after: float = DEFAULT_STALE_SECONDS,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if stale_after <= 0:
-            raise ValueError(f"stale_after must be positive: {stale_after}")
-        self.stale_after = stale_after
-        self._clock = clock
-        self._last_beat: dict[str, float] = {}
-
-    def beat(self, worker: str) -> None:
-        """Record a heartbeat (or any sign of life) from ``worker``."""
-        self._last_beat[worker] = self._clock()
-
-    def age(self, worker: str) -> float:
-        """Seconds since the worker's last heartbeat (inf if never)."""
-        last = self._last_beat.get(worker)
-        if last is None:
-            return float("inf")
-        return self._clock() - last
-
-    def status(self, worker: str) -> str:
-        """``"alive"``, ``"stale"``, or ``"unknown"`` (never heard from)."""
-        last = self._last_beat.get(worker)
-        if last is None:
-            return "unknown"
-        return "alive" if self._clock() - last <= self.stale_after else "stale"
-
-    def workers(self) -> list[str]:
-        """Every worker ever heard from, in first-heartbeat order."""
-        return list(self._last_beat)
-
-    def stale_workers(self) -> list[str]:
-        """Workers whose last heartbeat is older than ``stale_after``."""
-        now = self._clock()
-        return [
-            worker
-            for worker, last in self._last_beat.items()
-            if now - last > self.stale_after
-        ]

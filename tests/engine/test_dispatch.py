@@ -272,7 +272,7 @@ class TestChunkResult:
 
         keys = [_key("gcc"), _key("li")]
         before = time.time()
-        outcome = run_chunk_payload(7, [key.to_dict() for key in keys])
+        outcome = run_chunk_payload(7, keys)
         assert outcome["chunk"] == 7
         assert outcome["worker"].startswith("pid:")
         assert before <= outcome["started"] <= time.time()
@@ -282,6 +282,7 @@ class TestChunkResult:
         ]
         for entry in outcome["entries"]:
             assert entry["payload"]["status"] == "ok"
+            assert not entry["payload"]["result"].failed
             assert entry["busy"] >= entry["payload"]["seconds"] > 0
 
     def test_failures_travel_as_data(self, monkeypatch):
@@ -293,7 +294,7 @@ class TestChunkResult:
             raise SimulationInvariantError("injected")
 
         monkeypatch.setattr(experiment, "_simulate", boom)
-        outcome = run_chunk_payload(0, [_key().to_dict()])
+        outcome = run_chunk_payload(0, [_key()])
         (entry,) = outcome["entries"]
         assert entry["payload"]["status"] == "error"
         assert entry["payload"]["error_type"] == "SimulationInvariantError"

@@ -4,13 +4,42 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from repro.core.experiment import ExperimentSettings
 from repro.core.organizations import duplicate, ideal_ports
+from repro.cpu.config import R10000_FU_LIMITS, ProcessorConfig
 from repro.engine.key import ExperimentKey
+from repro.engine.serialize import from_plain, to_plain
+from repro.memory.dram_cache import DramCacheConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _perturbed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value[:-1]
+    raise TypeError(f"no perturbation for {value!r}")
+
+
+def _leaf_variants(obj, path=()):
+    """``(path, copy)`` per leaf field under ``obj``: each copy differs
+    from ``obj`` in that one leaf."""
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        where = (*path, field.name)
+        if is_dataclass(value):
+            for leaf, inner in _leaf_variants(value, where):
+                yield leaf, replace(obj, **{field.name: inner})
+        else:
+            yield where, replace(obj, **{field.name: _perturbed(value)})
 
 
 def _key() -> ExperimentKey:
@@ -53,6 +82,30 @@ class TestDigest:
         ]
         digests = {base.digest} | {v.digest for v in variants}
         assert len(digests) == 4
+
+        # Every leaf field reachable from the key, DRAM config and
+        # functional-unit limits included, gets its own digest and
+        # survives the codec -- so a new config field cannot silently
+        # share a digest with its default.
+        full = ExperimentKey(
+            replace(base.organization, dram=DramCacheConfig()),
+            base.workload,
+            ExperimentSettings(cpu=ProcessorConfig(fu_limits=R10000_FU_LIMITS)),
+        )
+        leaves = dict(_leaf_variants(full))
+        assert {
+            ("organization", "dram", "row_bytes"),
+            ("workload",),
+            ("settings", "cpu", "fu_limits"),
+            ("settings", "backside", "memory_bus_bytes_per_cycle"),
+        } <= set(leaves)
+        digests = {base.digest, full.digest} | {v.digest for v in leaves.values()}
+        assert len(digests) == len(leaves) + 2
+        for variant in leaves.values():
+            wire = json.loads(json.dumps(to_plain(variant)))
+            rebuilt = from_plain(ExperimentKey, wire)
+            assert rebuilt == variant
+            assert rebuilt.digest == variant.digest
 
     def test_canonical_json_is_deterministic_ascii(self):
         key = _key()

@@ -5,7 +5,7 @@ organizations, duplicated points, scaled settings variants -- and each
 one is executed twice, serially and through the chunked parallel
 dispatcher.  *Everything observable* must match exactly:
 
-* the resolved results (full ``result_to_dict`` forms, not just IPC);
+* the resolved results (full ``to_plain`` forms, not just IPC);
 * the persistent store contents (what a later run would be served);
 * the run-ledger record (plan digest, per-point rows, outcome tally),
   modulo the fields that honestly differ (wall clock, jobs, time).
@@ -28,7 +28,7 @@ from repro import kernel
 from repro.core.experiment import ExperimentSettings
 from repro.core.organizations import banked, duplicate, ideal_ports
 from repro.engine.executor import Engine, ExecutionPlan
-from repro.engine.serialize import result_to_dict
+from repro.engine.serialize import to_plain
 from repro.engine.store import ResultStore
 
 FORK_ONLY = pytest.mark.skipif(
@@ -79,7 +79,7 @@ def _execute(jobs: int, root: Path, plan_points, backend: str):
                 for org, name, cfg in plan_points
             ]
             plan.execute()
-            results = [result_to_dict(plan.resolve(key)) for key in keys]
+            results = [to_plain(plan.resolve(key)) for key in keys]
     finally:
         engine.shutdown_pool()
     records = store.ledger().records()
@@ -130,4 +130,4 @@ def test_parallel_execution_is_bit_identical_to_serial(
             serial_stored = serial_store.load(key)
             par_stored = par_store.load(key)
             assert serial_stored is not None and par_stored is not None
-            assert result_to_dict(par_stored) == result_to_dict(serial_stored)
+            assert to_plain(par_stored) == to_plain(serial_stored)

@@ -11,7 +11,7 @@ from repro.core import experiment
 from repro.core.experiment import ExperimentSettings, average_ipc
 from repro.core.organizations import duplicate
 from repro.engine.executor import Engine, ExecutionPlan, WorkerFailureError
-from repro.engine.serialize import result_to_dict
+from repro.engine.serialize import to_plain
 from repro.engine.store import ResultStore
 from repro.robustness import SimulationInvariantError, resilient_sweeps
 from repro.workloads.catalog import benchmark
@@ -78,19 +78,24 @@ class TestOnePointPath:
     def test_serial_points_never_round_trip_through_dicts(
         self, tmp_path, monkeypatch
     ):
-        """In-process attempts keep the result object; only the pool
-        boundary serializes."""
-        from repro.engine import executor
+        """In-process attempts keep the result object: what resolves is
+        the very object the simulation returned, not a rebuilt copy."""
+        simulated = {}
+        real = experiment._simulate
 
-        def forbidden(*args):
-            raise AssertionError("serial point crossed the pool boundary")
+        def recording(org, spec, settings):
+            result = real(org, spec, settings)
+            simulated[spec.name] = result
+            return result
 
-        monkeypatch.setattr(executor, "result_to_dict", forbidden)
-        monkeypatch.setattr(executor, "result_from_dict", forbidden)
+        monkeypatch.setattr(experiment, "_simulate", recording)
         plan = ExecutionPlan(Engine(store=ResultStore(tmp_path / "cache")))
-        keys = [plan.add(duplicate(), name, FAST) for name in ("gcc", "li")]
+        names = ("gcc", "li")
+        keys = [plan.add(duplicate(), name, FAST) for name in names]
         plan.execute()
-        assert all(not plan.resolve(key).failed for key in keys)
+        for name, key in zip(names, keys):
+            assert plan.resolve(key) is simulated[name]
+            assert not simulated[name].failed
 
     def test_settle_lands_every_resolution_once(self, tmp_path):
         """Cache hits and fresh points reach the ledger, the checkpoint
@@ -170,7 +175,7 @@ class TestParallel:
 
         assert serial_keys == parallel_keys
         for key in serial_keys:
-            assert result_to_dict(parallel.resolve(key)) == result_to_dict(
+            assert to_plain(parallel.resolve(key)) == to_plain(
                 serial.resolve(key)
             )
 
@@ -179,7 +184,7 @@ class TestParallel:
         reader_keys = [reader.add(org, name, FAST) for name, org in points]
         reader.execute()
         for key in reader_keys:
-            assert result_to_dict(reader.resolve(key)) == result_to_dict(
+            assert to_plain(reader.resolve(key)) == to_plain(
                 serial.resolve(key)
             )
 

@@ -1,6 +1,8 @@
 """Persistent result store: round trips, robustness, maintenance."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,34 @@ class TestRoundTrip:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere"
         assert ResultStore().root == tmp_path / "elsewhere"
+
+
+class TestPinnedFormat:
+    """A committed v4 entry pins the on-disk bytes: the codec may change
+    what it writes only together with a ``SCHEMA_VERSION`` bump."""
+
+    FIXTURE = (
+        Path(__file__).parent / "fixtures" / "store-v4-duplicate-32k-lb-gcc.json"
+    )
+
+    def test_committed_entry_loads_and_resaves_byte_identically(self, tmp_path):
+        assert SCHEMA_VERSION == 4
+        key = _key()
+        pinned = self.FIXTURE.read_bytes()
+        assert json.loads(pinned)["digest"] == key.digest
+        store = ResultStore(tmp_path / "cache")
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(self.FIXTURE, path)
+
+        result = store.load(key)
+        assert result is not None  # a hit, not a miss
+        fresh = _simulate(key.organization, benchmark("gcc"), FAST)
+        assert result.ipc == fresh.ipc
+
+        path.unlink()
+        assert store.save(key, result)
+        assert path.read_bytes() == pinned
 
 
 class TestRobustness:

@@ -20,7 +20,8 @@ from repro.core.experiment import ExperimentSettings, _simulate
 from repro.core.organizations import KB, banked, duplicate, ideal_ports
 from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.ledger import build_record
-from repro.engine.serialize import result_from_dict, result_to_dict
+from repro.cpu.result import SimulationResult
+from repro.engine.serialize import SerializationError, from_plain, to_plain
 from repro.engine.store import SCHEMA_VERSION, ResultStore
 from repro.observability import counters
 from repro.workloads.catalog import benchmark
@@ -157,14 +158,19 @@ class TestIntervalAccounting:
 class TestSerialization:
     def test_result_dict_round_trip(self):
         result = _run(300)
-        restored = result_from_dict(result_to_dict(result))
+        restored = from_plain(SimulationResult, to_plain(result))
         assert restored.counters == result.counters
 
-    def test_counter_less_dicts_read_tolerantly(self):
+    def test_counter_less_results_round_trip_as_none(self):
         result = _simulate(duplicate(32 * KB), benchmark("gcc"), FAST)
-        payload = result_to_dict(result)
+        payload = to_plain(result)
+        assert payload["counters"] is None
+        assert from_plain(SimulationResult, payload).counters is None
+        # Every stored entry is v4 and carries the field, so a dict
+        # without it is damage, not an old entry.
         payload.pop("counters")
-        assert result_from_dict(payload).counters is None
+        with pytest.raises(SerializationError):
+            from_plain(SimulationResult, payload)
 
     def test_store_round_trip(self, tmp_path):
         from repro.engine.key import ExperimentKey
@@ -263,7 +269,7 @@ class TestParallelDispatch:
                     ]
                     plan.execute()
                     plans[jobs] = [
-                        result_to_dict(plan.resolve(key)) for key in keys
+                        to_plain(plan.resolve(key)) for key in keys
                     ]
             finally:
                 engine.shutdown_pool()

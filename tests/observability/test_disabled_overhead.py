@@ -15,7 +15,7 @@ import json
 from repro.core.experiment import ExperimentSettings, run_experiment
 from repro.core.organizations import banked, duplicate, ideal_ports
 from repro.engine.executor import get_engine
-from repro.engine.serialize import result_to_dict
+from repro.engine.serialize import to_plain
 from repro.observability import trace, tracing
 
 FAST = ExperimentSettings(
@@ -40,9 +40,9 @@ class TestDisabledPath:
 
     def test_serialized_results_identical_with_and_without_tracing(self):
         for organization in (duplicate(line_buffer=True), banked(), ideal_ports()):
-            untraced = result_to_dict(_fresh_run(organization, "gcc"))
+            untraced = to_plain(_fresh_run(organization, "gcc"))
             with tracing():
-                traced = result_to_dict(_fresh_run(organization, "gcc"))
+                traced = to_plain(_fresh_run(organization, "gcc"))
             assert json.dumps(untraced, sort_keys=True) == json.dumps(
                 traced, sort_keys=True
             )

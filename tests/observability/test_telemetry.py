@@ -18,7 +18,6 @@ from repro.observability.telemetry import (
     render_progress_lines,
     sweep_telemetry,
 )
-from repro.robustness.watchdog import LivenessMonitor
 
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
@@ -170,26 +169,32 @@ class TestBeaconGlobals:
         telemetry.notify_stall(1, 1)  # no beacon: a no-op, not an error
 
 
-class TestLivenessMonitor:
-    def test_ages_and_status_with_fake_clock(self):
+class TestQuietWorker:
+    def _hub_quiet_for(self, seconds: float) -> TelemetryHub:
         clock = FakeClock()
-        monitor = LivenessMonitor(stale_after=10.0, clock=clock)
-        assert monitor.status("w1") == "unknown"
-        assert monitor.age("w1") == float("inf")
-        monitor.beat("w1")
-        assert monitor.status("w1") == "alive"
-        clock.now += 5.0
-        assert monitor.age("w1") == 5.0
-        clock.now += 6.0
-        assert monitor.status("w1") == "stale"
-        assert monitor.stale_workers() == ["w1"]
-        monitor.beat("w1")
-        assert monitor.status("w1") == "alive"
-        assert monitor.workers() == ["w1"]
+        hub = _hub(clock=clock)
+        hub.batch_started(1)
+        hub.handle(
+            {
+                "type": "beat",
+                "point": "p1",
+                "label": "org / gcc",
+                "worker": "pid:7",
+                "instructions": 300,
+                "budget": 1800,
+            }
+        )
+        clock.now += seconds
+        return hub
 
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            LivenessMonitor(stale_after=0.0)
+    def test_running_point_names_a_silent_worker(self):
+        lines = render_progress_lines(self._hub_quiet_for(6.0).snapshot())
+        assert "org / gcc [pid:7]" in lines[1]
+        assert "no heartbeat for 6s" in lines[1]
+
+    def test_recent_heartbeat_is_not_flagged(self):
+        lines = render_progress_lines(self._hub_quiet_for(4.0).snapshot())
+        assert "no heartbeat" not in lines[1]
 
 
 class TestHubLifecycle:
