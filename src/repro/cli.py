@@ -66,8 +66,13 @@ latency attribution and ranks each one's stall sources
 (``--from-counters`` adds each point's worst sampled interval to the
 narrative).  Setting ``REPRO_TRACE=<path>``
 streams every event of any command to ``<path>`` as JSON lines
-(gzipped when the path ends in ``.gz``); ``--attribution`` adds exact
-per-load critical-path metrics to trace/metrics runs.
+(gzipped when the path ends in ``.gz``); only simulations in the
+calling process are traced, so trace a sweep with ``--jobs 1``::
+
+    REPRO_TRACE=run.jsonl.gz python -m repro figure4 --jobs 1
+
+``--attribution`` adds exact per-load critical-path metrics to
+trace/metrics runs.
 
 Live telemetry: during any figure/sweep run, ``--progress`` renders a
 live per-point status display with ETA on stderr (auto-enabled on a
@@ -1216,16 +1221,19 @@ def _experiments_command(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; honors ``REPRO_TRACE=<path>`` for any command
-    (``.gz`` paths gzip the JSONL stream transparently)."""
+    (``.gz`` paths gzip the JSONL stream transparently).
+
+    The tracer keeps no ring: the sink holds the whole stream, so
+    nothing is dropped and no result gains a ``trace.dropped_events``
+    metric.  Only simulations in this process are traced; pool workers
+    run untraced, so trace a sweep with ``--jobs 1``.
+    """
     trace_path = os.environ.get("REPRO_TRACE")
     if not trace_path:
         return _main(argv)
     with obs_trace.open_sink(trace_path) as sink:
-        with obs_trace.tracing(sink=sink) as tracer:
+        with obs_trace.tracing(capacity=0, sink=sink) as tracer:
             code = _main(argv)
-        # One consolidated warning per run, whatever the sweep size --
-        # the sink got the full stream either way.
-        _warn_overflow(tracer)
         print(
             f"[REPRO_TRACE: {tracer.emitted} event(s) -> {trace_path}]",
             file=sys.stderr,
@@ -1270,6 +1278,10 @@ def _checked(cast, holds, requirement: str):
 _positive_int = _checked(int, lambda value: value >= 1, ">= 1")
 _positive_float = _checked(float, lambda value: value > 0, "positive")
 _non_negative_int = _checked(int, lambda value: value >= 0, ">= 0")
+# NaN fails both comparisons, so it is rejected along with infinity.
+_finite_non_negative_float = _checked(
+    float, lambda value: 0 <= value < float("inf"), "a finite number >= 0"
+)
 
 
 def _add_format(parser: argparse.ArgumentParser, *choices: str) -> None:
@@ -1306,7 +1318,7 @@ def _parser() -> argparse.ArgumentParser:
     sim = argparse.ArgumentParser(add_help=False, parents=[backend])
     sim.add_argument(
         "--instructions",
-        type=int,
+        type=_positive_int,
         default=None,
         help=(
             f"measured instructions per design point (default "
@@ -1314,8 +1326,10 @@ def _parser() -> argparse.ArgumentParser:
             f"{HEADLINE_INSTRUCTIONS}); REPRO_INSTRUCTIONS overrides"
         ),
     )
-    sim.add_argument("--timing-warmup", type=int, default=2_000)
-    sim.add_argument("--functional-warmup", type=int, default=300_000)
+    sim.add_argument("--timing-warmup", type=_non_negative_int, default=2_000)
+    sim.add_argument(
+        "--functional-warmup", type=_non_negative_int, default=300_000
+    )
     sim.add_argument("--seed", type=int, default=1)
 
     sweep = argparse.ArgumentParser(add_help=False)
@@ -1469,7 +1483,7 @@ def _parser() -> argparse.ArgumentParser:
     compare_runs.add_argument("newer", nargs="?", help="a second run reference")
     compare_runs.add_argument(
         "--rel-tol",
-        type=float,
+        type=_finite_non_negative_float,
         default=0.0,
         help=(
             "relative tolerance before a metric difference counts as "

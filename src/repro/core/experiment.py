@@ -236,15 +236,6 @@ def _failure_message(error: Exception, limit: int = 8) -> str:
     return "\n".join(head)
 
 
-def _emit_point_timeout(label: str, workload: str, message: str) -> None:
-    from repro.observability import trace as obs_trace
-    from repro.observability.events import POINT_TIMEOUT
-
-    obs_trace.emit(
-        POINT_TIMEOUT, 0, label=label, workload=workload, message=message
-    )
-
-
 def _retry_reduced(
     organization: CacheOrganization,
     spec: WorkloadSpec,
@@ -285,7 +276,6 @@ def _retry_reduced(
                 resolution="timeout",
             )
         )
-        _emit_point_timeout(label, spec.name, detail)
         return SimulationResult(instructions=0, cycles=0, failed=True)
 
     if error_type == "DeadlineExceededError":

@@ -16,12 +16,12 @@ instead:
   Workers pull chunks from the pool's shared call queue as they go
   idle -- classic self-scheduling, which behaves like work stealing
   without a per-worker deque;
-* a :class:`DispatchProfile` records where the batch's wall clock went
-  (pool reuse, submit, drain, absorb, retry tail) and what every worker
+* a :class:`DispatchProfile` records the batch's shape (chunks, pool
+  reuse, fallback and timeout points, wall clock) and what every worker
   did (points, chunks, busy seconds, steals).  The profile is kept on
-  the engine (``engine.last_dispatch``), emitted on the trace channel
-  (``engine.dispatch``), and surfaced by the telemetry hub in the
-  ``--progress`` display.
+  the engine (``engine.last_dispatch``) and surfaced by the telemetry
+  hub in the ``--progress`` display.  Phase timings (pricing, packing,
+  queue wait, absorb, retry tail) are sweep spans.
 
 Cost estimates influence *scheduling only*: results, the ledger (rows
 are digest-sorted), checkpoint marks (set semantics), and the failure
@@ -210,7 +210,7 @@ class WorkerDispatchStats:
 
 
 class DispatchProfile:
-    """Per-batch dispatch instrumentation (the "where did time go" map).
+    """Per-batch dispatch instrumentation: batch shape and worker load.
 
     ``steals`` counts chunks a worker pulled from the shared queue
     beyond its first -- in a perfectly pre-partitioned schedule each
@@ -224,11 +224,6 @@ class DispatchProfile:
         self.workers = workers
         self.chunks = 0
         self.pool_reused = False
-        self.pool_create_seconds = 0.0
-        self.prewarm_seconds = 0.0
-        self.submit_seconds = 0.0
-        self.drain_seconds = 0.0
-        self.retry_seconds = 0.0
         self.wall_seconds = 0.0
         self.fallback_points = 0
         self.timeout_points = 0
@@ -269,11 +264,6 @@ class DispatchProfile:
             "chunks": self.chunks,
             "workers": self.workers,
             "pool_reused": self.pool_reused,
-            "pool_create_seconds": round(self.pool_create_seconds, 3),
-            "prewarm_seconds": round(self.prewarm_seconds, 3),
-            "submit_seconds": round(self.submit_seconds, 3),
-            "drain_seconds": round(self.drain_seconds, 3),
-            "retry_seconds": round(self.retry_seconds, 3),
             "wall_seconds": round(self.wall_seconds, 3),
             "fallback_points": self.fallback_points,
             "timeout_points": self.timeout_points,

@@ -64,14 +64,6 @@ from repro.engine.key import ExperimentKey
 from repro.engine.store import ResultStore
 from repro.observability import spans as obs_spans
 from repro.observability import telemetry
-from repro.observability import trace as obs_trace
-from repro.observability.events import (
-    ENGINE_CACHE_HIT,
-    ENGINE_EXECUTE,
-    ENGINE_PLAN,
-    ENGINE_RESUME,
-    ENGINE_RUN_RECORD,
-)
 from repro.workloads.catalog import BENCHMARKS, benchmark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -366,7 +358,6 @@ class Engine:
         """Reuse the persistent pool, or (re)create it when stale."""
         import multiprocessing
         import os
-        import time
         from concurrent.futures import ProcessPoolExecutor
 
         fingerprint = self._pool_fingerprint(telemetry_on)
@@ -380,8 +371,7 @@ class Engine:
             profile.pool_reused = True
             return handle
         self.shutdown_pool()
-        start = time.monotonic()
-        self._prewarm_worker_state(points, profile)
+        self._prewarm_worker_state(points)
         queue = multiprocessing.Queue()
         stop = multiprocessing.Event()
         pool = ProcessPoolExecutor(
@@ -393,12 +383,9 @@ class Engine:
             pool, queue, stop, fingerprint, self.jobs, os.getpid()
         )
         self._pool = handle
-        profile.pool_create_seconds = (
-            time.monotonic() - start - profile.prewarm_seconds
-        )
         return handle
 
-    def _prewarm_worker_state(self, points, profile) -> None:
+    def _prewarm_worker_state(self, points) -> None:
         """Materialize shared read-only workload artifacts pre-fork.
 
         With the fast backend under the ``fork`` start method, the
@@ -408,7 +395,6 @@ class Engine:
         copy-on-write instead of regenerating them per process.
         """
         import multiprocessing
-        import time
 
         from repro import kernel
 
@@ -416,7 +402,6 @@ class Engine:
             return
         if multiprocessing.get_start_method(allow_none=False) != "fork":
             return
-        start = time.monotonic()
         try:
             from repro.kernel import tracecache
 
@@ -438,7 +423,6 @@ class Engine:
                 ).warm_references()
         except Exception:  # noqa: BLE001 - prewarm is an optimization only
             pass
-        profile.prewarm_seconds = time.monotonic() - start
 
     def shutdown_pool(self, wait: bool = True) -> None:
         """Tear down the persistent worker pool, if this process owns one."""
@@ -477,13 +461,11 @@ class Engine:
         """Memo first, then the disk store (promoting hits to the memo)."""
         cached = self.memo.get(key)
         if cached is not None:
-            obs_trace.emit(ENGINE_CACHE_HIT, 0, key=key.label, layer="memo")
             return cached
         if self.store is not None and _is_catalog_spec(spec):
             stored = self.store.load(key)
             if stored is not None:
                 self.memo[key] = stored
-                obs_trace.emit(ENGINE_CACHE_HIT, 0, key=key.label, layer="store")
                 return stored
         return None
 
@@ -629,14 +611,6 @@ class Engine:
                         hub.point_queued(telemetry._point_id(key), key.label)
             if lspan is not None:
                 lspan.set(cached=len(results), pending=len(pending))
-        obs_trace.emit(
-            ENGINE_EXECUTE,
-            0,
-            planned=len(points),
-            cached=len(results),
-            simulated=len(pending),
-            jobs=self.jobs,
-        )
         if not pending:
             return results
         local = pending
@@ -695,7 +669,6 @@ class Engine:
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 
         from repro.engine.dispatch import CostModel, DispatchProfile, plan_chunks
-        from repro.observability.events import ENGINE_DISPATCH
         from repro.robustness.deadline import configured_timeout, grace_seconds
         from repro.robustness.shutdown import SweepInterrupted, shutdown_requested
 
@@ -728,7 +701,6 @@ class Engine:
         chunk_spans: dict[int, object] = {}
         chunk_waits: dict[int, object] = {}
 
-        submit_start = time.monotonic()
         futures: dict = {}
         try:
             for chunk_id, chunk in enumerate(chunks):
@@ -755,7 +727,6 @@ class Engine:
                 futures[future] = chunk_id
         except Exception:  # noqa: BLE001 - a dead pool degrades to serial
             handle.broken = True
-        profile.submit_seconds = time.monotonic() - submit_start
 
         timeout = configured_timeout()
         budget = None if timeout is None else timeout + grace_seconds()
@@ -765,7 +736,6 @@ class Engine:
         current: dict[int, tuple[str, float]] = {}
         running_since: dict[int, float] = {}
         interrupted = False
-        drain_start = time.monotonic()
         pending = set(futures)
         while pending:
             if not interrupted and shutdown_requested():
@@ -852,7 +822,6 @@ class Engine:
                     )
                     errors[wedged] = (None, error, budget)
                     profile.timeout_points += 1
-        profile.drain_seconds = time.monotonic() - drain_start
         # Close whatever the loop never saw finish (broken pool,
         # interrupt) so the trace has no dangling open spans.
         for chunk_id in list(chunk_spans):
@@ -862,7 +831,6 @@ class Engine:
         # batch in plan order, replaying worker failures through the
         # parent retry path and running pool-casualty points in-parent,
         # so the failure log reads exactly as a serial run's would.
-        retry_start = time.monotonic()
         with obs_spans.span(
             "resequence", errors=len(errors), absorbed=len(absorbed)
         ):
@@ -877,22 +845,10 @@ class Engine:
                         continue
                     profile.fallback_points += 1
                     results[key] = self.run_point(key, spec)
-        profile.retry_seconds = time.monotonic() - retry_start
         profile.interrupted = interrupted
         profile.wall_seconds = time.monotonic() - batch_start
         if hub is not None:
             hub.record_dispatch(profile.as_dict())
-        obs_trace.emit(
-            ENGINE_DISPATCH,
-            0,
-            points=len(points),
-            chunks=profile.chunks,
-            workers=handle.workers,
-            reused=profile.pool_reused,
-            steals=profile.total_steals,
-            fallback=profile.fallback_points,
-            utilization=round(profile.utilization(), 3),
-        )
         if interrupted:
             raise SweepInterrupted(len(results), len(points) - len(results))
         return results
@@ -1041,8 +997,6 @@ class ExecutionPlan:
         settings = (settings or ExperimentSettings()).scaled()
         spec = workload if isinstance(workload, WorkloadSpec) else benchmark(workload)
         key = ExperimentKey(organization, spec.name, settings)
-        if key not in self._points:
-            obs_trace.emit(ENGINE_PLAN, 0, key=key.label)
         self._points.setdefault(key, spec)
         return key
 
@@ -1061,8 +1015,6 @@ class ExecutionPlan:
         must come from the catalog (checkpoints only cover such plans).
         """
         spec = benchmark(key.workload)
-        if key not in self._points:
-            obs_trace.emit(ENGINE_PLAN, 0, key=key.label)
         self._points.setdefault(key, spec)
         return key
 
@@ -1097,13 +1049,6 @@ class ExecutionPlan:
             checkpoint = SweepCheckpoint.for_plan(engine.store.root, points)
             previously = checkpoint.begin(points)
             if previously:
-                obs_trace.emit(
-                    ENGINE_RESUME,
-                    0,
-                    plan_digest=checkpoint.digest[:12],
-                    skipped=previously,
-                    remaining=len(points) - previously,
-                )
                 hub = telemetry.active_hub()
                 if hub is not None:
                     hub.sweep_resumed(previously)
@@ -1123,17 +1068,10 @@ class ExecutionPlan:
         interrupted = None
         try:
             if trace_id is not None:
-                try:
-                    with recorder.trace(
-                        trace_id, "sweep", points=len(points), jobs=engine.jobs
-                    ):
-                        engine.run_batch(points, results)
-                finally:
-                    hub = telemetry.active_hub()
-                    if hub is not None:
-                        hub.record_spans(
-                            recorder.summary(trace_id=trace_id)
-                        )
+                with recorder.trace(
+                    trace_id, "sweep", points=len(points), jobs=engine.jobs
+                ):
+                    engine.run_batch(points, results)
             else:
                 engine.run_batch(points, results)
         except SweepInterrupted as stop:
@@ -1199,17 +1137,9 @@ class ExecutionPlan:
         )
         with obs_spans.adopt(span_ctx):
             with obs_spans.span("ledger.append", points=len(results)):
-                run_id = engine.store.ledger().append(record)
+                engine.store.ledger().append(record)
         if recorder is not None:
             recorder.flush()
-        if run_id is not None:
-            obs_trace.emit(
-                ENGINE_RUN_RECORD,
-                0,
-                run_id=run_id,
-                plan_digest=record["plan_digest"][:12],
-                points=len(results),
-            )
 
     def resolve(self, key: ExperimentKey) -> SimulationResult:
         """The result for a planned key (executing on demand if needed)."""

@@ -335,14 +335,9 @@ def run_loop(
     target = warmup_instructions + max_instructions
 
     # Hoisted per run; tracing/telemetry cannot toggle mid-simulation.
-    # Per-kind flags skip even the event-dict construction for kinds
-    # the active tracer filters out.
     tracer = obs_trace._ACTIVE
     beacon = obs_telemetry._BEACON
     deadline = rb_deadline._DEADLINE
-    trace_commit = tracer is not None and tracer.wants(obs.CPU_COMMIT)
-    trace_fetch = tracer is not None and tracer.wants(obs.CPU_FETCH)
-    trace_flush = tracer is not None and tracer.wants(obs.CPU_FLUSH)
     sampler = memory.counters
     if sampler is not None and measuring:
         # No warmup: the measured region starts at cycle 0.  Sampling
@@ -376,7 +371,7 @@ def run_loop(
             expected_seq += 1
             mop = slot.mop
             op = mop.op
-            if trace_commit:
+            if tracer is not None:
                 tracer.capture(
                     obs.CPU_COMMIT, cycle, {"seq": slot.seq, "op": op.name}
                 )
@@ -535,7 +530,7 @@ def run_loop(
             if blocking_branch.issued:
                 resume = blocking_branch.complete + redirect_penalty
                 if cycle >= resume:
-                    if trace_flush:
+                    if tracer is not None:
                         tracer.capture(
                             obs.CPU_FLUSH,
                             cycle,
@@ -589,7 +584,7 @@ def run_loop(
                 window.append(slot)
                 fetched += 1
                 n_fetch += 1
-                if trace_fetch:
+                if tracer is not None:
                     tracer.capture(
                         obs.CPU_FETCH, cycle, {"seq": seq, "op": op.name}
                     )

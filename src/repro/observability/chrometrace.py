@@ -40,7 +40,6 @@ TID_CPU = 1
 TID_LOADS = 2
 TID_STORES = 3
 TID_MSHR = 4
-TID_ENGINE = 5
 DYNAMIC_TID_BASE = 10
 
 _FIXED_TRACKS = (
@@ -48,7 +47,6 @@ _FIXED_TRACKS = (
     (TID_LOADS, "loads"),
     (TID_STORES, "stores"),
     (TID_MSHR, "mshr in-flight"),
-    (TID_ENGINE, "engine"),
 )
 
 
@@ -185,8 +183,6 @@ def chrome_trace_events(trace_events: Iterable[TraceEvent]) -> list[dict]:
             # Skipped: one marker per instruction adds nothing the issue
             # slices don't show, and triples the file size.
             continue
-        elif kind.startswith("engine."):
-            out.append(_instant(TID_ENGINE, ts, kind, "engine", fields))
         else:
             out.append(_instant(TID_CPU, ts, kind, "other", fields))
     return out

@@ -1,9 +1,10 @@
 """The event taxonomy and the always-on emit channel.
 
 Every instrumented point in the simulator emits one of the event kinds
-below.  Names are hierarchical (``cpu.*``, ``mem.*``, ``engine.*``) so
-consumers can filter by prefix; DESIGN.md section 9 documents the
-fields each kind carries.
+below, stamped with the simulated cycle it happened on.  Names are
+hierarchical (``cpu.*`` for the pipeline, ``mem.*`` for the memory
+hierarchy) so consumers can filter by prefix; DESIGN.md section 9
+documents the fields each kind carries.
 
 Two kinds of consumer see the stream:
 
@@ -49,32 +50,6 @@ MEM_MSHR_FILL = "mem.mshr.fill"
 #: A bus transfer window (fields: bus, start, done, bytes).
 MEM_BUS_TRANSFER = "mem.bus.transfer"
 
-#: Execution-engine lifecycle (cycle is always 0 -- wall-clock scoped).
-ENGINE_PLAN = "engine.plan"
-ENGINE_EXECUTE = "engine.execute"
-ENGINE_CACHE_HIT = "engine.cache_hit"
-#: A run record appended to the persistent ledger
-#: (fields: run_id, plan_digest, points).
-ENGINE_RUN_RECORD = "engine.run_record"
-#: A batch resumed past work already completed by an earlier run
-#: (fields: plan_digest, skipped, remaining).
-ENGINE_RESUME = "engine.resume"
-#: One parallel batch's dispatch summary (fields: points, chunks,
-#: workers, reused, steals, fallback, utilization).
-ENGINE_DISPATCH = "engine.dispatch"
-
-#: An orchestration span closed by the sweep span recorder
-#: (fields: name, dur, span).
-ENGINE_SPAN = "engine.span"
-
-#: A design point overran its wall-clock deadline and became a gap
-#: (fields: label, workload, seconds).
-POINT_TIMEOUT = "point.timeout"
-
-#: A live-telemetry heartbeat reaching the parent-side hub
-#: (fields: type, point, label).
-TELEMETRY_HEARTBEAT = "telemetry.heartbeat"
-
 #: Every kind above, for validation and reporting.
 ALL_KINDS = (
     CPU_FETCH,
@@ -90,15 +65,6 @@ ALL_KINDS = (
     MEM_MSHR_MERGE,
     MEM_MSHR_FILL,
     MEM_BUS_TRANSFER,
-    ENGINE_PLAN,
-    ENGINE_EXECUTE,
-    ENGINE_CACHE_HIT,
-    ENGINE_RUN_RECORD,
-    ENGINE_RESUME,
-    ENGINE_DISPATCH,
-    ENGINE_SPAN,
-    POINT_TIMEOUT,
-    TELEMETRY_HEARTBEAT,
 )
 
 

@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from typing import IO, Callable, Iterator
 
 from repro.observability import trace as obs_trace
-from repro.observability.events import ENGINE_SPAN
 
 #: Environment variable naming the JSONL(.gz) span sink.
 SPANS_ENV = "REPRO_SPANS"
@@ -236,11 +235,6 @@ class SpanRecorder:
             self._buffer.append(json.dumps(data, separators=(",", ":"), sort_keys=True))
             if len(self._buffer) >= SINK_BATCH_LINES:
                 self.flush()
-        # Mirror onto the cold event channel so a REPRO_TRACE stream
-        # interleaves orchestration spans with engine lifecycle events.
-        obs_trace.emit(
-            ENGINE_SPAN, 0, name=data.get("name"), dur=data.get("dur"), span=span_id
-        )
 
     def flush(self) -> None:
         if self.sink is not None and self._buffer:

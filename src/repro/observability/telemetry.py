@@ -37,8 +37,6 @@ import time
 from contextlib import contextmanager
 from typing import IO, TYPE_CHECKING, Callable, Iterator
 
-from repro.observability import trace as obs_trace
-from repro.observability.events import TELEMETRY_HEARTBEAT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.key import ExperimentKey
@@ -323,8 +321,6 @@ class TelemetryHub:
         }
         #: Dispatch summary of the engine's latest parallel batch.
         self._dispatch: dict | None = None
-        #: Span-recorder summary of the latest executed sweep.
-        self._spans: dict | None = None
 
     # -- lifecycle (called by the executor) -----------------------------
 
@@ -393,16 +389,6 @@ class TelemetryHub:
         with self._lock:
             self._dispatch = dispatch
 
-    def record_spans(self, summary: dict) -> None:
-        """The sweep span recorder's summary for the latest batch.
-
-        Threads the orchestration-span count (see
-        :meth:`repro.observability.spans.SpanRecorder.summary`) into the
-        snapshot and the recap line.
-        """
-        with self._lock:
-            self._spans = summary
-
     # -- heartbeat stream ------------------------------------------------
 
     def handle(self, message: dict) -> None:
@@ -430,13 +416,6 @@ class TelemetryHub:
             elif kind == "stall":
                 state.status = "stalled"
                 state.stalled_cycles = message.get("stalled_cycles", 0)
-        obs_trace.emit(
-            TELEMETRY_HEARTBEAT,
-            message.get("cycle", 0),
-            type=kind,
-            point=point,
-            label=label,
-        )
 
     # -- read side -------------------------------------------------------
 
@@ -480,7 +459,6 @@ class TelemetryHub:
                 "total": total,
                 "done": done,
                 "dispatch": self._dispatch,
-                "spans": self._spans,
                 "cached": cached,
                 "simulated": self.totals["simulated"],
                 "recovered": self.totals["recovered"],
@@ -597,9 +575,6 @@ def render_final_summary(snapshot: dict) -> str:
         steals = dispatch.get("steals", 0)
         if steals:
             parts.append(f"{steals} steal(s)")
-    spans = snapshot.get("spans")
-    if spans and spans.get("recorded"):
-        parts.append(f"{spans['recorded']} spans")
     return " · ".join(parts)
 
 

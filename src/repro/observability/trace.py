@@ -1,12 +1,18 @@
 """Cycle-level event tracing: bounded ring buffer + optional JSONL sink.
 
+The tracer records simulated events only: the ``cpu.*`` / ``mem.*``
+kinds of :mod:`repro.observability.events`, each stamped with the
+simulated cycle it happened on.  Orchestration facts (planning, cache
+hits, dispatch, deadlines) are recorded once elsewhere -- sweep spans,
+the run ledger, the failure log, the telemetry hub.
+
 One :class:`Tracer` at a time may be *active* process-wide; the emit
-points scattered through the CPU core, memory system, and execution
-engine consult the module-level active tracer and do nothing when none
-is installed.  The disabled path is a single ``is None`` check (in the
-hottest loops the check is hoisted out of the loop entirely), so
-simulations with tracing off pay effectively nothing -- the overhead
-guarantee DESIGN.md section 9 states and ``bench_suite.py`` measures.
+points scattered through the CPU core and memory system consult the
+module-level active tracer and do nothing when none is installed.  The
+disabled path is a single ``is None`` check (in the hottest loops the
+check is hoisted out of the loop entirely), so simulations with
+tracing off pay effectively nothing -- the overhead guarantee
+DESIGN.md section 9 states and ``bench_suite.py`` measures.
 
 Captured events land in a bounded ring buffer (a ``deque`` with
 ``maxlen``), so an arbitrarily long simulation traces in O(capacity)
@@ -15,28 +21,25 @@ them.  A ``capacity`` of 0 keeps only the per-kind counts -- the cheap
 "counting" mode.  An optional sink receives
 every event as one JSON line, for offline analysis of full streams.
 
-Two levers keep the tracing-*enabled* overhead proportionate to what
-the tracer actually keeps:
+Sink lines are buffered and written in batches (and gzip sinks
+compress at level 1, not 9) -- the stream is consumed by offline
+tooling, so per-event write syscalls and maximum compression bought
+nothing but the 80% wall-clock overhead the benchmark suite used to
+record.  ``tracing()`` flushes on scope exit; direct users call
+:meth:`Tracer.flush` before reading the sink.
 
-* ``kinds`` restricts capture to an explicit set of event kinds,
-  resolved once into a frozenset at construction; a filtered kind
-  costs one set-membership test and is neither counted nor written.
-  Emit points that build expensive field dicts can hoist
-  :meth:`Tracer.wants` out of their loops and skip even that.
-* Sink lines are buffered and written in batches (and gzip sinks
-  compress at level 1, not 9) -- the stream is consumed by offline
-  tooling, so per-event write syscalls and maximum compression bought
-  nothing but the 80% wall-clock overhead the benchmark suite used to
-  record.  ``tracing()`` flushes on scope exit; direct users call
-  :meth:`Tracer.flush` before reading the sink.
+A tracer belongs to the process that installed it: a forked child
+(a pool worker) starts with tracing off, so it never writes into the
+parent's sink.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 #: Default ring capacity: enough for the tail of any short run while
 #: bounding a full-length simulation to a few MB of event tuples.
@@ -71,7 +74,6 @@ class Tracer:
         "emitted",
         "by_kind",
         "overflow_points",
-        "enabled_kinds",
         "_ring",
         "_sink",
         "_buffer",
@@ -82,7 +84,6 @@ class Tracer:
         self,
         capacity: int = DEFAULT_CAPACITY,
         sink: IO[str] | None = None,
-        kinds: "Iterable[str] | None" = None,
     ):
         if capacity < 0:
             raise ValueError(f"ring capacity cannot be negative: {capacity}")
@@ -91,29 +92,13 @@ class Tracer:
         self.by_kind: dict[str, int] = {}
         #: Design points that overflowed the ring (see :meth:`note_point`).
         self.overflow_points = 0
-        #: Kinds this tracer captures; ``None`` means every kind.
-        self.enabled_kinds: frozenset[str] | None = (
-            None if kinds is None else frozenset(kinds)
-        )
         self._ring: deque[TraceEvent] = deque(maxlen=capacity)
         self._sink = sink
         self._buffer: list[str] = []
         self._dropped_marked = 0
 
-    def wants(self, kind: str) -> bool:
-        """Whether :meth:`capture` would record ``kind``.
-
-        Hot loops hoist this per kind so a filtered emit point skips
-        even building its fields dict.
-        """
-        enabled = self.enabled_kinds
-        return enabled is None or kind in enabled
-
     def capture(self, kind: str, cycle: int, fields: dict) -> None:
         """Record one event (ring + per-kind count + optional sink)."""
-        enabled = self.enabled_kinds
-        if enabled is not None and kind not in enabled:
-            return
         self.emitted += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         event = TraceEvent(cycle, kind, fields)
@@ -242,11 +227,15 @@ def deactivate() -> None:
     _ACTIVE = None
 
 
+# A forked child shares the parent's open sink and copies its buffered
+# lines; writing them again would interleave two streams in one file.
+os.register_at_fork(after_in_child=deactivate)
+
+
 @contextmanager
 def tracing(
     capacity: int = DEFAULT_CAPACITY,
     sink: IO[str] | None = None,
-    kinds: Iterable[str] | None = None,
 ) -> Iterator[Tracer]:
     """Scope with tracing enabled; restores the prior state on exit::
 
@@ -254,26 +243,14 @@ def tracing(
             run_experiment(...)
         loads = tracer.count(events.MEM_LOAD)
 
-    ``kinds`` restricts capture to those event kinds (``None`` = all).
     Buffered sink lines are flushed when the scope exits.
     """
     global _ACTIVE
     previous = _ACTIVE
-    tracer = Tracer(capacity, sink, kinds=kinds)
+    tracer = Tracer(capacity, sink)
     _ACTIVE = tracer
     try:
         yield tracer
     finally:
         _ACTIVE = previous
         tracer.flush()
-
-
-def emit(kind: str, cycle: int, /, **fields) -> None:
-    """Convenience emit for cold paths (engine lifecycle, CLI phases).
-
-    Hot paths read :data:`_ACTIVE` once and call ``capture`` directly;
-    this helper keeps occasional emit points to one line.
-    """
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.capture(kind, cycle, fields)

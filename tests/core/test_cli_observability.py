@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import gzip
 import json
+import multiprocessing
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.core import experiment
+from repro.observability.trace import DEFAULT_CAPACITY, read_records
 
 FAST_FLAGS = [
     "--instructions",
@@ -185,6 +188,56 @@ class TestReproTraceEnv:
         monkeypatch.setenv("REPRO_TRACE", str(path))
         assert main(["metrics", "gcc", *FAST_FLAGS]) == 0
         assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+
+    def test_env_trace_holds_cycle_events_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        argv = ["figure4", "--benchmarks", "gcc", "--jobs", "1", *FAST_FLAGS]
+        assert main(argv) == 0
+        kinds = {record["kind"] for record in read_records(path)}
+        assert kinds and all(kind.startswith(("cpu.", "mem.")) for kind in kinds)
+
+    def test_env_trace_leaves_the_store_alone(self, tmp_path, monkeypatch, capsys):
+        """A stream longer than the default ring drops nothing, warns
+        nothing, and stores the same bytes as an untraced run."""
+        argv = ["figure4", "--benchmarks", "gcc", "--jobs", "1", *FAST_FLAGS]
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plain"))
+        assert main(argv) == 0
+        capsys.readouterr()
+        experiment.clear_cache()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "traced"))
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "sweep.jsonl.gz"))
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        emitted = int(re.search(r"\[REPRO_TRACE: (\d+) event", err).group(1))
+        assert emitted > DEFAULT_CAPACITY
+        assert "overflowed" not in err
+        assert _v4_bytes(tmp_path / "traced") == _v4_bytes(tmp_path / "plain")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the parent's tracer",
+    )
+    def test_env_trace_with_a_pool_stays_readable(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "sweep.jsonl.gz"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        argv = ["figure4", "--benchmarks", "gcc", "--jobs", "2", *FAST_FLAGS]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        emitted = int(re.search(r"\[REPRO_TRACE: (\d+) event", err).group(1))
+        assert sum(1 for _ in read_records(path)) == emitted
+
+
+def _v4_bytes(root) -> dict:
+    """Every file of a store's ``v4/`` tree, by relative path."""
+    v4 = root / "v4"
+    return {
+        str(path.relative_to(v4)): path.read_bytes()
+        for path in sorted(v4.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestCountersVerb:

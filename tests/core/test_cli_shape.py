@@ -94,6 +94,13 @@ BAD_NUMBERS = [
     ),
     (["trace", "gcc", "--trace-limit", "-1"], "--trace-limit"),
     (["trace", "gcc", "--trace-tail", "-3"], "--trace-tail"),
+    (["runs", "compare", "--rel-tol", "nan"], "--rel-tol"),
+    (["runs", "compare", "--rel-tol", "inf"], "--rel-tol"),
+    (["runs", "compare", "--rel-tol", "-1"], "--rel-tol"),
+    (["metrics", "gcc", "--instructions", "0"], "--instructions"),
+    (["metrics", "gcc", "--instructions", "-5"], "--instructions"),
+    (["figure4", "--timing-warmup", "-500"], "--timing-warmup"),
+    (["figure4", "--functional-warmup", "-1"], "--functional-warmup"),
 ]
 
 

@@ -419,12 +419,8 @@ class TestPrewarm:
             raise AssertionError("prewarm ran under the reference backend")
 
         monkeypatch.setattr(tracecache, "artifacts_for", forbidden)
-        profile = DispatchProfile(points=2, workers=2)
         with kernel.use_backend("reference"):
-            Engine(jobs=2)._prewarm_worker_state(
-                _points("gcc", "tomcatv"), profile
-            )
-        assert profile.prewarm_seconds == 0.0
+            Engine(jobs=2)._prewarm_worker_state(_points("gcc", "tomcatv"))
 
     @FORK_ONLY
     def test_fast_backend_prewarms_each_identity_once(self, monkeypatch):
@@ -455,14 +451,12 @@ class TestPrewarm:
             + _points("gcc", organization=banked(banks=4))
             + _points("li", settings=cold)
         )
-        profile = DispatchProfile(points=len(points), workers=2)
         with kernel.use_backend("fast"):
-            Engine(jobs=2)._prewarm_worker_state(points, profile)
+            Engine(jobs=2)._prewarm_worker_state(points)
         assert sorted(warmed) == [
             ("gcc", FAST.seed, FAST.functional_warmup),
             ("tomcatv", FAST.seed, FAST.functional_warmup),
         ]
-        assert profile.prewarm_seconds >= 0.0
 
     def test_prewarm_failure_never_breaks_the_batch(self, monkeypatch):
         from repro import kernel
@@ -472,9 +466,8 @@ class TestPrewarm:
             raise RuntimeError("artifact generation failed")
 
         monkeypatch.setattr(tracecache, "artifacts_for", explode)
-        profile = DispatchProfile(points=1, workers=2)
         with kernel.use_backend("fast"):
-            Engine(jobs=2)._prewarm_worker_state(_points("gcc"), profile)
+            Engine(jobs=2)._prewarm_worker_state(_points("gcc"))
 
 
 # ---------------------------------------------------------------------------

@@ -492,30 +492,6 @@ class TestSweepTelemetryScope:
         assert telemetry.active_hub() is None
         assert "sweep: 1/1 points" in stream.getvalue()
 
-class TestSpansSurface:
-    """Sweep span summaries flow through the snapshot and the recap."""
-
-    def _spanned_hub(self) -> TelemetryHub:
-        hub = _hub()
-        hub.batch_started(2)
-        hub.point_finished("p1", "org / gcc", "simulated")
-        hub.point_finished("p2", "org / tomcatv", "simulated")
-        hub.record_spans(
-            {
-                "recorded": 9,
-                "by_name": {
-                    "point": {"count": 2, "seconds": 3.5},
-                    "sweep": {"count": 1, "seconds": 4.0},
-                },
-                "top": [{"name": "sweep", "count": 1, "seconds": 4.0}],
-            }
-        )
-        return hub
-
-    def test_snapshot_carries_spans(self):
-        snapshot = self._spanned_hub().snapshot()
-        assert snapshot["spans"]["recorded"] == 9
-        assert _hub().snapshot()["spans"] is None
 
 class TestFinalSummary:
     def test_recap_line(self):
@@ -527,13 +503,11 @@ class TestFinalSummary:
         hub.record_dispatch(
             {"workers": 2, "utilization": 0.75, "steals": 1, "chunks": 2}
         )
-        hub.record_spans({"recorded": 12, "by_name": {}, "top": []})
         line = render_final_summary(hub.snapshot())
         assert line.startswith("sweep finished: 3/3 points in ")
         assert "1 FAILED" in line
         assert "2 workers 75% busy" in line
         assert "1 steal(s)" in line
-        assert "12 spans" in line
 
     def test_minimal_recap_without_extras(self):
         hub = _hub()

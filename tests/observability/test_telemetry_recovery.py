@@ -46,43 +46,3 @@ class TestTimeoutAccounting:
         assert "timed out" not in joined
         assert "resumed" not in joined
 
-
-class TestEventKinds:
-    def test_new_kinds_are_registered(self):
-        from repro.observability.events import (
-            ALL_KINDS,
-            ENGINE_RESUME,
-            POINT_TIMEOUT,
-        )
-
-        assert ENGINE_RESUME == "engine.resume"
-        assert POINT_TIMEOUT == "point.timeout"
-        assert ENGINE_RESUME in ALL_KINDS
-        assert POINT_TIMEOUT in ALL_KINDS
-
-    def test_timeout_gap_emits_point_timeout_event(self):
-        from repro.core.experiment import ExperimentSettings, _retry_reduced
-        from repro.core.organizations import duplicate
-        from repro.observability.events import POINT_TIMEOUT
-        from repro.observability.trace import Tracer, activate, deactivate
-        from repro.robustness.runner import FailureLog
-        from repro.workloads.catalog import benchmark
-
-        tracer = Tracer(capacity=16)
-        activate(tracer)
-        try:
-            log = FailureLog()
-            result = _retry_reduced(
-                duplicate(32 * 1024),
-                benchmark("gcc"),
-                ExperimentSettings(),
-                log,
-                "DeadlineExceededError",
-                "point exceeded its budget",
-            )
-        finally:
-            deactivate()
-        assert result.failed
-        assert log.records[-1].resolution == "timeout"
-        kinds = [event.kind for event in tracer.events()]
-        assert POINT_TIMEOUT in kinds

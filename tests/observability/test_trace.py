@@ -65,20 +65,6 @@ class TestTracer:
             tracer.capture("k", i, {})
         assert len(sink.getvalue().splitlines()) == trace.SINK_BATCH_LINES
 
-    def test_kind_filter_skips_capture_entirely(self):
-        tracer = Tracer(kinds=("keep",))
-        assert tracer.wants("keep") and not tracer.wants("drop")
-        tracer.capture("keep", 1, {"x": 1})
-        tracer.capture("drop", 2, {"x": 2})
-        assert tracer.emitted == 1
-        assert tracer.count("drop") == 0  # filtered kinds are not counted
-        assert [e.kind for e in tracer.events()] == ["keep"]
-
-    def test_unfiltered_tracer_wants_everything(self):
-        tracer = Tracer()
-        assert tracer.enabled_kinds is None
-        assert tracer.wants("anything")
-
 
 class TestActivation:
     def test_disabled_by_default(self):
@@ -100,12 +86,6 @@ class TestActivation:
             with trace.tracing():
                 raise RuntimeError("boom")
         assert trace.active() is None
-
-    def test_emit_goes_to_active_tracer_only(self):
-        trace.emit("k", 0, x=1)  # disabled: silently dropped
-        with trace.tracing() as tracer:
-            trace.emit("k", 7, x=2)
-        assert tracer.events() == [TraceEvent(7, "k", {"x": 2})]
 
     def test_activate_deactivate(self):
         tracer = Tracer()
