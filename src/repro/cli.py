@@ -10,7 +10,6 @@ Usage::
     python -m repro figure8 --jobs 4 --progress
     python -m repro all
     python -m repro figure4 --jobs 2 --point-timeout 120
-    python -m repro figure4 --resume
     python -m repro cache info
     python -m repro cache clear
     python -m repro cache verify
@@ -96,9 +95,10 @@ speedup verdict; ``--format json`` emits the full analysis,
 
 Crash safety: every sweep keeps a checkpoint next to the store; SIGINT/
 SIGTERM finish in-flight points, flush checkpoint and ledger, and exit
-with code 4 so ``--resume`` (same command) or ``repro runs resume
-[ref]`` can continue, re-executing only what is missing -- output stays
-byte-identical to an uninterrupted run.  ``--point-timeout SECONDS``
+with code 4.  Rerunning the same command, or ``repro runs resume
+[ref]``, continues the sweep: finished points are store hits, so only
+what is missing re-executes and output stays byte-identical to an
+uninterrupted run.  ``--point-timeout SECONDS``
 bounds each design point's wall clock (also via
 ``REPRO_POINT_TIMEOUT``): an overrunning point is cancelled and
 recorded as a ``timeout`` gap instead of hanging the sweep.  ``cache
@@ -871,7 +871,7 @@ def _runs_show(args: argparse.Namespace) -> int:
     if record.get("interrupted"):
         print(
             "interrupted:  yes -- partial record; resume with "
-            "'repro runs resume' or the original command plus --resume"
+            "'repro runs resume' or by rerunning the original command"
         )
     rows = [
         [
@@ -1145,24 +1145,6 @@ def _experiments_command(args: argparse.Namespace) -> int:
     from repro.robustness.shutdown import SweepInterrupted
 
     store = None if args.no_cache else ResultStore(args.cache_dir)
-    if args.resume:
-        from repro.engine.checkpoint import list_checkpoints
-
-        checkpoints = list_checkpoints(store.root)
-        if checkpoints:
-            status = checkpoints[0].status()
-            print(
-                f"[--resume: checkpoint {status['plan_digest'][:12]} has "
-                f"{status['completed']} of {status['planned']} point(s) "
-                "done; completed points resolve from the store]",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "[--resume: no checkpoint found; running from scratch "
-                "(the store still serves anything already simulated)]",
-                file=sys.stderr,
-            )
     names = EXPERIMENTS if args.command == "all" else (args.command,)
     broken: list[str] = []
     interrupted: SweepInterrupted | None = None
@@ -1200,11 +1182,6 @@ def _experiments_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if interrupted is not None:
-        hint = (
-            f"python -m repro {args.command} --resume"
-            if interrupted.checkpoint_path
-            else f"python -m repro {args.command}"
-        )
         print(
             f"[interrupted -- finished work is saved"
             + (
@@ -1212,7 +1189,8 @@ def _experiments_command(args: argparse.Namespace) -> int:
                 if interrupted.checkpoint_path
                 else ""
             )
-            + f"; continue with: {hint} (or 'python -m repro runs resume')]",
+            + f"; continue with: python -m repro {args.command} "
+            "(or 'python -m repro runs resume')]",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -1429,20 +1407,10 @@ def _parser() -> argparse.ArgumentParser:
         default=list(REPRESENTATIVES),
         help="benchmarks to simulate (default: the three representatives)",
     )
-    reuse = run.add_mutually_exclusive_group()
-    reuse.add_argument(
+    run.add_argument(
         "--no-cache",
         action="store_true",
         help="skip the persistent result store for this run",
-    )
-    reuse.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "continue an interrupted run of the same command: already-"
-            "completed points resolve from the store, only the rest "
-            "re-simulate (output stays identical to an unbroken run)"
-        ),
     )
     run.set_defaults(func=_experiments_command)
 

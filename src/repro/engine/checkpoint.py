@@ -20,7 +20,7 @@ the store's job, which is what keeps resumed output bit-identical to an
 uninterrupted run.  It exists to *report*: how much of an interrupted
 sweep survives, and which keys to re-plan.  A cleanly completed sweep
 deletes its checkpoint; one that ends with gaps or an interrupt keeps
-it, so ``--resume`` and ``repro runs resume`` have something to read.
+it, so ``repro runs resume`` has something to read.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ from repro.engine.ledger import plan_digest
 #: the ``v*/??/`` shard layout, like the run ledger).
 CHECKPOINT_DIR = "checkpoints"
 
-#: Outcomes that mean "this point needs no re-execution".
-COMPLETED_OUTCOMES = frozenset({"memo", "store", "simulated", "recovered"})
+#: Outcomes that mean "this point needs no re-execution": its result
+#: is in the store.  A ``recovered`` point is not -- its reduced-budget
+#: result is never stored, so every rerun simulates it again.
+COMPLETED_OUTCOMES = frozenset({"memo", "store", "simulated"})
 
 
 class SweepCheckpoint:
@@ -119,24 +121,16 @@ class SweepCheckpoint:
     # Write
     # ------------------------------------------------------------------
 
-    def begin(self, keys: Iterable[ExperimentKey]) -> int:
+    def begin(self, keys: Iterable[ExperimentKey]) -> None:
         """Start (or continue) the checkpoint for this plan.
 
-        When a file from an earlier run of the same plan exists, it is
-        kept as-is and the number of planned points that run already
-        completed is returned -- the resume count.  Otherwise a fresh
-        header is written atomically and 0 comes back.  I/O failures
-        disable checkpointing silently, never the sweep.
+        A file from an earlier run of the same plan is kept as-is, marks
+        and all; otherwise a fresh header is written atomically.  I/O
+        failures disable checkpointing silently, never the sweep.
         """
-        keys = list(keys)
-        header, marks = self.read()
+        header, _ = self.read()
         if header is not None and header.get("plan_digest") == self.digest:
-            planned = {key.digest for key in keys}
-            return sum(
-                1
-                for digest, outcome in marks.items()
-                if digest in planned and outcome in COMPLETED_OUTCOMES
-            )
+            return
         entry = {
             "type": "sweep",
             "plan_digest": self.digest,
@@ -158,7 +152,6 @@ class SweepCheckpoint:
             os.replace(tmp, self.path)
         except OSError:
             pass
-        return 0
 
     def mark(self, key: ExperimentKey, outcome: str) -> None:
         """Append one completion mark: a single ``O_APPEND`` line."""

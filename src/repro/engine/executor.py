@@ -20,7 +20,9 @@ deadline, simulation, error capture -- is :func:`_attempt`, run
 in-process by the serial loop and inside pool workers alike, and every
 resolution lands through :meth:`Engine._settle`, the single writer of
 ledger outcomes, checkpoint marks, per-point seconds and the telemetry
-hub's terminal transitions.
+hub's cached and terminal transitions.  While a point runs, its beacon
+(:func:`repro.observability.telemetry.beaconing`) is the hub's only
+source: running, attempt, progress and stall.
 
 Worker protocol: a worker receives one *chunk* of
 :class:`~repro.engine.key.ExperimentKey` objects, rebuilds each design
@@ -37,8 +39,8 @@ shared queue, which balances load like work stealing without
 per-worker deques.  The pool
 itself is *persistent* -- created once per engine configuration and
 reused across every figure of a CLI invocation.  While a chunk runs,
-workers stream only batch-tagged ``point-start`` marks (wedge backstop,
-live progress) and heartbeats to the parent over a plain
+workers stream only batch-tagged ``point-start`` marks (the wedge
+backstop) and heartbeats to the parent over a plain
 ``multiprocessing.Queue``.
 
 Chunk results complete out of order; determinism is re-imposed at
@@ -221,8 +223,8 @@ def run_chunk_payload(
     The returned chunk result is the authoritative record of what the
     worker did: its id, when the chunk started, one entry per point
     (digest, payload, busy seconds) and the worker's finished spans.
-    While the chunk runs, only ``point-start`` marks (wedge backstop,
-    live progress) and heartbeats cross the queue, each tagged with
+    While the chunk runs, only ``point-start`` marks (the wedge
+    backstop) and heartbeats cross the queue, each tagged with
     ``batch`` so the parent drops leftovers of an earlier batch.  A set
     stop event turns a graceful shutdown around between points: the
     in-flight point finishes, the rest of the chunk is abandoned -- the
@@ -259,7 +261,6 @@ def run_chunk_payload(
                         "batch": batch,
                         "chunk": chunk_id,
                         "digest": key.digest,
-                        "label": key.label,
                     },
                 )
             busy_start = time.monotonic()
@@ -537,19 +538,15 @@ class Engine:
             error_type = type(error).__name__
             message = experiment._failure_message(error)
         hub = telemetry.active_hub()
-        if hub is not None:
-            hub.point_retrying(telemetry._point_id(key), key.label, 2)
         started = time.monotonic()
         with telemetry.beaconing(
             key, hub.handle if hub is not None else None, attempt=2
-        ) as beacon:
+        ):
             result = experiment._retry_reduced(
                 key.organization, spec, key.settings, log, error_type, message
             )
-            # ``_retry_reduced`` always records exactly one outcome.
-            outcome = log.records[-1].resolution if log.records else "gap"
-            if beacon is not None and outcome != "recovered":
-                beacon.end("error", error_type)
+        # ``_retry_reduced`` always records exactly one outcome.
+        outcome = log.records[-1].resolution if log.records else "gap"
         self._settle(key, outcome, seconds + time.monotonic() - started)
         return result
 
@@ -569,8 +566,6 @@ class Engine:
             "point", digest=key.digest[:12], label=key.label, where="parent"
         ):
             hub = telemetry.active_hub()
-            if hub is not None:
-                hub.point_started(telemetry._point_id(key), key.label)
             attempt = _attempt(key, spec, hub.handle if hub is not None else None)
             return self._conclude(key, spec, attempt)
 
@@ -858,8 +853,8 @@ class Engine:
         """Absorb this batch's queued worker marks without blocking.
 
         A ``point-start`` pins its chunk's in-flight point for the wedge
-        backstop and feeds live progress; heartbeats go to the hub.
-        Marks tagged with an earlier batch are dropped.
+        backstop; heartbeats go to the hub.  Marks tagged with an earlier
+        batch are dropped.
         """
         import time
 
@@ -871,10 +866,10 @@ class Engine:
             if not isinstance(message, dict) or message.get("batch") != handle.batch:
                 continue
             if message.get("type") == "point-start":
-                digest = message.get("digest", "")
-                current[message.get("chunk")] = (digest, time.monotonic())
-                if hub is not None:
-                    hub.point_started(digest[:12], message.get("label", ""))
+                current[message.get("chunk")] = (
+                    message.get("digest", ""),
+                    time.monotonic(),
+                )
             elif hub is not None:
                 try:
                     hub.handle(message)
@@ -1027,7 +1022,8 @@ class ExecutionPlan:
         crash-safe checkpoint alongside the store while the batch runs:
         each resolved point appends one mark, a clean completion deletes
         the file, and an interrupt (or a run that ends with gaps) keeps
-        it so ``--resume`` / ``repro runs resume`` know what remains.
+        it so ``repro runs resume`` knows what remains.  Rerunning the
+        same command is a resume too: finished points are store hits.
         A graceful-shutdown request surfaces as
         :class:`~repro.robustness.shutdown.SweepInterrupted` *after*
         the partial batch has been recorded in ledger and checkpoint.
@@ -1047,11 +1043,7 @@ class ExecutionPlan:
             and all(_is_catalog_spec(spec) for spec in points.values())
         ):
             checkpoint = SweepCheckpoint.for_plan(engine.store.root, points)
-            previously = checkpoint.begin(points)
-            if previously:
-                hub = telemetry.active_hub()
-                if hub is not None:
-                    hub.sweep_resumed(previously)
+            checkpoint.begin(points)
         start = time.monotonic()
         engine.checkpoint = checkpoint
         engine.outcomes = {}

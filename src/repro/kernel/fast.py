@@ -417,7 +417,7 @@ def run_loop(
                 watchdog.progress(cycle)
                 wd_last = cycle
             if beacon is not None:
-                beacon.progress(committed, cycle)
+                beacon.progress(committed)
             commits_since_audit += n_commit
             if audit_interval and commits_since_audit >= audit_interval:
                 commits_since_audit = 0

@@ -197,7 +197,7 @@ def run_loop(
             if watchdog is not None:
                 watchdog.progress(cycle)
             if beacon is not None:
-                beacon.progress(committed, cycle)
+                beacon.progress(committed)
             commits_since_audit += n_commit
             if (
                 cfg.audit_interval_commits

@@ -275,29 +275,12 @@ class SpanRecorder:
 
     # -- summaries -----------------------------------------------------
 
-    def summary(self, top: int = 5, trace_id: str | None = None) -> dict:
-        """Aggregate view for the telemetry hub snapshot."""
-        spans = self.finished
-        if trace_id is not None:
-            spans = [s for s in spans if s.get("trace") == trace_id]
-        by_name: dict[str, dict] = {}
-        for span in spans:
-            row = by_name.setdefault(str(span.get("name")), {"count": 0, "seconds": 0.0})
-            row["count"] += 1
-            row["seconds"] += float(span.get("dur") or 0.0)
-        for row in by_name.values():
-            row["seconds"] = round(row["seconds"], 6)
-        ranked = sorted(by_name.items(), key=lambda kv: kv[1]["seconds"], reverse=True)
-        return {
-            "recorded": self.recorded,
-            "by_name": dict(ranked),
-            "top": [
-                {"name": name, **row} for name, row in ranked[:top]
-            ],
-        }
-
     def run_info(self, top: int = 3, trace_id: str | None = None) -> dict:
-        """Compact record for the run ledger: where the spans went."""
+        """Compact record for the run ledger: where the spans went.
+
+        ``top`` ranks span names by their summed seconds within the
+        trace (the recorder's current one by default).
+        """
         if trace_id is None:
             trace_id = self.trace_id
         info: dict = {"recorded": self.recorded}
@@ -305,10 +288,19 @@ class SpanRecorder:
             info["trace"] = trace_id
         if self.path is not None:
             info["path"] = self.path
-        ranked = self.summary(top=top, trace_id=trace_id)["top"]
+        seconds: dict[str, float] = {}
+        for span in self.finished:
+            if trace_id is None or span.get("trace") == trace_id:
+                name = str(span.get("name"))
+                seconds[name] = seconds.get(name, 0.0) + float(span.get("dur") or 0.0)
+        ranked = sorted(
+            ((name, round(total, 6)) for name, total in seconds.items()),
+            key=lambda kv: kv[1],
+            reverse=True,
+        )
         if ranked:
             info["top"] = [
-                {"name": row["name"], "seconds": row["seconds"]} for row in ranked
+                {"name": name, "seconds": total} for name, total in ranked[:top]
             ]
         return info
 

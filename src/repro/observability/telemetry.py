@@ -6,10 +6,11 @@ whole batch finished.  This module threads a second, *live* event path
 through the engine's worker protocol:
 
 * a :class:`TelemetryBeacon` rides inside each simulation (worker or
-  parent process) and emits periodic heartbeats -- point label,
-  instructions committed, current cycle, attempt number -- rate-limited
-  by wall clock so the hot loop pays one ``is None`` check when
-  telemetry is off and a cheap counter mask when it is on;
+  parent process): a ``start`` message carries the point's budget and
+  attempt number, then periodic ``beat`` messages carry instructions
+  committed, rate-limited by wall clock so the hot loop pays one
+  ``is None`` check when telemetry is off and a cheap counter mask when
+  it is on;
 * worker processes ship heartbeats to the parent over the engine's
   pool channel -- the same plain ``multiprocessing.Queue`` that carries
   ``point-start`` marks, each message tagged with its batch -- and
@@ -17,12 +18,15 @@ through the engine's worker protocol:
   drains the queue into :class:`TelemetryHub.handle` as chunks
   complete, in any order (no manager process, no extra thread, and
   the no-telemetry path never builds a beacon at all);
-* the hub aggregates per-point state (status, progress, attempt, and
-  each worker's last-heartbeat time) for the live
-  :class:`ProgressDisplay` and its closing recap line; a stall
-  heartbeat marks its point *stalled* there, so a deadlocked worker is
-  named rather than inferred from silence, and a running point whose
-  worker has been quiet for :data:`QUIET_WORKER_SECONDS` says so.
+* the hub aggregates per-point state for the live
+  :class:`ProgressDisplay` and its closing recap line.  Each fact has
+  one writer: the beacon's messages say a point is running, how far it
+  got, on which attempt and whether it stalled; the engine says it is
+  queued (its cache lookup missed) and, in ``_settle``, that it was
+  served from a cache or finished.  A stall heartbeat marks its point
+  *stalled*, so a deadlocked worker is named rather than inferred from
+  silence, and a running point whose worker has been quiet for
+  :data:`QUIET_WORKER_SECONDS` says so.
 
 Nothing here perturbs simulation results: heartbeats only observe and
 never feed the result path, and with telemetry off (`active_hub()` is
@@ -54,7 +58,7 @@ _BEAT_CALL_MASK = 63
 QUIET_WORKER_SECONDS = 5.0
 
 #: Terminal point states (a late heartbeat must not resurrect them).
-_TERMINAL = frozenset({"done", "cached", "failed", "recovered", "gap", "timeout"})
+_TERMINAL = frozenset({"done", "cached", "failed"})
 
 
 def _point_id(key: "ExperimentKey") -> str:
@@ -87,8 +91,6 @@ class TelemetryBeacon:
         "_send",
         "_calls",
         "_last_sent",
-        "instructions",
-        "cycle",
     )
 
     def __init__(
@@ -113,8 +115,6 @@ class TelemetryBeacon:
         self._send = send
         self._calls = 0
         self._last_sent = 0.0
-        self.instructions = 0
-        self.cycle = 0
 
     def _emit(self, message: dict) -> None:
         if self._send is None:
@@ -137,10 +137,8 @@ class TelemetryBeacon:
             }
         )
 
-    def progress(self, instructions: int, cycle: int) -> None:
+    def progress(self, instructions: int) -> None:
         """Hot-path hook: called by the core on committing cycles."""
-        self.instructions = instructions
-        self.cycle = cycle
         self._calls += 1
         if self._calls & _BEAT_CALL_MASK:
             return
@@ -148,85 +146,28 @@ class TelemetryBeacon:
         if now - self._last_sent < self.interval:
             return
         self._last_sent = now
-        self._emit(
-            {
-                "type": "beat",
-                "instructions": instructions,
-                "cycle": cycle,
-                "budget": self.budget,
-                "attempt": self.attempt,
-            }
-        )
+        self._emit({"type": "beat", "instructions": instructions})
 
-    def stall(self, cycle: int, stalled_cycles: int) -> None:
+    def stall(self, stalled_cycles: int) -> None:
         """Final heartbeat when the commit watchdog detects a deadlock.
 
         This is the liveness evidence: the parent learns *which* point
         stalled and for how many cycles, instead of inferring a dead
         worker from heartbeat silence alone.
         """
-        self._emit(
-            {
-                "type": "stall",
-                "cycle": cycle,
-                "stalled_cycles": stalled_cycles,
-                "instructions": self.instructions,
-            }
-        )
-
-    def end(self, status: str, error_type: str | None = None) -> None:
-        """Final message; the beacon sends nothing after it."""
-        message: dict = {"type": "end", "status": status}
-        if error_type is not None:
-            message["error_type"] = error_type
-        self._emit(message)
-        self._send = None
+        self._emit({"type": "stall", "stalled_cycles": stalled_cycles})
 
 
-#: The process-wide active beacon (worker or parent); ``None`` = off.
+#: The beacon of the running simulation (worker or parent); ``None`` =
+#: off.  The kernels read it once per run.
 _BEACON: TelemetryBeacon | None = None
 
 
-def beacon() -> TelemetryBeacon | None:
-    """The beacon of the currently running simulation, if any."""
-    return _BEACON
-
-
-def install_beacon(active: TelemetryBeacon) -> None:
-    global _BEACON
-    _BEACON = active
-
-
-def clear_beacon() -> None:
-    global _BEACON
-    _BEACON = None
-
-
-def notify_stall(cycle: int, stalled_cycles: int) -> None:
+def notify_stall(stalled_cycles: int) -> None:
     """Forward deadlock evidence through the active beacon, if any."""
     active = _BEACON
     if active is not None:
-        active.stall(cycle, stalled_cycles)
-
-
-def point_beacon(
-    key: "ExperimentKey",
-    send: Callable[[dict], None] | None = None,
-    attempt: int = 1,
-) -> TelemetryBeacon | None:
-    """A beacon for one design point, or ``None`` when telemetry is off.
-
-    Telemetry is off for a simulation exactly when nobody gave it a
-    ``send``: the parent passes its hub's :meth:`TelemetryHub.handle`,
-    pool workers a put onto the engine's queue -- and workers of an
-    untelemetered run pass nothing and pay nothing.
-    """
-    if send is None:
-        return None
-    budget = key.settings.timing_warmup + key.settings.instructions
-    return TelemetryBeacon(
-        _point_id(key), key.label, send, budget=budget, attempt=attempt
-    )
+        active.stall(stalled_cycles)
 
 
 @contextmanager
@@ -234,29 +175,30 @@ def beaconing(
     key: "ExperimentKey",
     send: Callable[[dict], None] | None,
     attempt: int = 1,
-) -> Iterator[TelemetryBeacon | None]:
+) -> Iterator[None]:
     """Run one simulation attempt under a heartbeat beacon.
 
-    Yields the installed beacon, or ``None`` (and does nothing) when
-    ``send`` is ``None``.  On exit the beacon is uninstalled and ended:
-    ``error`` with the exception type when the body raises, ``ok``
-    otherwise -- unless the body already ended it itself.
+    Telemetry is off for a simulation exactly when nobody gave it a
+    ``send``: the parent passes its hub's :meth:`TelemetryHub.handle`,
+    pool workers a put onto the engine's queue -- and workers of an
+    untelemetered run pass nothing and pay nothing.  Otherwise the
+    point's beacon is installed for the body, after its ``start``
+    message, and uninstalled on exit.  How the attempt ended is the
+    engine's fact to report, not the beacon's.
     """
-    active = point_beacon(key, send, attempt)
-    if active is None:
-        yield None
+    global _BEACON
+    if send is None:
+        yield
         return
-    install_beacon(active)
-    active.start()
-    status, error_type = "ok", None
+    budget = key.settings.timing_warmup + key.settings.instructions
+    _BEACON = TelemetryBeacon(
+        _point_id(key), key.label, send, budget=budget, attempt=attempt
+    )
+    _BEACON.start()
     try:
-        yield active
-    except BaseException as error:
-        status, error_type = "error", type(error).__name__
-        raise
+        yield
     finally:
-        clear_beacon()
-        active.end(status, error_type)
+        _BEACON = None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +259,6 @@ class TelemetryHub:
             "recovered": 0,
             "gaps": 0,
             "timeouts": 0,
-            "resumed": 0,
         }
         #: Dispatch summary of the engine's latest parallel batch.
         self._dispatch: dict | None = None
@@ -344,16 +285,6 @@ class TelemetryHub:
         with self._lock:
             self._state(point, label, "queued")
 
-    def point_started(self, point: str, label: str) -> None:
-        with self._lock:
-            self._state(point, label, "running").status = "running"
-
-    def point_retrying(self, point: str, label: str, attempt: int) -> None:
-        with self._lock:
-            state = self._state(point, label, "running")
-            state.status = "running"
-            state.attempt = attempt
-
     def point_finished(self, point: str, label: str, outcome: str) -> None:
         """Terminal transition: simulated / recovered / gap / timeout."""
         with self._lock:
@@ -373,11 +304,6 @@ class TelemetryHub:
                 self.totals["simulated"] += 1
             if state.worker is not None:
                 self._last_beat[state.worker] = self._clock()
-
-    def sweep_resumed(self, skipped: int) -> None:
-        """A resumed batch skipped ``skipped`` already-completed points."""
-        with self._lock:
-            self.totals["resumed"] += skipped
 
     def record_dispatch(self, dispatch: dict) -> None:
         """The engine's dispatch profile for its latest parallel batch.
@@ -411,8 +337,6 @@ class TelemetryHub:
                 if state.status not in _TERMINAL:
                     state.status = "running"
                 state.instructions = message.get("instructions", state.instructions)
-                state.budget = message.get("budget", state.budget)
-                state.attempt = message.get("attempt", state.attempt)
             elif kind == "stall":
                 state.status = "stalled"
                 state.stalled_cycles = message.get("stalled_cycles", 0)
@@ -464,7 +388,6 @@ class TelemetryHub:
                 "recovered": self.totals["recovered"],
                 "gaps": self.totals["gaps"],
                 "timeouts": self.totals["timeouts"],
-                "resumed": self.totals["resumed"],
                 "elapsed": elapsed,
                 "eta": eta,
                 "in_flight": in_flight,
@@ -508,8 +431,6 @@ def render_progress_lines(snapshot: dict, width: int = 100) -> list[str]:
     parts = [f"{snapshot['done']}/{snapshot['total']} points"]
     if snapshot["cached"]:
         parts.append(f"{snapshot['cached']} cached")
-    if snapshot.get("resumed"):
-        parts.append(f"{snapshot['resumed']} resumed")
     if snapshot["recovered"]:
         parts.append(f"{snapshot['recovered']} recovered")
     if snapshot["gaps"]:

@@ -6,9 +6,9 @@ about the points that did finish, and the only record of hours of work
 is whatever happened to reach the result store.  With it, the first
 signal flips a flag; the engine stops dispatching new design points,
 cancels or abandons in-flight workers, lets the checkpoint/ledger/
-telemetry sinks flush, and the CLI exits with a distinct code so a
-follow-up ``--resume`` (or ``repro runs resume``) continues where the
-run stopped.  A second signal restores default handling -- the hard
+telemetry sinks flush, and the CLI exits with a distinct code so
+rerunning the same command (or ``repro runs resume``) continues where
+the run stopped.  A second signal restores default handling -- the hard
 abort stays one keypress away.
 
 The flag lives module-global (like the failure log and the telemetry
@@ -31,7 +31,7 @@ class SweepInterrupted(RuntimeError):
     consuming worker futures (parallel).  ``completed`` and ``remaining``
     count design points of the interrupted batch; ``checkpoint_path``
     is filled in by :meth:`~repro.engine.executor.ExecutionPlan.execute`
-    when a checkpoint was being kept, so the CLI can print an exact
+    when a checkpoint was being kept, so the CLI can name it in its
     resume hint.
     """
 

@@ -51,9 +51,9 @@ class CommitWatchdog:
             return
         # Ship the stall through the live-telemetry beacon (if one is
         # active) before raising: a sweep operator then sees *which*
-        # point deadlocked, with cycle evidence, instead of inferring a
+        # point deadlocked and for how many cycles, instead of inferring a
         # dead worker from heartbeat silence.
-        telemetry.notify_stall(cycle, cycle - self._last_progress_cycle)
+        telemetry.notify_stall(cycle - self._last_progress_cycle)
         raise DeadlockError(
             f"no instruction committed for {cycle - self._last_progress_cycle} "
             f"cycles (bound {self.stall_cycles}); the pipeline is deadlocked",

@@ -68,8 +68,9 @@ FOREIGN_FLAGS = [
     (["compare", "gcc", "--from-counters"], "--from-counters"),
     (["diagnose", "gcc", "--trace-out", "x.json"], "--trace-out"),
     (["spans", "--rel-tol", "1"], "--rel-tol"),
-    # A flag no verb reads any more.
+    # Flags no verb reads any more.
     (["figure1", "--serve-metrics", "9100"], "--serve-metrics"),
+    (["figure4", "--resume"], "--resume"),
 ]
 
 

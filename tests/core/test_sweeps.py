@@ -1,7 +1,5 @@
 """Fast tests for the sweep/ablation helpers (small budgets)."""
 
-import pytest
-
 from repro.core import ExperimentSettings
 from repro.core.sweeps import (
     associativity_sweep,

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.core.experiment import ExperimentSettings
 from repro.core.organizations import duplicate
 from repro.engine.checkpoint import (
@@ -30,7 +28,8 @@ class TestLifecycle:
     def test_begin_writes_header_with_every_planned_key(self, tmp_path):
         keys = _keys("gcc", "li")
         checkpoint = SweepCheckpoint.for_plan(tmp_path, keys)
-        assert checkpoint.begin(keys) == 0
+        checkpoint.begin(keys)
+        assert checkpoint.status()["completed"] == 0
         header, marks = checkpoint.read()
         assert header["plan_digest"] == plan_digest(keys)
         assert marks == {}
@@ -51,13 +50,14 @@ class TestLifecycle:
         assert status["completed"] == 1
         assert status["remaining"] == 2
 
-    def test_begin_on_existing_file_returns_resume_count(self, tmp_path):
+    def test_begin_on_existing_file_keeps_its_marks(self, tmp_path):
         keys = _keys("gcc", "li")
         checkpoint = SweepCheckpoint.for_plan(tmp_path, keys)
         checkpoint.begin(keys)
         checkpoint.mark(keys[0], "store")
         again = SweepCheckpoint.for_plan(tmp_path, keys)
-        assert again.begin(keys) == 1  # one point already done
+        again.begin(keys)
+        assert again.status()["completed"] == 1  # one point already done
         # ... and the old marks were preserved, not rewritten.
         assert again.completed() == {keys[0].digest}
 
@@ -79,7 +79,9 @@ class TestLifecycle:
         checkpoint.remove()  # no error on the second call
 
     def test_completed_outcomes_cover_every_cache_layer(self):
-        assert COMPLETED_OUTCOMES == {"memo", "store", "simulated", "recovered"}
+        # ``recovered`` is not done: its reduced-budget result is never
+        # stored, so a rerun simulates the point again.
+        assert COMPLETED_OUTCOMES == {"memo", "store", "simulated"}
 
 
 class TestDamageTolerance:
@@ -161,3 +163,50 @@ class TestEngineIntegration:
         # must not multiply them again.
         assert replanned.settings.instructions == FAST.instructions
         assert replanned.digest == keys[0].digest
+
+    def test_a_recovered_point_is_not_done(self, tmp_path, monkeypatch, capsys):
+        """A recovered point's reduced-budget result is never stored, so
+        the checkpoint must not count it as done: ``runs resume``'s
+        "already done" count equals what the store then serves."""
+        from repro.cli import main
+        from repro.core import experiment
+        from repro.engine.executor import Engine, ExecutionPlan
+        from repro.engine.store import ResultStore
+        from repro.robustness import SimulationInvariantError, resilient_sweeps
+
+        real = experiment._simulate
+
+        def flaky(org, spec, settings):
+            # gcc recovers at reduced budget; tomcatv is a gap.
+            if spec.name == "tomcatv" or settings.instructions >= FAST.instructions:
+                raise SimulationInvariantError("injected")
+            return real(org, spec, settings)
+
+        monkeypatch.setattr(experiment, "_simulate", flaky)
+        experiment.clear_cache()
+        store = ResultStore(tmp_path / "cache")
+        plan = ExecutionPlan(Engine(jobs=1, store=store))
+        for name in ("gcc", "tomcatv"):
+            plan.add(duplicate(), name, FAST)
+        with resilient_sweeps():
+            plan.execute()
+        (record,) = store.ledger().records()
+        assert sorted(row["outcome"] for row in record["points"]) == [
+            "gap",
+            "recovered",
+        ]
+        (checkpoint,) = list_checkpoints(store.root)  # gaps keep it
+        assert checkpoint.status()["remaining"] == 2
+
+        try:
+            code = main(
+                ["runs", "resume", "last", "--cache-dir", str(store.root),
+                 "--no-progress"]
+            )
+        finally:
+            experiment.clear_cache()
+        out = capsys.readouterr().out
+        assert code == 3  # the injected faults still fire
+        done = int(out.split(": ", 1)[1].split(" of ")[0])
+        served = int(out.split("resume complete: ")[1].split(" point")[0])
+        assert done == served == 0

@@ -243,20 +243,24 @@ class TestOutOfOrderCheckpointMarks:
             ExperimentKey(duplicate(), name, FAST) for name in NAMES
         ]
         ordered = SweepCheckpoint.for_plan(tmp_path / "a", keys)
-        assert ordered.begin(keys) == 0
+        ordered.begin(keys)
+        assert ordered.status()["completed"] == 0
         for key in keys:
             ordered.mark(key, "simulated")
 
         shuffled = SweepCheckpoint.for_plan(tmp_path / "b", keys)
-        assert shuffled.begin(keys) == 0
+        shuffled.begin(keys)
+        assert shuffled.status()["completed"] == 0
         scrambled = list(keys)
         random.Random(42).shuffle(scrambled)
         for key in scrambled:
             shuffled.mark(key, "simulated")
 
         assert ordered.completed() == shuffled.completed()
-        assert ordered.begin(keys) == len(keys)
-        assert shuffled.begin(keys) == len(keys)
+        ordered.begin(keys)
+        shuffled.begin(keys)
+        assert ordered.status()["completed"] == len(keys)
+        assert shuffled.status()["completed"] == len(keys)
         assert ordered.status()["remaining"] == 0
         assert shuffled.status()["remaining"] == 0
 
@@ -268,9 +272,12 @@ class TestOutOfOrderCheckpointMarks:
         checkpoint.begin(keys)
         # The last-planned point completes first, the first never does.
         checkpoint.mark(keys[-1], "simulated")
+        # Recovered and gap points both re-execute on resume: neither
+        # left a stored result.
         checkpoint.mark(keys[2], "recovered")
-        checkpoint.mark(keys[1], "gap")  # gaps re-execute on resume
+        checkpoint.mark(keys[1], "gap")
         status = checkpoint.status()
-        assert status["completed"] == 2
-        assert status["remaining"] == 2
-        assert checkpoint.begin(keys) == 2
+        assert status["completed"] == 1
+        assert status["remaining"] == 3
+        checkpoint.begin(keys)
+        assert checkpoint.status()["completed"] == 1

@@ -8,8 +8,6 @@ re-calibration moves a number, update the band here *and* the
 paper-vs-measured record in EXPERIMENTS.md.
 """
 
-import pytest
-
 from repro.core import ExperimentSettings, duplicate, ideal_ports, run_experiment
 from repro.memory import SetAssociativeCache
 from repro.workloads import WorkloadGenerator, benchmark

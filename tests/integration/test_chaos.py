@@ -165,9 +165,9 @@ class TestWorkerSigkill:
 
 class TestParentSigkill:
     def test_kill_minus_nine_then_resume_is_bit_identical(self, tmp_path):
-        """The ISSUE's headline scenario: SIGKILL the whole sweep, then
-        `--resume` re-executes only the missing points and the final
-        output matches an uninterrupted run byte for byte."""
+        """SIGKILL the whole sweep, then a plain rerun re-executes only
+        the missing points and the final output matches an
+        uninterrupted run byte for byte."""
         cache_dir = tmp_path / "cache"
         env = _cli_env(cache_dir, **{CHAOS_ENV: "sleep=0.2"})
         proc = _popen(FIGURE_ARGS, env)
@@ -182,7 +182,7 @@ class TestParentSigkill:
 
         # Resume without chaos; count re-simulations via store entries.
         resume = subprocess.run(
-            [sys.executable, "-m", "repro", *FIGURE_ARGS, "--resume"],
+            [sys.executable, "-m", "repro", *FIGURE_ARGS],
             env=_cli_env(cache_dir),
             capture_output=True,
             text=True,

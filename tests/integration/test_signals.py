@@ -1,4 +1,4 @@
-"""Signal handling end to end: SIGINT -> exit 4 -> --resume, identically.
+"""Signal handling end to end: SIGINT -> exit 4 -> rerun, identically.
 
 The in-process tests drive :func:`repro.cli.main` on the pytest main
 thread (so ``ShutdownController`` installs real handlers) and deliver
@@ -9,7 +9,6 @@ stretches the sweep so the signal reliably lands mid-run.
 import os
 import signal
 import threading
-import time
 
 import pytest
 
@@ -79,7 +78,6 @@ class TestSigintResume:
         captured = capsys.readouterr()
         assert code == EXIT_INTERRUPTED
         assert "interrupted" in captured.err
-        assert "--resume" in captured.err
 
         # The checkpoint survived and is loadable.
         checkpoints = list_checkpoints(ResultStore(interrupted_dir).root)
@@ -89,23 +87,17 @@ class TestSigintResume:
         assert 0 < status["completed"] < status["planned"]
         assert checkpoints[0].keys()  # header rebuilds the plan
 
-        # Resume (chaos off): exit clean, output identical to baseline.
+        # Rerun (chaos off): exit clean, output identical to baseline.
         experiment.clear_cache()
         monkeypatch.delenv(CHAOS_ENV)
-        assert main(FIGURE_ARGS + ["--resume"]) == 0
+        assert main(FIGURE_ARGS) == 0
         resumed = capsys.readouterr()
         assert _figure_lines(resumed.out) == baseline
-        assert "--resume: checkpoint" in resumed.err
         # A clean completion deletes the checkpoint.
         assert list_checkpoints(interrupted_dir) == []
 
         # Every planned point now holds a stored result.
         assert ResultStore(interrupted_dir).info()["entries"] == status["planned"]
-
-    def test_resume_conflicts_with_no_cache(self, capsys):
-        with pytest.raises(SystemExit):
-            main(FIGURE_ARGS + ["--resume", "--no-cache"])
-        assert "--no-cache" in capsys.readouterr().err
 
     def test_point_timeout_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):

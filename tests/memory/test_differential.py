@@ -6,7 +6,6 @@ decisions* must match a plain reference cache fed the same stream --
 these tests run both side by side.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

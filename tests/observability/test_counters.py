@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 
 import pytest
 

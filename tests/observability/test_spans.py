@@ -337,18 +337,19 @@ class TestSummaries:
                 pass
         with recorder.span("absorb"):
             pass
-        summary = recorder.summary(top=1)
-        assert summary["recorded"] == 4
-        assert summary["by_name"]["point"]["count"] == 3
-        assert len(summary["top"]) == 1
+        info = recorder.run_info(top=5)
+        assert info["recorded"] == 4
+        assert sorted(row["name"] for row in info["top"]) == ["absorb", "point"]
+        assert len(recorder.run_info(top=1)["top"]) == 1
 
     def test_summary_filters_by_trace(self):
         recorder = SpanRecorder()
         with recorder.trace("t-1", "sweep"):
             pass
-        with recorder.trace("t-2", "sweep"):
+        with recorder.trace("t-2", "other"):
             pass
-        assert recorder.summary(trace_id="t-1")["by_name"]["sweep"]["count"] == 1
+        info = recorder.run_info(trace_id="t-1")
+        assert [row["name"] for row in info["top"]] == ["sweep"]
 
     def test_run_info_names_the_sink(self):
         recorder = SpanRecorder(path="/tmp/s.jsonl")

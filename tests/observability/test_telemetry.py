@@ -13,7 +13,6 @@ from repro.observability.telemetry import (
     ProgressDisplay,
     TelemetryBeacon,
     TelemetryHub,
-    point_beacon,
     render_final_summary,
     render_progress_lines,
     sweep_telemetry,
@@ -41,12 +40,11 @@ class FakeClock:
 
 
 class TestBeacon:
-    def test_start_and_end_carry_identity(self):
+    def test_start_carries_identity(self):
         sent = []
         beacon = TelemetryBeacon("abc123", "org / gcc", sent.append, budget=1800)
         beacon.start()
-        beacon.end("ok")
-        assert [m["type"] for m in sent] == ["start", "end"]
+        assert [m["type"] for m in sent] == ["start"]
         assert sent[0]["point"] == "abc123"
         assert sent[0]["label"] == "org / gcc"
         assert sent[0]["budget"] == 1800
@@ -57,9 +55,9 @@ class TestBeacon:
         beacon = TelemetryBeacon("p", "l", sent.append, interval=0.0)
         beacon.start()
         for i in range(_BEAT_CALL_MASK):
-            beacon.progress(i, i)
+            beacon.progress(i)
         assert [m["type"] for m in sent] == ["start"]  # mask swallows all
-        beacon.progress(64, 64)  # call 64: mask passes, interval 0 passes
+        beacon.progress(64)  # call 64: mask passes, interval 0 passes
         assert sent[-1]["type"] == "beat"
         assert sent[-1]["instructions"] == 64
 
@@ -68,7 +66,7 @@ class TestBeacon:
         beacon = TelemetryBeacon("p", "l", sent.append, interval=3600.0)
         beacon.start()
         for i in range(5 * (_BEAT_CALL_MASK + 1)):
-            beacon.progress(i, i)
+            beacon.progress(i)
         # The mask passes five times but the hour-long interval never does.
         assert [m["type"] for m in sent] == ["start"]
 
@@ -82,91 +80,54 @@ class TestBeacon:
         beacon = TelemetryBeacon("p", "l", explode, interval=0.0)
         beacon.start()
         assert len(calls) == 1
-        beacon.end("ok")  # must not raise, must not retry the send
+        beacon.stall(stalled_cycles=10)  # must not raise, must not retry
         assert len(calls) == 1
 
     def test_stall_reports_evidence(self):
         sent = []
         beacon = TelemetryBeacon("p", "l", sent.append)
-        beacon.progress(500, 900)
-        beacon.stall(cycle=101_000, stalled_cycles=100_000)
+        beacon.stall(stalled_cycles=100_000)
         assert sent[-1]["type"] == "stall"
         assert sent[-1]["stalled_cycles"] == 100_000
-        assert sent[-1]["instructions"] == 500
-
-    def test_end_carries_error_type(self):
-        sent = []
-        beacon = TelemetryBeacon("p", "l", sent.append)
-        beacon.end("error", "DeadlockError")
-        assert sent[-1] == {
-            "type": "end",
-            "status": "error",
-            "error_type": "DeadlockError",
-            "point": "p",
-            "label": "l",
-            "worker": sent[-1]["worker"],
-        }
 
 
 class TestBeaconGlobals:
-    def test_point_beacon_is_none_when_telemetry_off(self):
-        assert point_beacon(_key()) is None
-
-    def test_point_beacon_with_explicit_send(self):
-        sent = []
-        beacon = point_beacon(_key(), send=sent.append)
-        assert beacon is not None
-        assert beacon.budget == FAST.timing_warmup + FAST.instructions
-        beacon.start()
-        assert sent[0]["point"] == _key().digest[:12]
-
     def test_beaconing_is_a_noop_without_send(self):
-        with telemetry.beaconing(_key(), None) as beacon:
-            assert beacon is None
-            assert telemetry.beacon() is None
+        with telemetry.beaconing(_key(), None):
+            assert telemetry._BEACON is None
 
-    def test_beaconing_ends_ok_and_uninstalls(self):
+    def test_beaconing_start_names_point_and_budget(self):
         sent = []
-        with telemetry.beaconing(_key(), sent.append, attempt=2) as beacon:
-            assert telemetry.beacon() is beacon
-        assert telemetry.beacon() is None
-        assert [m["type"] for m in sent] == ["start", "end"]
-        assert sent[0]["attempt"] == 2
-        assert sent[-1]["status"] == "ok"
+        with telemetry.beaconing(_key(), sent.append):
+            pass
+        assert [m["type"] for m in sent] == ["start"]
+        assert sent[0]["point"] == _key().digest[:12]
+        assert sent[0]["budget"] == FAST.timing_warmup + FAST.instructions
 
-    def test_beaconing_ends_with_the_error_type(self):
+    def test_beaconing_installs_and_uninstalls(self):
+        sent = []
+        with telemetry.beaconing(_key(), sent.append, attempt=2):
+            assert telemetry._BEACON is not None
+            assert telemetry._BEACON.attempt == 2
+        assert telemetry._BEACON is None
+        assert [m["type"] for m in sent] == ["start"]
+        assert sent[0]["attempt"] == 2
+
+    def test_beaconing_uninstalls_when_the_body_raises(self):
         sent = []
         with pytest.raises(KeyError):
             with telemetry.beaconing(_key(), sent.append):
                 raise KeyError("boom")
-        assert telemetry.beacon() is None
-        assert sent[-1] == dict(sent[-1], status="error", error_type="KeyError")
-
-    def test_an_ended_beacon_stays_silent(self):
-        sent = []
-        with telemetry.beaconing(_key(), sent.append) as beacon:
-            beacon.end("error", "DeadlockError")
-        ends = [m for m in sent if m["type"] == "end"]
-        assert ends == [dict(ends[0], status="error", error_type="DeadlockError")]
-
-    def test_install_and_clear(self):
-        beacon = TelemetryBeacon("p", "l", lambda m: None)
-        telemetry.install_beacon(beacon)
-        try:
-            assert telemetry.beacon() is beacon
-        finally:
-            telemetry.clear_beacon()
-        assert telemetry.beacon() is None
+        assert telemetry._BEACON is None
+        assert [m["type"] for m in sent] == ["start"]
 
     def test_notify_stall_routes_through_active_beacon(self):
         sent = []
-        telemetry.install_beacon(TelemetryBeacon("p", "l", sent.append))
-        try:
-            telemetry.notify_stall(5000, 1000)
-        finally:
-            telemetry.clear_beacon()
+        with telemetry.beaconing(_key(), sent.append):
+            telemetry.notify_stall(1000)
         assert sent[-1]["type"] == "stall"
-        telemetry.notify_stall(1, 1)  # no beacon: a no-op, not an error
+        assert sent[-1]["stalled_cycles"] == 1000
+        telemetry.notify_stall(1)  # no beacon: a no-op, not an error
 
 
 class TestQuietWorker:
@@ -181,7 +142,6 @@ class TestQuietWorker:
                 "label": "org / gcc",
                 "worker": "pid:7",
                 "instructions": 300,
-                "budget": 1800,
             }
         )
         clock.now += seconds
@@ -203,9 +163,9 @@ class TestHubLifecycle:
         hub.batch_started(3)
         hub.point_cached("a" * 12, "org / gcc", "store")
         hub.point_queued("b" * 12, "org / tomcatv")
-        hub.point_started("b" * 12, "org / tomcatv")
+        hub.handle({"type": "start", "point": "b" * 12, "label": "org / tomcatv"})
         hub.point_finished("b" * 12, "org / tomcatv", "simulated")
-        hub.point_started("c" * 12, "org / swim")
+        hub.handle({"type": "start", "point": "c" * 12, "label": "org / swim"})
         hub.point_finished("c" * 12, "org / swim", "gap")
         snapshot = hub.snapshot()
         assert snapshot["total"] == 3
@@ -219,7 +179,6 @@ class TestHubLifecycle:
         clock = FakeClock()
         hub = _hub(clock=clock)
         hub.batch_started(1)
-        hub.point_started("p1", "org / gcc")
         hub.handle(
             {
                 "type": "start",
@@ -238,9 +197,6 @@ class TestHubLifecycle:
                 "label": "org / gcc",
                 "worker": "pid:1",
                 "instructions": 600,
-                "cycle": 400,
-                "budget": 1800,
-                "attempt": 1,
             }
         )
         clock.now += 1.0
@@ -251,9 +207,6 @@ class TestHubLifecycle:
                 "label": "org / gcc",
                 "worker": "pid:1",
                 "instructions": 1200,
-                "cycle": 800,
-                "budget": 1800,
-                "attempt": 1,
             }
         )
         snapshot = hub.snapshot()
@@ -265,14 +218,13 @@ class TestHubLifecycle:
     def test_stall_heartbeat_marks_point_stalled(self):
         hub = _hub()
         hub.batch_started(1)
-        hub.point_started("p1", "org / gcc")
+        hub.handle({"type": "start", "point": "p1", "label": "org / gcc"})
         hub.handle(
             {
                 "type": "stall",
                 "point": "p1",
                 "label": "org / gcc",
                 "worker": "pid:9",
-                "cycle": 101_000,
                 "stalled_cycles": 100_000,
             }
         )
@@ -283,7 +235,7 @@ class TestHubLifecycle:
     def test_late_heartbeat_cannot_resurrect_terminal_point(self):
         hub = _hub()
         hub.batch_started(1)
-        hub.point_started("p1", "org / gcc")
+        hub.handle({"type": "start", "point": "p1", "label": "org / gcc"})
         hub.point_finished("p1", "org / gcc", "simulated")
         hub.handle(
             {
@@ -292,7 +244,6 @@ class TestHubLifecycle:
                 "label": "org / gcc",
                 "worker": "pid:1",
                 "instructions": 10,
-                "cycle": 10,
             }
         )
         snapshot = hub.snapshot()
@@ -302,8 +253,10 @@ class TestHubLifecycle:
     def test_retry_bumps_attempt(self):
         hub = _hub()
         hub.batch_started(1)
-        hub.point_started("p1", "org / gcc")
-        hub.point_retrying("p1", "org / gcc", 2)
+        hub.handle({"type": "start", "point": "p1", "label": "org / gcc"})
+        hub.handle(
+            {"type": "start", "point": "p1", "label": "org / gcc", "attempt": 2}
+        )
         snapshot = hub.snapshot()
         assert snapshot["in_flight"][0]["attempt"] == 2
 
@@ -348,13 +301,20 @@ class TestProgressDisplay:
         hub.point_cached("p1", "org / gcc", "memo")
         hub.handle(
             {
+                "type": "start",
+                "point": "p2",
+                "label": "org / tomcatv",
+                "worker": "pid:3",
+                "budget": 1800,
+            }
+        )
+        hub.handle(
+            {
                 "type": "beat",
                 "point": "p2",
                 "label": "org / tomcatv",
                 "worker": "pid:3",
                 "instructions": 900,
-                "cycle": 700,
-                "budget": 1800,
             }
         )
         return hub
