@@ -15,6 +15,7 @@ a dirty victim), and the L1 line then crosses the chip bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memory.bus import Bus, Transfer
 from repro.memory.common import ServedBy
@@ -38,8 +39,7 @@ class BacksideStats:
         return self.l2_misses / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class FillResponse:
+class FillResponse(NamedTuple):
     """Timing of a line fill delivered to the primary cache."""
 
     ready_cycle: int  #: cycle the full L1 line has arrived on chip

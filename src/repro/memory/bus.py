@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.robustness.errors import SimulationInvariantError
 
@@ -23,8 +24,9 @@ class BusStats:
     queue_cycles: int = 0  #: total cycles transfers waited for the bus
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """The window a bus transfer holds the bus: ``[start, done)``."""
+
     start_cycle: int
     done_cycle: int
 
@@ -64,7 +66,7 @@ class Bus:
                 f"have moved {self.stats.bytes_moved} bytes at "
                 f"{self.bytes_per_cycle} bytes/cycle"
             )
-        return Transfer(start_cycle=start, done_cycle=start + busy)
+        return Transfer(start, start + busy)
 
     def utilization(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the bus spent busy."""

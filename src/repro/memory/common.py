@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class AccessKind(enum.IntEnum):
@@ -25,8 +25,7 @@ class ServedBy(enum.IntEnum):
     VICTIM_CACHE = 6  #: a victim-cache swap satisfied the miss [Joup90]
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Timing outcome of a single data reference.
 
     ``completion_cycle`` is when the data is available to dependents (for
@@ -34,7 +33,8 @@ class AccessResult:
     ``port_start_cycle`` is when the reference actually won a cache port
     (equal to the issue cycle unless it waited for a port, bank, or
     MSHR); line-buffer hits never occupy a port and report the issue
-    cycle.
+    cycle.  A named tuple, like :class:`repro.memory.sram.Eviction`,
+    because every reference builds one.
     """
 
     completion_cycle: int

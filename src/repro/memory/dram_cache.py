@@ -18,6 +18,7 @@ not pipelined the way SRAM is).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memory.bus import Bus
 from repro.memory.common import ServedBy
@@ -55,8 +56,9 @@ class DramStats:
         return self.row_cache_misses / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class DramFill:
+class DramFill(NamedTuple):
+    """Timing of a row fill delivered to the row-buffer cache."""
+
     ready_cycle: int
     served_by: ServedBy
     #: Critical-path decomposition of ``ready_cycle - request_cycle``

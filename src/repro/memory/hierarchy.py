@@ -123,6 +123,9 @@ class MemorySystem:
             self._l1_served = ServedBy.L1
         self.stats = MemoryStats()
         self._pending_served: dict[int, ServedBy] = {}
+        # Read once here instead of through ``config`` on every access.
+        self._hit_cycles = config.l1_hit_cycles
+        self._write_through = config.write_policy == "write-through"
         # Port-wait cycles are bank conflicts in banked organizations;
         # resolved once here so the load path stays branch-free.
         self._port_component = (
@@ -217,16 +220,19 @@ class MemorySystem:
 
     def load(self, address: int, cycle: int) -> AccessResult:
         """A load whose address is ready at ``cycle``."""
-        self.stats.loads += 1
-        line = self.line_of(address)
+        stats = self.stats
+        stats.loads += 1
+        line = address >> self._line_shift
         tracer = trace._ACTIVE
         attr = self.attribution
-        if self.line_buffer is not None and self.line_buffer.load_lookup(line):
+        line_buffer = self.line_buffer
+        if line_buffer is not None and line_buffer.load_lookup(line):
             # If the line's fill is still in flight the buffered copy is
             # not valid yet; data is forwarded when the fill arrives.
             done = self.mshrs.pending_ready(line, cycle + 1) or cycle + 1
             result = AccessResult(done, ServedBy.LINE_BUFFER, cycle)
-            self._finish_load(result, cycle)
+            stats.served_by[ServedBy.LINE_BUFFER] += 1
+            stats.load_latency_total += done - cycle
             path = None
             if attr is not None:
                 path = [("line_buffer", 1)]
@@ -241,38 +247,41 @@ class MemorySystem:
                 )
             return result
         start = self.arbiter.reserve(line, cycle)
+        hit_cycles = self._hit_cycles
         if self.l1.lookup(line):
-            done = start + self.config.l1_hit_cycles
+            stats.l1_load_hits += 1
+            done = start + hit_cycles
             in_flight = self.mshrs.pending_ready(line, done)
-            if in_flight is not None:
-                # Delayed hit: the line is being filled; wait for it.
-                # Counted as a hit (no new miss traffic), tracked apart.
-                self.stats.l1_load_hits += 1
-                self.stats.delayed_hits += 1
-                self.mshrs.stats.merged_misses += 1
-                served = self._pending_served.get(line, ServedBy.L2)
-                result = AccessResult(in_flight, served, start)
-                outcome = "delayed_hit"
-                tail = (("mshr_merge", in_flight - done),)
-            else:
-                self.stats.l1_load_hits += 1
-                result = AccessResult(done, self._l1_served, start)
+            if in_flight is None:
+                served = self._l1_served
                 outcome = "l1_hit"
                 tail = ()
+            else:
+                # Delayed hit: the line is being filled; wait for it.
+                # Counted as a hit (no new miss traffic), tracked apart.
+                stats.delayed_hits += 1
+                self.mshrs.stats.merged_misses += 1
+                served = self._pending_served.get(line, ServedBy.L2)
+                outcome = "delayed_hit"
+                tail = (("mshr_merge", in_flight - done),)
+                done = in_flight
+            result = AccessResult(done, served, start)
         else:
-            self.stats.l1_load_misses += 1
+            stats.l1_load_misses += 1
             result, outcome, tail = self._miss(line, start, dirty=False)
-        if self.line_buffer is not None:
-            self.line_buffer.fill(line)
-        self._finish_load(result, cycle)
+            done, served, _ = result
+        if line_buffer is not None:
+            line_buffer.fill(line)
+        stats.served_by[served] += 1
+        stats.load_latency_total += done - cycle
         path = None
         if attr is not None:
             path = []
             if start > cycle:
                 path.append((self._port_component, start - cycle))
-            path.append(("l1_access", self.config.l1_hit_cycles))
+            path.append(("l1_access", hit_cycles))
             path.extend(tail)
-            attr.record(outcome, result.completion_cycle - cycle, path)
+            attr.record(outcome, done - cycle, path)
         if tracer is not None:
             self._capture_access(
                 tracer, events.MEM_LOAD, cycle, line, outcome, result, path
@@ -295,10 +304,6 @@ class MemorySystem:
             fields["path"] = dict(path)
         tracer.capture(kind, cycle, fields)
 
-    def _finish_load(self, result: AccessResult, issue_cycle: int) -> None:
-        self.stats.served_by[result.served_by] += 1
-        self.stats.load_latency_total += result.completion_cycle - issue_cycle
-
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
@@ -309,32 +314,32 @@ class MemorySystem:
         Write-back, write-allocate.  Duplicate caches write both copies
         (handled by the arbiter's ``reserve_store``).
         """
-        self.stats.stores += 1
-        line = self.line_of(address)
+        stats = self.stats
+        stats.stores += 1
+        line = address >> self._line_shift
         tracer = trace._ACTIVE
         if self.line_buffer is not None:
             self.line_buffer.store_update(line)
         start = self.arbiter.reserve_store(line, cycle)
-        if self.config.write_policy == "write-through":
+        if self._write_through:
             return self._store_through(line, start)
         if self.l1.lookup(line, write=True):
-            done = start + self.config.l1_hit_cycles
+            stats.l1_store_hits += 1
+            done = start + self._hit_cycles
             in_flight = self.mshrs.pending_ready(line, done)
-            if in_flight is not None:
-                self.stats.l1_store_hits += 1
-                self.stats.delayed_hits += 1
+            if in_flight is None:
+                result = AccessResult(done, self._l1_served, start)
+                outcome = "l1_hit"
+            else:
+                stats.delayed_hits += 1
                 self.mshrs.stats.merged_misses += 1
                 served = self._pending_served.get(line, ServedBy.L2)
                 result = AccessResult(in_flight, served, start)
                 outcome = "delayed_hit"
-            else:
-                self.stats.l1_store_hits += 1
-                result = AccessResult(done, self._l1_served, start)
-                outcome = "l1_hit"
         else:
-            self.stats.l1_store_misses += 1
+            stats.l1_store_misses += 1
             result, outcome, _ = self._miss(line, start, dirty=True)
-        self.stats.served_by[result.served_by] += 1
+        stats.served_by[result.served_by] += 1
         if tracer is not None:
             self._capture_access(tracer, events.MEM_STORE, cycle, line, outcome, result)
         return result
@@ -347,7 +352,7 @@ class MemorySystem:
         L1 at all -- the classic write-through/no-allocate pairing.
         """
         assert isinstance(self.backside, BacksideMemory)
-        done = start + self.config.l1_hit_cycles
+        done = start + self._hit_cycles
         if self.l1.lookup(line):
             self.stats.l1_store_hits += 1
             served = self._l1_served
@@ -386,7 +391,7 @@ class MemorySystem:
         so the caller can prepend the port wait and L1 access to get
         the access's full attribution.
         """
-        detect = port_start + self.config.l1_hit_cycles
+        detect = port_start + self._hit_cycles
         if self.victim_cache is not None:
             swap_hit, was_dirty = self.victim_cache.probe_and_take(line)
             if swap_hit:

@@ -10,6 +10,7 @@ primary miss must wait for the earliest register to retire.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.observability import events, trace
 
@@ -21,8 +22,7 @@ class MshrStats:
     full_stall_cycles: int = 0  #: cycles a primary miss waited for a register
 
 
-@dataclass
-class MshrGrant:
+class MshrGrant(NamedTuple):
     """Outcome of asking the MSHR file to track a missing line."""
 
     start_cycle: int  #: when the miss request may go to the next level
@@ -65,7 +65,7 @@ class MshrFile:
             self.stats.merged_misses += 1
             if tracer is not None:
                 tracer.capture(events.MEM_MSHR_MERGE, cycle, {"line": line})
-            return MshrGrant(start_cycle=cycle, merged=True, pending_ready=ready)
+            return MshrGrant(cycle, True, ready)
         self.stats.primary_misses += 1
         start = cycle
         if self.full():
@@ -76,7 +76,7 @@ class MshrFile:
             self.stats.full_stall_cycles += start - cycle
         if tracer is not None:
             tracer.capture(events.MEM_MSHR_ALLOC, cycle, {"line": line, "start": start})
-        return MshrGrant(start_cycle=start, merged=False, pending_ready=None)
+        return MshrGrant(start, False, None)
 
     def pending_ready(self, line: int, cycle: int) -> int | None:
         """If ``line``'s fill is still in flight at ``cycle``, its ready time.

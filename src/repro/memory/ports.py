@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.observability.events import MEM_BANK_CONFLICT, MEM_PORT_GRANT, EventChannel
+from repro.observability import trace
+from repro.observability.events import MEM_BANK_CONFLICT, MEM_PORT_GRANT
 from repro.robustness.invariants import GrantLedger
 
 
@@ -36,18 +37,26 @@ class PortStats:
 class PortArbiter:
     """Base interface: grant a start cycle for an access.
 
-    Every grant is emitted on the shared ``mem.port.grant`` event
-    channel.  A :class:`~repro.robustness.invariants.GrantLedger` taps
-    that channel (always on, tracing or not) to guard the hardware
-    contract that each port (or bank) starts at most one access per
-    cycle -- broken reservation bookkeeping (a lost port release)
-    surfaces as a structured invariant error instead of a silently
-    over-subscribed cache.
+    Every grant goes through :meth:`_grant`, which books it in the
+    arbiter's :class:`~repro.robustness.invariants.GrantLedger` (always
+    on, tracing or not) and then hands the same ``(cycle, key)`` to the
+    active tracer as a ``mem.port.grant`` event.  The ledger guards the
+    hardware contract that each port (or bank) starts at most one
+    access per cycle -- broken reservation bookkeeping (a lost port
+    release) surfaces as a structured invariant error instead of a
+    silently over-subscribed cache.
     """
 
     def __init__(self, name: str = "ports") -> None:
         self.stats = PortStats()
-        self.events = EventChannel(MEM_PORT_GRANT, (GrantLedger(1, name).tap,))
+        self.ledger = GrantLedger(1, name)
+
+    def _grant(self, start: int, key: int) -> None:
+        """Book a grant in the ledger, then show it to the tracer."""
+        self.ledger.record(start, key)
+        tracer = trace._ACTIVE
+        if tracer is not None:
+            tracer.capture(MEM_PORT_GRANT, start, {"key": key})
 
     def reserve(self, line: int, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` at which the access may start."""
@@ -76,11 +85,23 @@ class IdealPorts(PortArbiter):
         self._next_free = [0] * ports
 
     def reserve(self, line: int, cycle: int) -> int:
-        best = min(range(self.ports), key=self._next_free.__getitem__)
-        start = max(cycle, self._next_free[best])
-        self._next_free[best] = start + 1
-        self.events.emit(start, key=best)
-        return self._account(cycle, start)
+        # The earliest-free port, lowest index on a tie.
+        next_free = self._next_free
+        best = 0
+        earliest = next_free[0]
+        for port in range(1, self.ports):
+            if next_free[port] < earliest:
+                best = port
+                earliest = next_free[port]
+        start = cycle if cycle > earliest else earliest
+        next_free[best] = start + 1
+        self._grant(start, best)
+        stats = self.stats
+        stats.requests += 1
+        if start > cycle:
+            stats.delayed += 1
+            stats.wait_cycles += start - cycle
+        return start
 
 
 class BankedPorts(PortArbiter):
@@ -103,7 +124,6 @@ class BankedPorts(PortArbiter):
         super().__init__("banked ports")
         self.banks = banks
         self.interleave = interleave
-        self.conflicts = EventChannel(MEM_BANK_CONFLICT)
         self._next_free = [0] * banks
 
     def bank_of(self, line: int) -> int:
@@ -121,9 +141,13 @@ class BankedPorts(PortArbiter):
         start = max(cycle, self._next_free[bank])
         if start > cycle:
             self.stats.bank_conflicts += 1
-            self.conflicts.emit(cycle, bank=bank, wait=start - cycle)
+            tracer = trace._ACTIVE
+            if tracer is not None:
+                tracer.capture(
+                    MEM_BANK_CONFLICT, cycle, {"bank": bank, "wait": start - cycle}
+                )
         self._next_free[bank] = start + 1
-        self.events.emit(start, key=bank)
+        self._grant(start, bank)
         return self._account(cycle, start)
 
 
@@ -142,7 +166,7 @@ class DuplicatePorts(PortArbiter):
         best = 0 if self._next_free[0] <= self._next_free[1] else 1
         start = max(cycle, self._next_free[best])
         self._next_free[best] = start + 1
-        self.events.emit(start, key=best)
+        self._grant(start, best)
         return self._account(cycle, start)
 
     def reserve_store(self, line: int, cycle: int) -> int:
@@ -150,8 +174,8 @@ class DuplicatePorts(PortArbiter):
         start = max(cycle, *self._next_free)
         self._next_free[0] = start + 1
         self._next_free[1] = start + 1
-        self.events.emit(start, key=0)
-        self.events.emit(start, key=1)
+        self._grant(start, 0)
+        self._grant(start, 1)
         return self._account(cycle, start)
 
 

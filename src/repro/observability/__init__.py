@@ -5,7 +5,8 @@ Public surface:
 * :mod:`repro.observability.trace` -- the zero-overhead-when-disabled
   event trace (``tracing()`` scope, bounded ring, JSONL sink);
 * :mod:`repro.observability.events` -- the event-kind taxonomy and the
-  :class:`EventChannel` that feeds both invariant taps and the tracer;
+  :class:`EventChannel` that feeds the bus-transfer stream to both its
+  causality tap and the tracer;
 * :mod:`repro.observability.metrics` -- the per-simulation metrics
   snapshot (every component counter under a dotted name) riding
   ``SimulationResult``;

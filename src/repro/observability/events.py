@@ -10,10 +10,12 @@ Two kinds of consumer see the stream:
 
 * the optional :class:`~repro.observability.trace.Tracer` (ring buffer
   / JSONL sink), active only inside a ``tracing()`` scope;
-* **invariant taps** -- always-on guard rails (the port grant ledger,
-  bus causality) registered on an :class:`EventChannel`.  They observe
-  exactly the emission the tracer would capture, so the robustness
-  checks and the trace can never disagree about what happened.
+* **always-on guard rails**, which see each value before the tracer
+  does, so the robustness checks and the trace can never disagree
+  about what happened.  A port arbiter books each grant in its
+  :class:`~repro.robustness.invariants.GrantLedger` and then captures
+  the same ``(cycle, key)`` as ``mem.port.grant``; bus transfers go
+  through an :class:`EventChannel` whose tap is the causality check.
 """
 
 from __future__ import annotations

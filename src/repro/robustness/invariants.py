@@ -63,9 +63,9 @@ class GrantLedger:
     def tap(self, cycle: int, fields: dict) -> None:
         """``EventChannel`` tap: book the grant an emission describes.
 
-        The arbiters emit ``mem.port.grant`` events through a channel
-        this ledger taps, so the oversubscription guard observes exactly
-        the stream a tracer would capture.
+        The port arbiters call :meth:`record` directly and then capture
+        the same ``(cycle, key)`` on the tracer; this adapter books a
+        ``mem.port.grant``-shaped emission for any other emitter.
         """
         self.record(cycle, fields.get("key", 0), fields.get("weight", 1))
 

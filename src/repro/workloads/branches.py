@@ -92,19 +92,26 @@ class BranchModel:
             self._data_sites.append(
                 (pc_base + 0x100 + 4 * i, min(0.95, max(0.05, bias)))
             )
+        self._site_bits = len(self._data_sites).bit_length()
 
     def _new_trip_count(self) -> int:
         mean = self.profile.mean_trip_count
         return max(2, int(self._rng.expovariate(1.0 / mean)) + 1)
 
     def next_branch(self, srcs: tuple[int, ...] = ()) -> MicroOp:
-        if self._rng.random() < self.profile.loop_fraction:
+        rng = self._rng
+        if rng.random() < self.profile.loop_fraction:
             self._loop_left -= 1
             if self._loop_left <= 0:
                 self._loop_left = self._new_trip_count()
                 return make_branch(self._loop_pc, taken=False, srcs=srcs)
             return make_branch(self._loop_pc, taken=True, srcs=srcs)
-        pc, bias = self._data_sites[
-            self._rng.randrange(len(self._data_sites))
-        ]
-        return make_branch(pc, taken=self._rng.random() < bias, srcs=srcs)
+        # ``rng.randrange(len(sites))``, drawn exactly as CPython 3.11's
+        # ``_randbelow_with_getrandbits`` draws it.
+        sites = self._data_sites
+        bits = self._site_bits
+        site = rng.getrandbits(bits)
+        while site >= len(sites):
+            site = rng.getrandbits(bits)
+        pc, bias = sites[site]
+        return make_branch(pc, taken=rng.random() < bias, srcs=srcs)

@@ -108,9 +108,21 @@ class RegionAddressModel:
         self._burst_base = [0] * len(regions)
 
     def next_address(self) -> int:
-        """One data address, 8-byte aligned."""
-        point = self._rng.random()
-        index = self._pick(point)
+        """One data address, 8-byte aligned.
+
+        The two ``randrange(0, limit, 8)`` draws are made inline, with
+        the same ``getrandbits`` calls CPython 3.11's
+        ``_randbelow_with_getrandbits`` makes for ``n = ceil(limit / 8)``
+        slots: ``n.bit_length()`` bits a draw, redrawn while ``>= n``.
+        """
+        rng = self._rng
+        point = rng.random()
+        # Linear scan: region lists are short (< 10 entries).
+        for index, bound in enumerate(self._cumulative):
+            if point <= bound:
+                break
+        else:  # pragma: no cover - fp safety
+            index = len(self._cumulative) - 1
         region = self.regions[index]
         base = self._bases[index]
         if region.pattern == "sequential":
@@ -118,27 +130,29 @@ class RegionAddressModel:
             self._cursors[index] = (offset + region.stride) % region.size_bytes
             return (base + offset) & ~7
         # hot/random: spatial bursts that stay within one 32 B line.
+        getrandbits = rng.getrandbits
         if self._burst_left[index] > 0:
             self._burst_left[index] -= 1
-            offset = self._burst_base[index] + self._rng.randrange(0, 32, 8)
+            slot = getrandbits(3)  # randrange(0, 32, 8): n = 4
+            while slot >= 4:
+                slot = getrandbits(3)
+            offset = self._burst_base[index] + 8 * slot
         else:
-            if region.pattern == "hot" and self._rng.random() < region.hot_weight:
+            if region.pattern == "hot" and rng.random() < region.hot_weight:
                 limit = max(32, int(region.size_bytes * region.hot_fraction))
             else:
                 limit = region.size_bytes
-            offset = self._rng.randrange(0, limit, 8) & ~31  # line aligned
+            slots = (limit + 7) // 8
+            bits = slots.bit_length()
+            slot = getrandbits(bits)
+            while slot >= slots:
+                slot = getrandbits(bits)
+            offset = (8 * slot) & ~31  # line aligned
             self._burst_base[index] = offset
             self._burst_left[index] = max(
-                0, int(self._rng.expovariate(1.0 / region.burst_mean))
+                0, int(rng.expovariate(1.0 / region.burst_mean))
             )
         return (base + offset) & ~7
-
-    def _pick(self, point: float) -> int:
-        # Linear scan: region lists are short (< 10 entries).
-        for index, bound in enumerate(self._cumulative):
-            if point <= bound:
-                return index
-        return len(self._cumulative) - 1  # pragma: no cover - fp safety
 
     def all_lines(self, line_bytes: int = 32) -> list[int]:
         """Every cache line this model can ever touch (footprint lines),

@@ -7,6 +7,7 @@ stretches the sweep so the signal reliably lands mid-run.
 """
 
 import os
+import shlex
 import signal
 import threading
 
@@ -98,6 +99,20 @@ class TestSigintResume:
 
         # Every planned point now holds a stored result.
         assert ResultStore(interrupted_dir).info()["entries"] == status["planned"]
+
+    def test_interrupt_hint_repeats_the_flags(self, tmp_path, monkeypatch, capsys):
+        # Rerunning the bare verb would plan other benchmarks and
+        # budgets; the hint must name the interrupted plan's command.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        monkeypatch.setenv(CHAOS_ENV, "sleep=0.2")
+        timer = _sigint_after(1.0)
+        try:
+            code = main(FIGURE_ARGS)
+        finally:
+            timer.cancel()
+        assert code == EXIT_INTERRUPTED
+        hint = f"continue with: python -m repro {shlex.join(FIGURE_ARGS)} "
+        assert hint in capsys.readouterr().err
 
     def test_point_timeout_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):

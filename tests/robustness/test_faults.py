@@ -71,8 +71,9 @@ class TestLostPortRelease:
         with pytest.raises(DeadlockError):
             run_guarded(system)
 
-    def test_forgotten_booking_trips_grant_ledger(self):
-        system = make_system()
+    @pytest.mark.parametrize("policy", ["ideal", "banked", "duplicate"])
+    def test_forgotten_booking_trips_grant_ledger(self, policy):
+        system = make_system(port_policy=policy)
         inject_lost_port_release(system, mode="regrant")
         with pytest.raises(SimulationInvariantError, match="per-cycle capacity"):
             run_guarded(system)
