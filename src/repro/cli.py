@@ -361,17 +361,18 @@ def _warn_overflow(tracer) -> None:
     )
 
 
+def _chrome_output_name(source: str) -> str:
+    """``run.jsonl[.gz]`` -> ``run.trace.json``: the default export name."""
+    stem = source.removesuffix(".gz").removesuffix(".jsonl")
+    return stem + ".trace.json"
+
+
 def _convert_jsonl(args: argparse.Namespace) -> int:
     """``repro trace --from-jsonl <path> --format chrome``: offline export."""
     from repro.observability.chrometrace import read_jsonl, write_chrome_trace
 
     source = args.from_jsonl
-    out = args.trace_out
-    if out is None:
-        stem = source[:-len(".gz")] if source.endswith(".gz") else source
-        if stem.endswith(".jsonl"):
-            stem = stem[: -len(".jsonl")]
-        out = stem + ".trace.json"
+    out = args.trace_out or _chrome_output_name(source)
     count = write_chrome_trace(read_jsonl(source), out)
     print(f"wrote {count} Chrome trace event(s) to {out}")
     return 0
@@ -1116,12 +1117,7 @@ def _spans_command(args: argparse.Namespace) -> int:
             if trace_id is not None
             else spans
         )
-        out = args.trace_out
-        if out is None:
-            stem = source[: -len(".gz")] if source.endswith(".gz") else source
-            if stem.endswith(".jsonl"):
-                stem = stem[: -len(".jsonl")]
-            out = stem + ".trace.json"
+        out = args.trace_out or _chrome_output_name(source)
         count = write_chrome_spans(selected or spans, out)
         print(
             f"wrote {count} Chrome trace event(s) to {out} "

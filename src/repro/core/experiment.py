@@ -36,6 +36,7 @@ from repro.cpu.result import SimulationResult
 from repro.memory.backside import BacksideConfig
 from repro.memory.hierarchy import MemorySystem
 from repro.core.organizations import CacheOrganization
+from repro.robustness import runner
 from repro.robustness.runner import FailureLog, FailureRecord
 from repro.workloads.catalog import benchmark
 from repro.workloads.generator import WorkloadSpec
@@ -257,8 +258,8 @@ def _retry_reduced(
     damage.  Ordinary failures back off exponentially between attempts
     (deterministic jitter seeded by the point label, so the failure path
     is as reproducible as the success path), each retry runs under its
-    own fresh deadline, and the whole retry tail is bounded by the
-    log's ``retry_budget_seconds`` wall clock.
+    own fresh deadline, and the whole retry tail is bounded by
+    :data:`~repro.robustness.runner.RETRY_BUDGET_SECONDS` of wall clock.
     """
     from repro.robustness.deadline import point_deadline
     from repro.robustness.errors import DeadlineExceededError
@@ -285,17 +286,17 @@ def _retry_reduced(
     reduced = settings
     seed = f"{label}/{spec.name}"
     retry_started = time.monotonic()
-    for _ in range(log.retries):
+    for _ in range(runner.RETRIES):
         reduced = replace(
             reduced,
-            instructions=max(1_000, reduced.instructions // log.budget_divisor),
-            timing_warmup=reduced.timing_warmup // log.budget_divisor,
-            functional_warmup=reduced.functional_warmup // log.budget_divisor,
+            instructions=max(1_000, reduced.instructions // runner.BUDGET_DIVISOR),
+            timing_warmup=reduced.timing_warmup // runner.BUDGET_DIVISOR,
+            functional_warmup=reduced.functional_warmup // runner.BUDGET_DIVISOR,
         )
         attempts += 1
-        delay = log.backoff(attempts, seed=seed)
+        delay = runner.retry_backoff(attempts, seed=seed)
         elapsed = time.monotonic() - retry_started
-        if elapsed + delay > log.retry_budget_seconds:
+        if elapsed + delay > runner.RETRY_BUDGET_SECONDS:
             break  # retry wall clock exhausted; the gap below says so
         if delay > 0.0:
             time.sleep(delay)

@@ -28,9 +28,11 @@ Worker protocol: a worker receives one *chunk* of
 :class:`~repro.engine.key.ExperimentKey` objects, rebuilds each design
 point's workload from the benchmark catalog by name, runs each point's
 first attempt, and returns one chunk result -- worker id, start time,
-per point the digest, busy seconds and a payload (``{"status": "ok",
-"result": <SimulationResult>, ...}`` or ``{"status": "error", ...}``),
-plus the worker's finished spans.  Keys and results cross the pool as
+per point the digest, epoch start time, busy seconds and a payload
+(``{"status": "ok", "result": <SimulationResult>, ...}`` or
+``{"status": "error", ...}``).  Workers write no spans: with spans on,
+the parent writes each chunk's spans from its chunk result when it
+absorbs it.  Keys and results cross the pool as
 pickled objects; only a failure is flattened, to its error type and
 message, because the original exception need not pickle.  Chunks are
 planned largest-estimated-cost first (:mod:`repro.engine.dispatch`)
@@ -109,7 +111,7 @@ def _attempt(key: ExperimentKey, spec: "WorkloadSpec", send=None) -> tuple:
         # Workers self-enforce the wall-clock budget (inherited via
         # REPRO_POINT_TIMEOUT); the parent's grace kill is the backstop
         # for a worker too wedged to reach the cooperative check.
-        with telemetry.beaconing(key, send), obs_spans.span("point.run"):
+        with telemetry.beaconing(key, send):
             with point_deadline():
                 result = experiment._simulate(
                     key.organization, spec, key.settings
@@ -130,8 +132,7 @@ def run_point_payload(key: ExperimentKey, send=None) -> dict:
     """
     from repro.core import experiment
 
-    with obs_spans.span("point.prepare"):
-        spec = benchmark(key.workload)
+    spec = benchmark(key.workload)
     result, error, seconds = _attempt(key, spec, send)
     if error is not None:
         return {
@@ -159,14 +160,8 @@ def _attempt_from_payload(key: ExperimentKey, payload: dict) -> tuple:
 #: whether the parent runs live telemetry).
 _POOL_CHANNEL = None
 
-#: Finished worker spans of the running chunk (spans on only); they
-#: travel back inside the chunk result.
-_CHUNK_SPANS: list[dict] = []
 
-
-def _init_pool_worker(
-    queue, stop_event, telemetry_on: bool, spans_on: bool = False
-) -> None:
+def _init_pool_worker(queue, stop_event, telemetry_on: bool) -> None:
     """Initializer for persistent-pool workers.
 
     Installs the dispatch channel (``point-start`` marks plus the
@@ -174,14 +169,10 @@ def _init_pool_worker(
     only when the parent actually runs with live telemetry: an
     untelemetered run never builds a beacon, so its workers pay nothing
     per committed instruction -- and the parent never pays for a
-    ``multiprocessing.Manager`` at all.  When the parent runs with
-    spans on, workers get an emit-only recorder that collects finished
-    spans for the chunk result.
+    ``multiprocessing.Manager`` at all.
     """
     global _POOL_CHANNEL
     _POOL_CHANNEL = (queue, stop_event, telemetry_on)
-    if spans_on:
-        obs_spans.install_worker(_CHUNK_SPANS.append)
 
 
 def _channel_send(queue, message: dict) -> None:
@@ -192,47 +183,70 @@ def _channel_send(queue, message: dict) -> None:
         pass
 
 
-def _close_chunk_span(
-    chunk_spans, chunk_waits, chunk_id, started=None, **attrs
-) -> None:
-    """Close a chunk's parent-side spans, tolerating repeats.
+def _record_chunk(recorder, chunks, chunk_id, submitted, outcome=None, **attrs) -> None:
+    """Write one chunk's spans when the parent absorbs it (spans on only).
 
-    The queue-wait span ends at ``started`` -- the epoch time the
-    worker began the chunk -- or now when the chunk never ran.
+    The ``chunk`` span runs from submission to now, and its
+    ``chunk.wait`` child until the worker started the chunk (now, when
+    it never ran).  Each entry the worker ran becomes a ``point`` span
+    on the worker's track, from the worker's own epoch stamp.
     """
-    wait_span = chunk_waits.pop(chunk_id, None)
-    if wait_span is not None:
-        if "worker" in attrs:
-            wait_span.set(worker=attrs["worker"])
-        wait_span.close(end=started)
-    chunk_span = chunk_spans.pop(chunk_id, None)
-    if chunk_span is not None:
-        if attrs:
-            chunk_span.set(**attrs)
-        chunk_span.close()
+    import time
+
+    if recorder is None:
+        return
+    chunk = chunks[chunk_id]
+    now = time.time()
+    started = now
+    wait_attrs = {}
+    if outcome is not None:
+        started = outcome["started"]
+        wait_attrs["worker"] = outcome["worker"]
+        attrs.update(worker=outcome["worker"], entries=len(outcome["entries"]))
+    chunk_span = recorder.add(
+        "chunk", submitted, now - submitted, chunk=chunk_id, points=len(chunk), **attrs
+    )
+    recorder.add(
+        "chunk.wait",
+        submitted,
+        started - submitted,
+        parent=chunk_span,
+        chunk=chunk_id,
+        **wait_attrs,
+    )
+    if outcome is None:
+        return
+    proc = "worker-" + outcome["worker"].removeprefix("pid:")
+    for entry, (key, _spec) in zip(outcome["entries"], chunk):
+        recorder.add(
+            "point",
+            entry["t0"],
+            entry["busy"],
+            parent=chunk_span,
+            proc=proc,
+            digest=key.digest[:12],
+            label=key.label,
+            chunk=chunk_id,
+            ok=entry["payload"]["status"] == "ok",
+        )
 
 
 def run_chunk_payload(
     chunk_id: int,
     keys: list[ExperimentKey],
-    span_ctx: dict | None = None,
     batch: int = 0,
 ) -> dict:
     """Worker entry point: simulate one chunk of design points.
 
     The returned chunk result is the authoritative record of what the
     worker did: its id, when the chunk started, one entry per point
-    (digest, payload, busy seconds) and the worker's finished spans.
+    (digest, payload, epoch start ``t0`` and busy seconds).
     While the chunk runs, only ``point-start`` marks (the wedge
     backstop) and heartbeats cross the queue, each tagged with
     ``batch`` so the parent drops leftovers of an earlier batch.  A set
     stop event turns a graceful shutdown around between points: the
     in-flight point finishes, the rest of the chunk is abandoned -- the
     same between-points check the serial loop performs.
-
-    ``span_ctx`` -- the coordinator's (trace id, chunk span id) pair --
-    is adopted for the chunk's lifetime when spans are on, so worker
-    ``point`` spans nest under the right chunk in the sweep trace.
     """
     import os
     import time
@@ -246,43 +260,37 @@ def run_chunk_payload(
             message["batch"] = batch
             queue.put(message)
 
-    del _CHUNK_SPANS[:]
     started = time.time()
     entries: list[dict] = []
-    with obs_spans.adopt(span_ctx):
-        for key in keys:
-            if stop_event is not None and stop_event.is_set():
-                break
-            if queue is not None:
-                _channel_send(
-                    queue,
-                    {
-                        "type": "point-start",
-                        "batch": batch,
-                        "chunk": chunk_id,
-                        "digest": key.digest,
-                    },
-                )
-            busy_start = time.monotonic()
-            with obs_spans.span(
-                "point", digest=key.digest[:12], label=key.label, chunk=chunk_id
-            ) as pspan:
-                payload = run_point_payload(key, send)
-                if pspan is not None:
-                    pspan.set(ok=payload["status"] == "ok")
-            entries.append(
+    for key in keys:
+        if stop_event is not None and stop_event.is_set():
+            break
+        if queue is not None:
+            _channel_send(
+                queue,
                 {
+                    "type": "point-start",
+                    "batch": batch,
+                    "chunk": chunk_id,
                     "digest": key.digest,
-                    "payload": payload,
-                    "busy": time.monotonic() - busy_start,
-                }
+                },
             )
+        t0 = time.time()
+        busy_start = time.monotonic()
+        payload = run_point_payload(key, send)
+        entries.append(
+            {
+                "digest": key.digest,
+                "payload": payload,
+                "t0": t0,
+                "busy": time.monotonic() - busy_start,
+            }
+        )
     return {
         "chunk": chunk_id,
         "worker": f"pid:{os.getpid()}",
         "started": started,
         "entries": entries,
-        "spans": list(_CHUNK_SPANS),
     }
 
 
@@ -350,10 +358,7 @@ class Engine:
                 if name.startswith("REPRO_")
             )
         )
-        # Span recording changes the worker initializer's behavior the
-        # same way telemetry does, so toggling it invalidates the pool.
-        spans_on = obs_spans.active() is not None
-        return (self.jobs, telemetry_on, spans_on, env)
+        return (self.jobs, telemetry_on, env)
 
     def _acquire_pool(self, telemetry_on: bool, points, profile) -> _PoolHandle:
         """Reuse the persistent pool, or (re)create it when stale."""
@@ -378,7 +383,7 @@ class Engine:
         pool = ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_init_pool_worker,
-            initargs=(queue, stop, telemetry_on, obs_spans.active() is not None),
+            initargs=(queue, stop, telemetry_on),
         )
         handle = _PoolHandle(
             pool, queue, stop, fingerprint, self.jobs, os.getpid()
@@ -671,8 +676,8 @@ class Engine:
             results = {}
         hub = telemetry.active_hub()
         # A recorder without an open trace means no sweep root span
-        # exists (a bare run_batch outside execute()); skip the
-        # per-chunk bookkeeping entirely in that case, same as off.
+        # exists (a bare run_batch outside execute()); write no chunk
+        # spans in that case, same as off.
         recorder = obs_spans.active()
         if recorder is not None and recorder.trace_id is None:
             recorder = None
@@ -690,33 +695,16 @@ class Engine:
         profile.chunks = len(chunks)
         by_digest = {key.digest: (key, spec) for key, spec in points}
 
-        #: Parent-side spans covering each chunk's whole lifetime and
-        #: its queue wait (submit -> the worker starting it), closed
-        #: out of order as chunk results come in.
-        chunk_spans: dict[int, object] = {}
-        chunk_waits: dict[int, object] = {}
-
         futures: dict = {}
+        # Every chunk is submitted up front; the epoch stamp starts each
+        # chunk's ``chunk`` and ``chunk.wait`` spans.
+        submitted = time.time()
         try:
             for chunk_id, chunk in enumerate(chunks):
-                span_ctx = None
-                if recorder is not None:
-                    cspan = recorder.open(
-                        "chunk", chunk=chunk_id, points=len(chunk)
-                    )
-                    chunk_spans[chunk_id] = cspan
-                    chunk_waits[chunk_id] = recorder.open(
-                        "chunk.wait", parent=cspan.span_id, chunk=chunk_id
-                    )
-                    span_ctx = {
-                        "trace": recorder.trace_id,
-                        "parent": cspan.span_id,
-                    }
                 future = handle.pool.submit(
                     run_chunk_payload,
                     chunk_id,
                     [key for key, _ in chunk],
-                    span_ctx,
                     handle.batch,
                 )
                 futures[future] = chunk_id
@@ -748,37 +736,25 @@ class Engine:
                 try:
                     outcome = future.result()
                 except CancelledError:
-                    _close_chunk_span(
-                        chunk_spans, chunk_waits, chunk_id, cancelled=True
-                    )
+                    _record_chunk(recorder, chunks, chunk_id, submitted, cancelled=True)
                     continue  # shutdown canceled it before it started
                 except Exception:  # noqa: BLE001 - BrokenProcessPool et al.
                     # Worker death: the chunk's unabsorbed points fall
                     # back to the in-parent tail below.
                     handle.broken = True
-                    _close_chunk_span(
-                        chunk_spans, chunk_waits, chunk_id, error="BrokenPool"
+                    _record_chunk(
+                        recorder, chunks, chunk_id, submitted, error="BrokenPool"
                     )
                     continue
                 worker = outcome["worker"]
                 profile.chunk_started(worker)
-                if recorder is not None:
-                    for data in outcome["spans"]:
-                        recorder.record(data)
-                    # A worker running its second chunk is a steal in
-                    # this self-scheduling scheme.
-                    if profile.worker_stats(worker).chunks > 1:
-                        recorder.instant(
-                            "chunk.steal", chunk=chunk_id, worker=worker
-                        )
-                _close_chunk_span(
-                    chunk_spans,
-                    chunk_waits,
-                    chunk_id,
-                    started=outcome["started"],
-                    worker=worker,
-                    entries=len(outcome["entries"]),
-                )
+                # A worker running its second chunk is a steal in this
+                # self-scheduling scheme.
+                if recorder is not None and profile.worker_stats(worker).chunks > 1:
+                    recorder.add(
+                        "chunk.steal", time.time(), 0.0, chunk=chunk_id, worker=worker
+                    )
+                _record_chunk(recorder, chunks, chunk_id, submitted, outcome)
                 with obs_spans.span(
                     "absorb", chunk=chunk_id, entries=len(outcome["entries"])
                 ):
@@ -817,10 +793,6 @@ class Engine:
                     )
                     errors[wedged] = (None, error, budget)
                     profile.timeout_points += 1
-        # Close whatever the loop never saw finish (broken pool,
-        # interrupt) so the trace has no dangling open spans.
-        for chunk_id in list(chunk_spans):
-            _close_chunk_span(chunk_spans, chunk_waits, chunk_id)
 
         # Deterministic re-sequencing: the serial-policy tail walks the
         # batch in plan order, replaying worker failures through the
@@ -1102,6 +1074,8 @@ class ExecutionPlan:
         span_trace: str | None = None,
     ) -> None:
         """Append this execution to the run ledger (never fails the run)."""
+        import time
+
         from repro.engine.ledger import build_record
         from repro.engine.store import SCHEMA_VERSION
 
@@ -1119,18 +1093,19 @@ class ExecutionPlan:
             point_seconds=engine.point_seconds,
             spans=spans_info,
         )
-        # The append lands after the sweep root closed, so it rides the
-        # trace as a parentless sibling -- the analyzer ignores it, the
-        # raw stream still shows what the bookkeeping cost.
-        span_ctx = (
-            {"trace": span_trace, "parent": None}
-            if recorder is not None and span_trace is not None
-            else None
-        )
-        with obs_spans.adopt(span_ctx):
-            with obs_spans.span("ledger.append", points=len(results)):
-                engine.store.ledger().append(record)
-        if recorder is not None:
+        started = time.time()
+        engine.store.ledger().append(record)
+        if spans_info is not None:
+            # The append lands after the sweep root closed, so it rides
+            # the trace as a parentless sibling -- the analyzer ignores
+            # it, the raw stream still shows what the bookkeeping cost.
+            recorder.add(
+                "ledger.append",
+                started,
+                time.time() - started,
+                trace=span_trace,
+                points=len(results),
+            )
             recorder.flush()
 
     def resolve(self, key: ExperimentKey) -> SimulationResult:

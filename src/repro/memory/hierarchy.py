@@ -322,7 +322,7 @@ class MemorySystem:
             self.line_buffer.store_update(line)
         start = self.arbiter.reserve_store(line, cycle)
         if self._write_through:
-            return self._store_through(line, start)
+            return self._store_through(line, start, cycle)
         if self.l1.lookup(line, write=True):
             stats.l1_store_hits += 1
             done = start + self._hit_cycles
@@ -344,9 +344,12 @@ class MemorySystem:
             self._capture_access(tracer, events.MEM_STORE, cycle, line, outcome, result)
         return result
 
-    def _store_through(self, line: int, start: int) -> AccessResult:
+    def _store_through(self, line: int, start: int, cycle: int) -> AccessResult:
         """Write-through store: update L1 if present (clean), always send
         the word to the L2 over the chip bus [Joup93].
+
+        ``start`` is the port grant; the traced event is stamped with the
+        request ``cycle``, as a write-back store's is.
 
         With ``write_allocate`` off, a store miss does not disturb the
         L1 at all -- the classic write-through/no-allocate pairing.
@@ -372,7 +375,7 @@ class MemorySystem:
         tracer = trace._ACTIVE
         if tracer is not None:
             outcome = "wt_hit" if served is self._l1_served else "wt_miss"
-            self._capture_access(tracer, events.MEM_STORE, start, line, outcome, result)
+            self._capture_access(tracer, events.MEM_STORE, cycle, line, outcome, result)
         return result
 
     # ------------------------------------------------------------------

@@ -317,26 +317,42 @@ def span_trace_events(spans: Iterable[dict]) -> list[dict]:
     return out
 
 
-def write_chrome_spans(
-    spans: Iterable[dict],
+def _write_document(
+    events: list[dict],
     destination: Union[str, Path, IO[str]],
+    display_unit: str,
+    time_unit: str,
 ) -> int:
-    """Write orchestration spans as a Chrome trace; returns event count."""
-    payload_events = span_trace_events(spans)
+    """Dump one Chrome trace JSON object; returns the event count.
+
+    The JSON-object form (``{"traceEvents": [...]}``) is used rather
+    than the bare array so metadata fields are legal and the file is
+    self-describing.
+    """
     document = {
-        "traceEvents": payload_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro",
-            "time_unit": "1 trace us == 1 wall-clock us",
-        },
+        "traceEvents": events,
+        "displayTimeUnit": display_unit,
+        "otherData": {"source": "repro", "time_unit": time_unit},
     }
     if hasattr(destination, "write"):
         json.dump(document, destination)  # type: ignore[arg-type]
     else:
         with open(destination, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
-    return len(payload_events)
+    return len(events)
+
+
+def write_chrome_spans(
+    spans: Iterable[dict],
+    destination: Union[str, Path, IO[str]],
+) -> int:
+    """Write orchestration spans as a Chrome trace; returns event count."""
+    return _write_document(
+        span_trace_events(spans),
+        destination,
+        "ms",
+        "1 trace us == 1 wall-clock us",
+    )
 
 
 def write_chrome_trace(
@@ -347,24 +363,13 @@ def write_chrome_trace(
 ) -> int:
     """Write the full Chrome trace JSON object; returns the event count.
 
-    The JSON-object form (``{"traceEvents": [...]}``) is used rather
-    than the bare array so metadata fields are legal and the file is
-    self-describing.  ``extra_events`` are pre-built Chrome events
-    appended verbatim -- the counters layer merges its Perfetto counter
-    tracks (``"ph": "C"``) into the simulation export this way.
+    ``extra_events`` are pre-built Chrome events appended verbatim --
+    the counters layer merges its Perfetto counter tracks
+    (``"ph": "C"``) into the simulation export this way.
     """
-    payload_events = chrome_trace_events(trace_events) + list(extra_events)
-    document = {
-        "traceEvents": payload_events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "source": "repro",
-            "time_unit": "1 trace us == 1 simulated cycle",
-        },
-    }
-    if hasattr(destination, "write"):
-        json.dump(document, destination)  # type: ignore[arg-type]
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-    return len(payload_events)
+    return _write_document(
+        chrome_trace_events(trace_events) + list(extra_events),
+        destination,
+        "ns",
+        "1 trace us == 1 simulated cycle",
+    )

@@ -13,15 +13,13 @@ Design mirrors the tracer's discipline:
 * **Zero overhead when off.**  One module-level ``_ACTIVE`` recorder;
   the emit points test ``active() is None`` (or hold the shared
   :data:`NULL_SPAN`) and skip even building attribute dicts.
-* **Cross-process propagation.**  Workers never see the recorder --
-  the pool initializer installs a lightweight *emit* function that
-  collects finished span dicts into the chunk result the worker
-  returns; the parent re-records them verbatim, so one JSONL stream
-  holds the whole tree.  ``span_context()`` /
-  :func:`adopt` carry the (trace id, parent span id) pair across the
-  pickle boundary.
+* **One writer.**  Only the coordinator records spans; a forked pool
+  worker starts with none installed.  The coordinator writes each
+  chunk's spans -- the chunk, its queue wait and one ``point`` span per
+  design point on the worker's track -- from the chunk result when it
+  absorbs it, through :meth:`SpanRecorder.add`.
 * **Timestamps are epoch seconds** (``time.time()``), not monotonic --
-  spans from different processes must land on one comparable axis.
+  worker-stamped start times must land on the coordinator's axis.
 
 Spans are flat JSON dicts (``trace``/``span``/``parent``/``name``/
 ``t0``/``dur``/``proc``/``attrs``), dumped to a JSONL(.gz) sink named
@@ -37,7 +35,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import IO, Callable, Iterator
+from typing import IO, Iterator
 
 from repro.observability import trace as obs_trace
 
@@ -47,12 +45,6 @@ SPANS_ENV = "REPRO_SPANS"
 #: Sink lines buffered between writes (same batching rationale as the
 #: cycle tracer: one write syscall per batch, not per span).
 SINK_BATCH_LINES = 256
-
-
-def _now() -> float:
-    # Epoch time on purpose: spans from the coordinator and from pool
-    # workers must share one axis, and monotonic clocks are per-process.
-    return time.time()
 
 
 class SpanScope:
@@ -66,20 +58,26 @@ class SpanScope:
         self.span_id = recorder._next_span_id()
         self.parent = parent
         self.attrs = attrs
-        self.t0 = _now()
+        self.t0 = time.time()
         self._closed = False
 
     def set(self, **attrs) -> None:
         """Attach attributes discovered mid-span (e.g. ok/error)."""
         self.attrs.update(attrs)
 
-    def close(self, end: float | None = None) -> None:
-        """Finish the span; ``end`` (epoch seconds) overrides "now" when
-        the true end time was observed elsewhere (a worker's clock)."""
+    def close(self) -> None:
+        """Finish the span (a repeat close is ignored)."""
         if self._closed:
             return
         self._closed = True
-        self.recorder._finish(self, end=end)
+        self.recorder._write(
+            self.span_id,
+            self.name,
+            self.parent,
+            self.t0,
+            time.time() - self.t0,
+            self.attrs,
+        )
 
     def __enter__(self) -> "SpanScope":
         self.recorder._stack.append(self)
@@ -88,11 +86,8 @@ class SpanScope:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        stack = self.recorder._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        elif self in stack:  # tolerate out-of-order closes
-            stack.remove(self)
+        # Scopes nest as ``with`` blocks do, so this one is on top.
+        self.recorder._stack.pop()
         self.close()
 
 
@@ -123,31 +118,26 @@ class SpanRecorder:
     """Collects finished spans; optionally streams them to a sink.
 
     The coordinator process holds one recorder per collection scope.
-    Worker processes hold one too, but constructed with ``emit`` -- a
-    callable shipping each finished span dict to the parent -- and no
-    sink; the parent funnels remote spans through :meth:`record` so
-    dedup, counting, and the sink all live in one place.
+    Spans it times itself nest through :meth:`span`; spans whose times
+    were observed elsewhere (a chunk result's worker stamps) are
+    written finished through :meth:`add`.
     """
 
     def __init__(
         self,
         sink: IO[str] | None = None,
-        emit: "Callable[[dict], None] | None" = None,
         proc: str | None = None,
         path: str | None = None,
     ):
         self.sink = sink
-        self.emit = emit
         self.proc = proc if proc is not None else f"pid{os.getpid()}"
         self.path = path
         self.trace_id: str | None = None
         self.recorded = 0
         self.finished: list[dict] = []
         self._stack: list[SpanScope] = []
-        self._base_parent: str | None = None
         self._counter = 0
         self._buffer: list[str] = []
-        self._seen: set[str] = set()
 
     # -- span identity -------------------------------------------------
 
@@ -158,78 +148,51 @@ class SpanRecorder:
     def current_parent(self) -> str | None:
         if self._stack:
             return self._stack[-1].span_id
-        return self._base_parent
-
-    def span_context(self) -> dict | None:
-        """(trace, parent) pair to ship across a process boundary."""
-        if self.trace_id is None:
-            return None
-        return {"trace": self.trace_id, "parent": self.current_parent()}
+        return None
 
     # -- recording spans -----------------------------------------------
-
-    def open(self, name: str, parent: str | None = None, **attrs) -> SpanScope:
-        """Open a span *without* pushing it on the nesting stack.
-
-        For overlapping lifetimes (per-chunk queue-wait spans that the
-        coordinator closes out of order as workers pick chunks up).
-        The caller closes it explicitly.  ``parent`` overrides the
-        current nesting parent (a queue-wait span hangs off its chunk
-        span, not off whatever the coordinator happens to be doing).
-        """
-        if parent is None:
-            parent = self.current_parent()
-        return SpanScope(self, name, parent, attrs)
 
     def span(self, name: str, **attrs) -> SpanScope:
         """Open a nested span; use as ``with recorder.span(...)``."""
         return SpanScope(self, name, self.current_parent(), attrs)
 
-    def instant(self, name: str, **attrs) -> None:
-        """A zero-duration marker (steal events, checkpoint marks)."""
-        now = _now()
-        self.record(
-            {
-                "trace": self.trace_id,
-                "span": self._next_span_id(),
-                "parent": self.current_parent(),
-                "name": name,
-                "t0": round(now, 6),
-                "dur": 0.0,
-                "proc": self.proc,
-                "attrs": attrs,
-            }
-        )
+    def add(
+        self,
+        name: str,
+        t0: float,
+        dur: float,
+        *,
+        parent: str | None = None,
+        trace: str | None = None,
+        proc: str | None = None,
+        **attrs,
+    ) -> str:
+        """Write one finished span; returns its id.
 
-    def _finish(self, scope: SpanScope, end: float | None = None) -> None:
-        dur = (end if end is not None else _now()) - scope.t0
-        self.record(
-            {
-                "trace": self.trace_id,
-                "span": scope.span_id,
-                "parent": scope.parent,
-                "name": scope.name,
-                "t0": round(scope.t0, 6),
-                "dur": round(max(dur, 0.0), 6),
-                "proc": self.proc,
-                "attrs": scope.attrs,
-            }
-        )
+        ``t0`` is epoch seconds and a negative ``dur`` clamps to zero.
+        ``parent``, ``trace`` and ``proc`` default to the current
+        nesting parent, the open trace and this recorder's process.
+        """
+        if parent is None:
+            parent = self.current_parent()
+        span_id = self._next_span_id()
+        self._write(span_id, name, parent, t0, dur, attrs, trace, proc)
+        return span_id
 
-    def record(self, data: dict | None) -> None:
-        """Accept one finished span dict (local or shipped from a worker)."""
-        if not isinstance(data, dict) or "span" not in data:
-            return
-        span_id = str(data["span"])
-        if span_id in self._seen:
-            return  # a worker retransmit or a double close
-        self._seen.add(span_id)
-        if data.get("trace") is None:
-            data["trace"] = self.trace_id
+    def _write(
+        self, span_id, name, parent, t0, dur, attrs, trace=None, proc=None
+    ) -> None:
+        data = {
+            "trace": trace if trace is not None else self.trace_id,
+            "span": span_id,
+            "parent": parent,
+            "name": name,
+            "t0": round(t0, 6),
+            "dur": round(max(dur, 0.0), 6),
+            "proc": proc if proc is not None else self.proc,
+            "attrs": attrs,
+        }
         self.recorded += 1
-        if self.emit is not None:
-            self.emit(data)
-            return
         self.finished.append(data)
         if self.sink is not None:
             self._buffer.append(json.dumps(data, separators=(",", ":"), sort_keys=True))
@@ -252,23 +215,9 @@ class SpanRecorder:
         """Open the root span of a new trace (one sweep = one trace)."""
         previous = self.trace_id
         self.trace_id = trace_id
-        scope = SpanScope(self, name, None, attrs)
-        self._stack.append(scope)
         try:
-            with_error = False
-            try:
+            with SpanScope(self, name, None, attrs) as scope:
                 yield scope
-            except BaseException as exc:
-                with_error = True
-                scope.attrs.setdefault("error", type(exc).__name__)
-                raise
-            finally:
-                if self._stack and self._stack[-1] is scope:
-                    self._stack.pop()
-                elif scope in self._stack:
-                    self._stack.remove(scope)
-                scope.close()
-                del with_error
         finally:
             self.trace_id = previous
             self.flush()
@@ -330,6 +279,12 @@ def uninstall() -> None:
     _ACTIVE = None
 
 
+# A forked pool worker must not inherit the coordinator's recorder: its
+# sink is shared and its buffer copied, and the coordinator writes the
+# worker's spans from the chunk result anyway.
+os.register_at_fork(after_in_child=uninstall)
+
+
 def next_trace_id(plan_digest: str) -> str:
     """Trace ids are plan-digest-derived but unique per invocation."""
     global _TRACE_SEQ
@@ -347,34 +302,6 @@ def span(name: str, **attrs):
     if recorder is None or recorder.trace_id is None:
         return NULL_SPAN
     return recorder.span(name, **attrs)
-
-
-def install_worker(send: "Callable[[dict], None]") -> None:
-    """Install an emit-only recorder in a pool worker process."""
-    install(SpanRecorder(emit=send, proc=f"worker-{os.getpid()}"))
-
-
-@contextmanager
-def adopt(span_ctx: dict | None) -> Iterator[None]:
-    """Adopt a (trace, parent) context shipped from the coordinator.
-
-    Inside the scope, spans opened in this process attach under the
-    coordinator's parent span and carry its trace id.  A ``None``
-    context (spans off) is a no-op, so worker call sites need no gate.
-    """
-    recorder = _ACTIVE
-    if span_ctx is None or recorder is None:
-        yield
-        return
-    prev_trace = recorder.trace_id
-    prev_parent = recorder._base_parent
-    recorder.trace_id = span_ctx.get("trace")
-    recorder._base_parent = span_ctx.get("parent")
-    try:
-        yield
-    finally:
-        recorder.trace_id = prev_trace
-        recorder._base_parent = prev_parent
 
 
 @contextmanager
@@ -566,12 +493,10 @@ def analyze(spans: list[dict], trace_id: str | None = None) -> dict | None:
     segments = path_segments(root)
     path_seconds = sum(seg["self_seconds"] for seg in segments)
 
-    # Which worker carries the most critical-path point time?  The
-    # whole point family counts ("point" itself has near-zero self time
-    # because its run/prepare children cover it).
+    # Which worker carries the most critical-path point time?
     crit_by_proc: dict[str, float] = {}
     for seg in segments:
-        if seg["name"].startswith("point"):
+        if seg["name"] == "point":
             proc = str(seg["proc"])
             crit_by_proc[proc] = crit_by_proc.get(proc, 0.0) + seg["self_seconds"]
     critical_worker = max(crit_by_proc, key=crit_by_proc.get) if crit_by_proc else None

@@ -21,23 +21,22 @@ from typing import Iterator
 #: Process-wide active failure log (``None`` = resilience off, fail fast).
 _ACTIVE_LOG: "FailureLog | None" = None
 
-#: Default backoff shape for in-sweep retries.  The base is small --
-#: retries here are about letting transient pressure (a loaded machine,
-#: a filesystem hiccup around the store) clear, not about remote
-#: services -- and the per-point wall-clock cap keeps a pathological
-#: point from stalling a whole campaign.
-DEFAULT_BACKOFF_BASE = 0.05
-DEFAULT_BACKOFF_CAP = 2.0
-DEFAULT_RETRY_BUDGET_SECONDS = 30.0
+#: The in-sweep retry policy.  The backoff base is small -- retries
+#: here are about letting transient pressure (a loaded machine, a
+#: filesystem hiccup around the store) clear, not about remote services
+#: -- and the per-point wall-clock budget keeps a pathological point
+#: from stalling a whole campaign.
+RETRIES = 1  #: extra attempts per point, at reduced budget
+BUDGET_DIVISOR = 4  #: instruction-budget shrink per retry
+BACKOFF_BASE = 0.05  #: first-retry delay, seconds
+BACKOFF_CAP = 2.0  #: per-retry delay ceiling, seconds
+#: Total wall clock one point may spend on retries (delays included);
+#: when the budget runs out, remaining retries are skipped and the
+#: point becomes a gap.
+RETRY_BUDGET_SECONDS = 30.0
 
 
-def retry_backoff(
-    attempt: int,
-    *,
-    base: float = DEFAULT_BACKOFF_BASE,
-    cap: float = DEFAULT_BACKOFF_CAP,
-    seed: str = "",
-) -> float:
+def retry_backoff(attempt: int, *, seed: str = "") -> float:
     """Delay before retry ``attempt`` (2 = first retry): exponential
     backoff with deterministic jitter.
 
@@ -45,12 +44,12 @@ def retry_backoff(
     attempt number through SHA-256, so two runs of the same sweep back
     off identically -- reproducibility extends to the failure path --
     while different points de-synchronize instead of thundering in
-    lockstep.  The jittered delay lands in ``[0.75, 1.25) * min(cap,
-    base * 2**(attempt - 2))``.
+    lockstep.  The jittered delay lands in ``[0.75, 1.25) *
+    min(BACKOFF_CAP, BACKOFF_BASE * 2**(attempt - 2))``.
     """
     if attempt < 2:
         return 0.0
-    nominal = min(cap, base * (2.0 ** (attempt - 2)))
+    nominal = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** (attempt - 2)))
     digest = hashlib.sha256(f"{seed}#{attempt}".encode("utf-8")).digest()
     fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
     return nominal * (0.75 + 0.5 * fraction)
@@ -73,24 +72,10 @@ class FailureRecord:
 class FailureLog:
     """Accumulates failures across one resilient sweep run."""
 
-    retries: int = 1  #: extra attempts per point, at reduced budget
-    budget_divisor: int = 4  #: instruction-budget shrink per retry
-    backoff_base: float = DEFAULT_BACKOFF_BASE  #: first-retry delay, seconds
-    backoff_cap: float = DEFAULT_BACKOFF_CAP  #: per-retry delay ceiling
-    #: Total wall clock one point may spend on retries (delays included);
-    #: when the budget runs out, remaining retries are skipped and the
-    #: point becomes a gap.
-    retry_budget_seconds: float = DEFAULT_RETRY_BUDGET_SECONDS
     records: list[FailureRecord] = field(default_factory=list)
 
     def record(self, record: FailureRecord) -> None:
         self.records.append(record)
-
-    def backoff(self, attempt: int, seed: str = "") -> float:
-        """Deterministic pre-retry delay for this log's backoff shape."""
-        return retry_backoff(
-            attempt, base=self.backoff_base, cap=self.backoff_cap, seed=seed
-        )
 
     @property
     def gaps(self) -> list[FailureRecord]:
@@ -118,24 +103,15 @@ def current_failure_log() -> FailureLog | None:
 
 
 @contextmanager
-def resilient_sweeps(
-    log: FailureLog | None = None,
-    *,
-    retries: int = 1,
-    budget_divisor: int = 4,
-) -> Iterator[FailureLog]:
+def resilient_sweeps() -> Iterator[FailureLog]:
     """Run the enclosed sweeps with per-design-point isolation.
 
     Nested contexts share the outermost log so a whole ``repro all``
     run produces one failure summary.
     """
     global _ACTIVE_LOG
-    if retries < 0:
-        raise ValueError(f"retries cannot be negative: {retries}")
-    if budget_divisor < 2:
-        raise ValueError(f"budget_divisor must be >= 2: {budget_divisor}")
     previous = _ACTIVE_LOG
-    active = previous or log or FailureLog(retries=retries, budget_divisor=budget_divisor)
+    active = previous or FailureLog()
     _ACTIVE_LOG = active
     try:
         yield active

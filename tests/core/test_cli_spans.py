@@ -93,6 +93,28 @@ class TestSpansRecording:
         assert analysis["jobs"] == 2
         assert analysis["critical_path_seconds"] <= analysis["wall_seconds"] * 1.01
 
+        # The coordinator writes each chunk's spans from its chunk result:
+        # every point hangs off a chunk of its own trace, and a chunk's
+        # queue wait ends when its worker started, before its points.
+        by_id = {s["span"]: s for s in spans}
+        points = [s for s in spans if s["name"] == "point"]
+        assert points
+        starts: dict[str, float] = {}
+        for point in points:
+            chunk = by_id[point["parent"]]
+            assert chunk["name"] == "chunk"
+            assert chunk["trace"] == point["trace"]
+            starts[chunk["span"]] = min(
+                starts.get(chunk["span"], point["t0"]), point["t0"]
+            )
+        waits = [s for s in spans if s["name"] == "chunk.wait"]
+        assert {wait["parent"] for wait in waits} >= set(starts)
+        for wait in waits:
+            if wait["parent"] in starts:
+                # Both ends are rounded to the microsecond.
+                assert wait["t0"] + wait["dur"] <= starts[wait["parent"]] + 2e-6
+        assert not {"point.run", "point.prepare"} & {s["name"] for s in spans}
+
     def test_env_var_activates_recording(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "env-spans.jsonl")
         monkeypatch.setenv("REPRO_SPANS", path)

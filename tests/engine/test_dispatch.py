@@ -276,10 +276,12 @@ class TestChunkResult:
         assert outcome["chunk"] == 7
         assert outcome["worker"].startswith("pid:")
         assert before <= outcome["started"] <= time.time()
-        assert outcome["spans"] == []  # spans off
+        assert "spans" not in outcome  # workers write no spans
         assert [e["digest"] for e in outcome["entries"]] == [
             key.digest for key in keys
         ]
+        starts = [entry["t0"] for entry in outcome["entries"]]
+        assert outcome["started"] <= starts[0] <= starts[1] <= time.time()
         for entry in outcome["entries"]:
             assert entry["payload"]["status"] == "ok"
             assert not entry["payload"]["result"].failed

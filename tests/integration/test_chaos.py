@@ -135,7 +135,7 @@ class TestHangAndTimeout:
     def test_stuck_mshr_chaos_becomes_a_diagnosed_gap(self, monkeypatch):
         """The watchdog-visible flavor: DeadlockError, retried, gapped."""
         monkeypatch.setenv(CHAOS_ENV, "stuck-mshr:gcc")
-        with resilient_sweeps(retries=1) as log:
+        with resilient_sweeps() as log:
             result = run_experiment(duplicate(32 * 1024), "gcc", FAST)
         assert result.failed
         assert log.records[-1].resolution == "gap"

@@ -259,13 +259,15 @@ class TestSpanTraceEvents:
 
     def test_recorded_spans_export_cleanly(self, tmp_path):
         """End to end: a real recorder's output loads as a trace."""
+        import time
+
         from repro.observability import spans as sp
 
         recorder = sp.SpanRecorder()
         with recorder.trace("t-e2e", "sweep", jobs=1):
             with recorder.span("plan.lookup"):
                 pass
-            recorder.instant("checkpoint.mark")
+            recorder.add("checkpoint.mark", time.time(), 0.0)
         buffer = io.StringIO()
         count = write_chrome_spans(recorder.finished, buffer)
         document = json.loads(buffer.getvalue())

@@ -1,16 +1,17 @@
 """Unit suite for the sweep-scope span tracer.
 
 Covers the span lifecycle (nesting, explicit parents, error capture,
-double-close tolerance), cross-process reassembly through the worker
-emit channel, sink round-trips including torn tails and truncated gzip
-members, and the critical-path analyzer on hand-built traces whose
-answers are known exactly.
+double-close tolerance), finished spans written through ``add``, the
+fork hook that keeps pool workers span-free, sink round-trips including
+torn tails and truncated gzip members, and the critical-path analyzer
+on hand-built traces whose answers are known exactly.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import os
 
 import pytest
 
@@ -85,37 +86,38 @@ class TestSpanLifecycle:
 
     def test_double_close_records_once(self):
         recorder = _recorder()
-        scope = recorder.open("once")
-        scope.close()
-        scope.close()
+        with recorder.span("once") as scope:
+            scope.close()
         assert recorder.recorded == 1
 
     def test_close_with_explicit_end_time(self):
+        """``add`` writes a span whose end was observed elsewhere."""
         recorder = _recorder()
-        scope = recorder.open("waited")
-        scope.close(end=scope.t0 + 2.5)
-        assert recorder.finished[0]["dur"] == pytest.approx(2.5, abs=1e-6)
+        recorder.add("waited", 100.0, 2.5)
+        span = recorder.finished[0]
+        assert span["t0"] == 100.0
+        assert span["dur"] == pytest.approx(2.5, abs=1e-6)
 
     def test_negative_duration_clamps_to_zero(self):
         recorder = _recorder()
-        scope = recorder.open("skewed")
-        scope.close(end=scope.t0 - 1.0)
+        recorder.add("skewed", 100.0, -1.0)
         assert recorder.finished[0]["dur"] == 0.0
 
     def test_open_with_explicit_parent_and_out_of_order_close(self):
+        """``add`` takes an explicit parent over the nesting parent."""
         recorder = _recorder()
         with recorder.span("root") as root:
-            late = recorder.open("overlapping", parent=root.span_id)
-            with recorder.span("nested"):
-                pass
-            late.close()
+            with recorder.span("nested") as nested:
+                recorder.add("overlapping", 100.0, 1.0, parent=root.span_id)
+                recorder.add("inner", 100.0, 1.0)
         spans = {s["name"]: s for s in recorder.finished}
         assert spans["overlapping"]["parent"] == spans["root"]["span"]
+        assert spans["inner"]["parent"] == nested.span_id
         assert spans["nested"]["parent"] == spans["root"]["span"]
 
     def test_instant_has_zero_duration(self):
         recorder = _recorder()
-        recorder.instant("steal", chunk=3)
+        recorder.add("steal", 100.0, 0.0, chunk=3)
         span = recorder.finished[0]
         assert span["dur"] == 0.0
         assert span["attrs"] == {"chunk": 3}
@@ -134,19 +136,25 @@ class TestSpanLifecycle:
         recorder.trace_id = "t"
         assert sp.span("live") is not NULL_SPAN
 
-    def test_record_rejects_junk(self):
+    def test_add_overrides_trace_and_proc(self):
         recorder = _recorder()
-        recorder.record(None)
-        recorder.record("not a dict")
-        recorder.record({"no": "span key"})
-        assert recorder.recorded == 0
+        span_id = recorder.add(
+            "point", 100.0, 1.0, trace="t-other", proc="worker-9", ok=True
+        )
+        (span,) = recorder.finished
+        assert span["span"] == span_id
+        assert span["trace"] == "t-other"
+        assert span["proc"] == "worker-9"
+        assert span["parent"] is None
+        assert span["attrs"] == {"ok": True}
 
-    def test_record_dedups_by_span_id(self):
+    def test_add_returns_fresh_ids(self):
         recorder = _recorder()
-        span = {"span": "abc", "name": "dup", "t0": 1.0, "dur": 0.5}
-        recorder.record(dict(span))
-        recorder.record(dict(span))
-        assert recorder.recorded == 1
+        first = recorder.add("dup", 1.0, 0.5)
+        second = recorder.add("dup", 1.0, 0.5)
+        assert first != second
+        assert recorder.recorded == 2
+        assert recorder.finished[1]["span"] == second
 
 
 class TestRootTrace:
@@ -178,73 +186,21 @@ class TestRootTrace:
         assert first != second
 
 
-class TestCrossProcess:
-    def test_worker_emit_and_parent_reassembly(self):
-        wire: list[dict] = []
-        worker = SpanRecorder(emit=wire.append, proc="worker-9")
-        ctx = {"trace": "t-x", "parent": "parent-span"}
-        with sp_adopt(worker, ctx):
-            with worker.span("point", chunk=2):
-                with worker.span("point.run"):
-                    pass
-        assert worker.finished == []  # emitted, not retained
-        assert len(wire) == 2
-        point = [s for s in wire if s["name"] == "point"][0]
-        assert point["trace"] == "t-x"
-        assert point["parent"] == "parent-span"
-        assert point["proc"] == "worker-9"
-
-        parent = SpanRecorder()
-        parent.trace_id = "t-x"
-        for span in wire:
-            parent.record(span)
-        assert parent.recorded == 2
-        names = {s["name"] for s in parent.finished}
-        assert names == {"point", "point.run"}
-
-    def test_adopt_none_is_a_noop(self):
-        recorder = _recorder()
-        sp.install(recorder)
-        with sp.adopt(None):
-            assert recorder.trace_id == "t-test"
-
-    def test_adopt_without_recorder_is_a_noop(self):
-        with sp.adopt({"trace": "t", "parent": "p"}):
-            pass
-
-    def test_adopt_restores_previous_context(self):
-        recorder = _recorder()
-        sp.install(recorder)
-        with sp.adopt({"trace": "other", "parent": "pp"}):
-            assert recorder.trace_id == "other"
-            assert recorder.current_parent() == "pp"
-        assert recorder.trace_id == "t-test"
-        assert recorder.current_parent() is None
-
-    def test_span_context_roundtrip(self):
-        recorder = _recorder()
-        with recorder.span("outer") as outer:
-            ctx = recorder.span_context()
-        assert ctx == {"trace": "t-test", "parent": outer.span_id}
-        recorder.trace_id = None
-        assert recorder.span_context() is None
-
-    def test_install_worker_ships_over_callable(self):
-        wire: list[dict] = []
-        sp.install_worker(wire.append)
-        recorder = sp.active()
-        assert recorder is not None
-        recorder.trace_id = "t-w"
-        with sp.span("point"):
-            pass
-        assert wire and wire[0]["name"] == "point"
-        assert wire[0]["proc"].startswith("worker-")
-
-
-def sp_adopt(recorder, ctx):
-    """Adopt on an explicit recorder (workers use the module global)."""
-    sp.install(recorder)
-    return sp.adopt(ctx)
+class TestFork:
+    def test_forked_child_has_no_recorder(self):
+        """A forked pool worker never inherits the coordinator's recorder."""
+        with collecting() as recorder:
+            assert sp.active() is recorder
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                os.write(write_end, b"1" if sp.active() is None else b"0")
+                os._exit(0)
+            os.close(write_end)
+            reported = os.read(read_end, 1)
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert reported == b"1"
 
 
 class TestSinks:

@@ -1,9 +1,10 @@
 """Retry backoff: exponential, capped, deterministically jittered."""
 
 from repro.robustness.runner import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
-    DEFAULT_RETRY_BUDGET_SECONDS,
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    RETRIES,
+    RETRY_BUDGET_SECONDS,
     FailureLog,
     FailureRecord,
     retry_backoff,
@@ -27,32 +28,28 @@ class TestRetryBackoff:
     def test_jitter_stays_inside_the_band(self):
         for attempt in (2, 3, 4):
             nominal = min(
-                DEFAULT_BACKOFF_CAP,
-                DEFAULT_BACKOFF_BASE * 2.0 ** (attempt - 2),
+                BACKOFF_CAP,
+                BACKOFF_BASE * 2.0 ** (attempt - 2),
             )
             for seed in ("a", "b", "c"):
                 delay = retry_backoff(attempt, seed=seed)
                 assert 0.75 * nominal <= delay < 1.25 * nominal
 
     def test_exponential_growth_until_the_cap(self):
-        base, cap = 1.0, 4.0
-        # attempt 2 -> ~1, attempt 3 -> ~2, attempt 4 -> ~4, attempt 9 -> ~4
-        assert retry_backoff(2, base=base, cap=cap, seed="s") < retry_backoff(
-            3, base=base, cap=cap, seed="s"
-        ) * 1.25 / 0.75
-        capped = retry_backoff(9, base=base, cap=cap, seed="s")
-        assert capped < 1.25 * cap
+        # The nominal delay doubles from BACKOFF_BASE per attempt until
+        # it reaches BACKOFF_CAP, then stays there.
+        assert BACKOFF_BASE < BACKOFF_CAP
+        assert retry_backoff(2, seed="s") < 1.25 * BACKOFF_BASE
+        assert retry_backoff(3, seed="s") >= 0.75 * 2 * BACKOFF_BASE
+        for attempt in (20, 40):
+            capped = retry_backoff(attempt, seed="s")
+            assert 0.75 * BACKOFF_CAP <= capped < 1.25 * BACKOFF_CAP
 
 
 class TestFailureLogBackoff:
-    def test_log_delegates_with_its_own_shape(self):
-        log = FailureLog(backoff_base=0.2, backoff_cap=0.3)
-        delay = log.backoff(4, seed="x")
-        assert delay == retry_backoff(4, base=0.2, cap=0.3, seed="x")
-        assert delay < 1.25 * 0.3
-
     def test_default_retry_budget(self):
-        assert FailureLog().retry_budget_seconds == DEFAULT_RETRY_BUDGET_SECONDS
+        # The budget covers every retry's longest possible delay.
+        assert RETRIES * 1.25 * BACKOFF_CAP < RETRY_BUDGET_SECONDS
 
     def test_timeout_records_count_as_gaps(self):
         log = FailureLog()

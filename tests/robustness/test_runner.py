@@ -47,14 +47,6 @@ class TestContext:
                 raise RuntimeError("boom")
         assert current_failure_log() is None
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            with resilient_sweeps(retries=-1):
-                pass
-        with pytest.raises(ValueError):
-            with resilient_sweeps(budget_divisor=1):
-                pass
-
 
 class TestIsolation:
     def test_errors_propagate_without_context(self, monkeypatch):
