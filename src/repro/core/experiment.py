@@ -204,22 +204,14 @@ def _simulate(
     from repro.robustness.chaos import ChaosPlan
 
     # Chaos directives (REPRO_CHAOS) ride the same path real faults
-    # would; one env lookup per simulation when off.  Fault injection
-    # targets the reference loop's extension points, so chaos runs
-    # always take the reference backend.
+    # would; one env lookup per simulation when off.
     chaos = ChaosPlan.from_env()
-    backend = (
-        kernel.get_backend("reference")
-        if chaos is not None
-        else kernel.active_backend()
-    )
+    backend = kernel.active_backend()
     memory = MemorySystem(organization.memory_config(settings.backside))
     if chaos is not None:
-        settings = chaos.prepare(memory, spec, settings)
+        chaos.prepare(memory, spec)
     trace = backend.prepare(spec, memory, settings)
     core = OutOfOrderCore(settings.cpu, memory)
-    if chaos is not None:
-        chaos.arm(core, spec)
     return backend.run(
         core,
         trace,

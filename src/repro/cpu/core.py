@@ -21,10 +21,6 @@ The cycle loop itself lives in :mod:`repro.kernel`: :meth:`run`
 dispatches to the selected :class:`~repro.kernel.SimulationBackend`
 (the event-driven default in ``repro.kernel.fast``, the reference
 loop moved verbatim to ``repro.kernel.reference``).
-``_skip_to_next_event`` remains an instance method because the
-reference loop jumps idle stretches through it, and the chaos
-harness's ``hang`` directive patches it per instance (chaos runs
-always take the reference backend).
 """
 
 from __future__ import annotations
@@ -87,20 +83,6 @@ class OutOfOrderCore:
 
         return kernel.active_backend().run(
             self, trace, max_instructions, warmup_instructions=warmup_instructions
-        )
-
-    def _skip_to_next_event(
-        self,
-        cycle: int,
-        window,
-        comp: list[int],
-        blocking_branch: _Slot | None,
-    ) -> int:
-        """Nothing happened this cycle: jump to the next interesting one."""
-        from repro.kernel import reference
-
-        return reference.skip_to_next_event(
-            self, cycle, window, comp, blocking_branch
         )
 
     def _reset_stats(self) -> None:

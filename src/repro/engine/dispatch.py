@@ -15,13 +15,11 @@ instead:
   and the cheap tail is batched so per-task overhead stops mattering.
   Workers pull chunks from the pool's shared call queue as they go
   idle -- classic self-scheduling, which behaves like work stealing
-  without a per-worker deque;
-* a :class:`DispatchProfile` records the batch's shape (chunks, pool
-  reuse, fallback and timeout points, wall clock) and what every worker
-  did (points, chunks, busy seconds, steals).  The profile is kept on
-  the engine (``engine.last_dispatch``) and surfaced by the telemetry
-  hub in the ``--progress`` display.  Phase timings (pricing, packing,
-  queue wait, absorb, retry tail) are sweep spans.
+  without a per-worker deque.
+
+Phase timings (pricing, packing, queue wait, absorb, retry tail) are
+sweep spans; the ``--progress`` pool line shows the batch's workers,
+chunks and busy share.
 
 Cost estimates influence *scheduling only*: results, the ledger (rows
 are digest-sorted), checkpoint marks (set semantics), and the failure
@@ -31,7 +29,6 @@ run no matter how wrong the estimates are.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,13 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Chunks planned per worker.  More chunks = better load balance when
 #: estimates are wrong; fewer = less dispatch overhead.  A handful per
 #: worker keeps both small.
-CHUNKS_PER_WORKER_ENV = "REPRO_CHUNKS_PER_WORKER"
-DEFAULT_CHUNKS_PER_WORKER = 4
+CHUNKS_PER_WORKER = 4
 
 #: Hard cap on points per chunk, so a mis-estimated cheap tail cannot
 #: collapse into one serial mega-chunk.
-CHUNK_MAX_ENV = "REPRO_CHUNK_MAX"
-DEFAULT_CHUNK_MAX = 16
+CHUNK_MAX = 16
 
 #: Relative cost of one timing-phase instruction versus one
 #: functional-warmup reference (the timing loop simulates the pipeline
@@ -56,18 +51,6 @@ _TIMING_WEIGHT = 8.0
 
 #: How many recent ledger records feed the cost model.
 _HISTORY_RECORDS = 50
-
-
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return default
 
 
 def _budget_proxy(key: "ExperimentKey") -> float:
@@ -158,20 +141,18 @@ def plan_chunks(
     Points are sorted by descending estimated cost (digest-tiebroken,
     so the plan is deterministic), then greedily packed until a chunk
     reaches the batch's target cost (total / (workers x
-    chunks-per-worker)) or the per-chunk point cap.  Expensive points
-    therefore land in small (often singleton) head chunks while the
-    cheap tail is batched -- the schedule that minimizes both straggler
-    latency and per-task overhead.
+    :data:`CHUNKS_PER_WORKER`)) or :data:`CHUNK_MAX` points.  Expensive
+    points therefore land in small (often singleton) head chunks while
+    the cheap tail is batched -- the schedule that minimizes both
+    straggler latency and per-task overhead.
     """
     if not points:
         return []
-    per_worker = _int_env(CHUNKS_PER_WORKER_ENV, DEFAULT_CHUNKS_PER_WORKER)
-    chunk_max = _int_env(CHUNK_MAX_ENV, DEFAULT_CHUNK_MAX)
     costs = {key.digest: max(estimate(key), 1.0) for key, _ in points}
     ordered = sorted(
         points, key=lambda pair: (-costs[pair[0].digest], pair[0].digest)
     )
-    target_chunks = max(workers * per_worker, 1)
+    target_chunks = max(workers * CHUNKS_PER_WORKER, 1)
     target_cost = sum(costs.values()) / target_chunks
     chunks: list[list[tuple]] = []
     current: list[tuple] = []
@@ -179,7 +160,7 @@ def plan_chunks(
     for key, spec in ordered:
         current.append((key, spec))
         current_cost += costs[key.digest]
-        if current_cost >= target_cost or len(current) >= chunk_max:
+        if current_cost >= target_cost or len(current) >= CHUNK_MAX:
             chunks.append(current)
             current = []
             current_cost = 0.0
@@ -187,91 +168,3 @@ def plan_chunks(
         chunks.append(current)
     return chunks
 
-
-class WorkerDispatchStats:
-    """What one worker process did during a batch."""
-
-    __slots__ = ("worker", "points", "chunks", "busy_seconds", "steals")
-
-    def __init__(self, worker: str):
-        self.worker = worker
-        self.points = 0
-        self.chunks = 0
-        self.busy_seconds = 0.0
-        self.steals = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "chunks": self.chunks,
-            "busy_seconds": round(self.busy_seconds, 3),
-            "steals": self.steals,
-        }
-
-
-class DispatchProfile:
-    """Per-batch dispatch instrumentation: batch shape and worker load.
-
-    ``steals`` counts chunks a worker pulled from the shared queue
-    beyond its first -- in a perfectly pre-partitioned schedule each
-    worker would run exactly ``chunks / workers`` chunks, so pulls past
-    the first are the self-scheduling (work-stealing) behavior showing
-    up in numbers.
-    """
-
-    def __init__(self, points: int, workers: int):
-        self.points = points
-        self.workers = workers
-        self.chunks = 0
-        self.pool_reused = False
-        self.wall_seconds = 0.0
-        self.fallback_points = 0
-        self.timeout_points = 0
-        self.interrupted = False
-        self._workers: dict[str, WorkerDispatchStats] = {}
-
-    def worker_stats(self, worker: str) -> WorkerDispatchStats:
-        stats = self._workers.get(worker)
-        if stats is None:
-            stats = self._workers[worker] = WorkerDispatchStats(worker)
-        return stats
-
-    def chunk_started(self, worker: str) -> None:
-        stats = self.worker_stats(worker)
-        stats.chunks += 1
-        if stats.chunks > 1:
-            stats.steals += 1
-
-    def point_done(self, worker: str, busy_seconds: float) -> None:
-        stats = self.worker_stats(worker)
-        stats.points += 1
-        stats.busy_seconds += busy_seconds
-
-    @property
-    def total_steals(self) -> int:
-        return sum(stats.steals for stats in self._workers.values())
-
-    def utilization(self) -> float:
-        """Aggregate worker busy time over the batch's wall x workers."""
-        if self.wall_seconds <= 0 or self.workers <= 0:
-            return 0.0
-        busy = sum(s.busy_seconds for s in self._workers.values())
-        return min(1.0, busy / (self.wall_seconds * self.workers))
-
-    def as_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "chunks": self.chunks,
-            "workers": self.workers,
-            "pool_reused": self.pool_reused,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "fallback_points": self.fallback_points,
-            "timeout_points": self.timeout_points,
-            "interrupted": self.interrupted,
-            "steals": self.total_steals,
-            "utilization": round(self.utilization(), 3),
-            "worker_stats": {
-                worker: stats.as_dict()
-                for worker, stats in sorted(self._workers.items())
-            },
-        }

@@ -327,8 +327,6 @@ class Engine:
         #: The persistent worker pool (created on first parallel batch,
         #: reused across batches until the configuration changes).
         self._pool: _PoolHandle | None = None
-        #: Dispatch instrumentation of the most recent parallel batch.
-        self.last_dispatch = None
         #: How each point of the most recent batch resolved (``memo`` /
         #: ``store`` / ``simulated`` / ``recovered`` / ``gap`` /
         #: ``timeout``) and the wall time of its simulation attempts;
@@ -360,7 +358,7 @@ class Engine:
         )
         return (self.jobs, telemetry_on, env)
 
-    def _acquire_pool(self, telemetry_on: bool, points, profile) -> _PoolHandle:
+    def _acquire_pool(self, telemetry_on: bool, points) -> _PoolHandle:
         """Reuse the persistent pool, or (re)create it when stale."""
         import multiprocessing
         import os
@@ -374,7 +372,6 @@ class Engine:
             and handle.fingerprint == fingerprint
         ):
             handle.stop.clear()
-            profile.pool_reused = True
             return handle
         self.shutdown_pool()
         self._prewarm_worker_state(points)
@@ -641,22 +638,22 @@ class Engine:
         (:mod:`repro.engine.dispatch`) and self-scheduled: every chunk
         is submitted up front, idle workers pull the next one from the
         shared queue, and chunk futures are absorbed *as they
-        complete*, in any order.  A chunk result is authoritative: the
-        dispatch profile counts its worker, chunk and per-point busy
-        seconds from it, exactly once.  Determinism is restored at
-        resolve time: successes land in keyed caches (order-free by
-        construction), failures are buffered and replayed through the
-        serial retry policy in plan order, so failure-log records and
-        gap sentinels match a serial run exactly.
+        complete*, in any order.  A chunk result is authoritative: each
+        entry's busy seconds count once toward the pool's utilization.
+        Determinism is restored at resolve time: successes land in
+        keyed caches (order-free by construction), failures are
+        buffered and replayed through the serial retry policy in plan
+        order, so failure-log records and gap sentinels match a serial
+        run exactly.
 
         Three guards run in the wait loop:
 
         * with a point timeout configured, a point silent past budget
-          *plus grace* (tracked per point via the workers'
-          ``point-start`` marks) means a wedged worker: the pool is
-          killed, the wedged point becomes a ``timeout`` gap, and every
-          other unfinished point falls back to in-parent execution
-          under its own deadline;
+          *plus grace* since its ``point-start`` mark means a wedged
+          worker (a chunk still queued has sent no mark, so it has no
+          clock): the pool is killed, the wedged point becomes a
+          ``timeout`` gap, and every other unfinished point falls back
+          to in-parent execution under its own deadline;
         * a broken pool (worker killed by the OS) likewise degrades the
           chunk's unabsorbed points to in-parent execution instead of
           aborting the sweep;
@@ -668,7 +665,7 @@ class Engine:
         import time
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 
-        from repro.engine.dispatch import CostModel, DispatchProfile, plan_chunks
+        from repro.engine.dispatch import CostModel, plan_chunks
         from repro.robustness.deadline import configured_timeout, grace_seconds
         from repro.robustness.shutdown import SweepInterrupted, shutdown_requested
 
@@ -682,9 +679,8 @@ class Engine:
         if recorder is not None and recorder.trace_id is None:
             recorder = None
         batch_start = time.monotonic()
-        profile = DispatchProfile(len(points), self.jobs)
-        self.last_dispatch = profile
-        handle = self._acquire_pool(hub is not None, points, profile)
+        previous = self._pool
+        handle = self._acquire_pool(hub is not None, points)
         handle.batch += 1
         with obs_spans.span("dispatch.price", points=len(points)):
             estimate = CostModel.for_engine(self).estimate
@@ -692,7 +688,6 @@ class Engine:
             chunks = plan_chunks(points, estimate, handle.workers)
             if pspan is not None:
                 pspan.set(chunks=len(chunks))
-        profile.chunks = len(chunks)
         by_digest = {key.digest: (key, spec) for key, spec in points}
 
         futures: dict = {}
@@ -717,7 +712,7 @@ class Engine:
         errors: dict[str, tuple] = {}
         #: chunk id -> (digest, started_at) of its in-flight point.
         current: dict[int, tuple[str, float]] = {}
-        running_since: dict[int, float] = {}
+        busy = 0.0
         interrupted = False
         pending = set(futures)
         while pending:
@@ -746,14 +741,6 @@ class Engine:
                         recorder, chunks, chunk_id, submitted, error="BrokenPool"
                     )
                     continue
-                worker = outcome["worker"]
-                profile.chunk_started(worker)
-                # A worker running its second chunk is a steal in this
-                # self-scheduling scheme.
-                if recorder is not None and profile.worker_stats(worker).chunks > 1:
-                    recorder.add(
-                        "chunk.steal", time.time(), 0.0, chunk=chunk_id, worker=worker
-                    )
                 _record_chunk(recorder, chunks, chunk_id, submitted, outcome)
                 with obs_spans.span(
                     "absorb", chunk=chunk_id, entries=len(outcome["entries"])
@@ -763,7 +750,7 @@ class Engine:
                         if digest in absorbed:
                             continue
                         absorbed.add(digest)
-                        profile.point_done(worker, entry["busy"])
+                        busy += entry["busy"]
                         key, spec = by_digest[digest]
                         attempt = _attempt_from_payload(key, entry["payload"])
                         if attempt[1] is None:
@@ -771,10 +758,7 @@ class Engine:
                         else:
                             errors[digest] = attempt
             if budget is not None and pending and not interrupted:
-                wedged = self._find_wedged_point(
-                    budget, current, absorbed, pending, futures,
-                    chunks, running_since,
-                )
+                wedged = self._find_wedged_point(budget, current, absorbed)
                 if wedged is not None:
                     # The worker blew through budget + grace without
                     # even reporting its own deadline: it is wedged.
@@ -792,7 +776,6 @@ class Engine:
                         "without responding; killed by the parent",
                     )
                     errors[wedged] = (None, error, budget)
-                    profile.timeout_points += 1
 
         # Deterministic re-sequencing: the serial-policy tail walks the
         # batch in plan order, replaying worker failures through the
@@ -810,12 +793,19 @@ class Engine:
                     if shutdown_requested():
                         interrupted = True
                         continue
-                    profile.fallback_points += 1
                     results[key] = self.run_point(key, spec)
-        profile.interrupted = interrupted
-        profile.wall_seconds = time.monotonic() - batch_start
         if hub is not None:
-            hub.record_dispatch(profile.as_dict())
+            wall = time.monotonic() - batch_start
+            hub.record_dispatch(
+                {
+                    "workers": self.jobs,
+                    "chunks": len(chunks),
+                    "utilization": (
+                        min(1.0, busy / (wall * self.jobs)) if wall > 0 else 0.0
+                    ),
+                    "pool_reused": handle is previous,
+                }
+            )
         if interrupted:
             raise SweepInterrupted(len(results), len(points) - len(results))
         return results
@@ -849,16 +839,12 @@ class Engine:
                     pass
 
     @staticmethod
-    def _find_wedged_point(
-        budget, current, absorbed, pending, futures, chunks, running_since
-    ) -> str | None:
+    def _find_wedged_point(budget, current, absorbed) -> str | None:
         """The digest of a point silent past budget + grace, if any.
 
-        Normally the mark stream pins the in-flight point of every
-        running chunk, so the budget applies per point.  If the stream
-        went silent (queue torn down with the pool still nominally up),
-        degrade to whole-chunk budgets keyed off when the chunk's
-        future was first observed running.
+        Only a ``point-start`` mark starts a point's clock: a worker
+        sends one before every point it runs, so a chunk that has sent
+        none is still queued, not wedged.
         """
         import time
 
@@ -866,19 +852,6 @@ class Engine:
         for digest, since in current.values():
             if digest not in absorbed and now - since > budget:
                 return digest
-        for future in pending:
-            chunk_id = futures[future]
-            if chunk_id in current:
-                continue
-            if future.running() and chunk_id not in running_since:
-                running_since[chunk_id] = now
-            since = running_since.get(chunk_id)
-            if since is None:
-                continue
-            if now - since > budget * max(1, len(chunks[chunk_id])):
-                for key, _spec in chunks[chunk_id]:
-                    if key.digest not in absorbed:
-                        return key.digest
         return None
 
 

@@ -13,7 +13,7 @@ a *backend* chosen per run, with two implementations:
   cache entries are shared between backends.
 * ``reference`` -- the oracle: the original pure-Python loop, moved
   here verbatim (:mod:`repro.kernel.reference`).  The golden suite
-  pins its output, and chaos runs always take it.
+  pins its output.
 
 Selection is the ``REPRO_BACKEND`` environment variable alone
 (inherited by pool workers, which is how ``--backend`` reaches parallel

@@ -34,9 +34,7 @@ not cycles), which is why the advance/skip structure mirrors it
 exactly.  ``tests/engine/test_backends.py`` and the golden suite hold
 the two backends bit-identical.
 
-This is the default backend.  It has no per-instance hooks: chaos
-runs, whose directives patch the core, are sent to the reference loop
-by :func:`repro.core.experiment._simulate`.
+This is the default backend.
 """
 
 from __future__ import annotations

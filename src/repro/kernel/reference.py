@@ -6,10 +6,6 @@ issue and idle-skip helpers) moved behind the
 *not* optimized: the golden suite pins its output, and the default
 ``fast`` backend's correctness bar is bit-identical agreement with
 this code.  Select it with ``--backend reference``.
-
-The loop calls ``core._skip_to_next_event`` through the core instance,
-so the chaos harness's ``hang`` directive can patch it per instance;
-chaos runs always take this backend.
 """
 
 from __future__ import annotations
@@ -301,7 +297,7 @@ def run_loop(
         if n_commit or n_issue or n_fetch:
             cycle += 1
         else:
-            cycle = core._skip_to_next_event(cycle, window, comp, blocking_branch)
+            cycle = skip_to_next_event(core, cycle, window, comp, blocking_branch)
 
     # Final structural audit: catches corruption that accumulated
     # after the last periodic check (or any at all on short runs).

@@ -263,6 +263,10 @@ _ACTIVE: SpanRecorder | None = None
 #: Per-process counter disambiguating repeat runs of the same plan.
 _TRACE_SEQ = 0
 
+#: Random per-invocation tag, so two runs of one plan appending to one
+#: sink never share a trace id.
+_INVOCATION = os.urandom(3).hex()
+
 
 def active() -> SpanRecorder | None:
     """The installed recorder, or ``None`` when spans are off."""
@@ -289,7 +293,7 @@ def next_trace_id(plan_digest: str) -> str:
     """Trace ids are plan-digest-derived but unique per invocation."""
     global _TRACE_SEQ
     _TRACE_SEQ += 1
-    return f"{plan_digest[:12]}-{_TRACE_SEQ:02d}"
+    return f"{plan_digest[:12]}-{_INVOCATION}-{_TRACE_SEQ:02d}"
 
 
 def span(name: str, **attrs):

@@ -306,12 +306,9 @@ class TelemetryHub:
                 self._last_beat[state.worker] = self._clock()
 
     def record_dispatch(self, dispatch: dict) -> None:
-        """The engine's dispatch profile for its latest parallel batch.
-
-        Carries the pool's utilization/steal counters (see
-        :class:`repro.engine.dispatch.DispatchProfile`) into the
-        ``--progress`` pool line and recap.
-        """
+        """The latest parallel batch's pool summary: ``workers``,
+        ``chunks``, ``utilization`` and ``pool_reused``, shown by the
+        ``--progress`` pool line and recap."""
         with self._lock:
             self._dispatch = dispatch
 
@@ -447,8 +444,6 @@ def render_progress_lines(snapshot: dict, width: int = 100) -> list[str]:
             f"{dispatch.get('workers', 0)} workers",
             f"{dispatch.get('chunks', 0)} chunks",
         ]
-        if dispatch.get("steals"):
-            pool.append(f"{dispatch['steals']} steals")
         pool.append(f"{float(dispatch.get('utilization', 0.0)):.0%} busy")
         if not dispatch.get("pool_reused", True):
             pool.append("pool cold")
@@ -478,8 +473,8 @@ def render_final_summary(snapshot: dict) -> str:
     """The one-line recap printed when a ``--progress`` display closes.
 
     A sweep's live block disappears with the process; this line is the
-    durable answer to "how did that go" -- total wall clock, pool
-    utilization, and steals -- without needing ``repro runs show``.
+    durable answer to "how did that go" -- total wall clock and pool
+    utilization -- without needing ``repro runs show``.
     """
     parts = [
         f"sweep finished: {snapshot['done']}/{snapshot['total']} points "
@@ -493,9 +488,6 @@ def render_final_summary(snapshot: dict) -> str:
             f"{dispatch.get('workers', 0)} workers "
             f"{float(dispatch.get('utilization', 0.0)):.0%} busy"
         )
-        steals = dispatch.get("steals", 0)
-        if steals:
-            parts.append(f"{steals} steal(s)")
     return " · ".join(parts)
 
 

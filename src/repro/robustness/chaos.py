@@ -22,17 +22,18 @@ Two halves:
   - ``stuck-mshr`` injects :func:`~repro.robustness.faults.
     inject_stuck_mshr` with the watchdog *kept*: the point dies with a
     diagnosable ``DeadlockError`` (retry/gap path).
-  - ``hang`` injects the same stuck MSHR but disables the commit
-    watchdog *and* the core's idle-cycle time jump, producing a silent
-    wall-clock spin -- the hang only a ``--point-timeout`` deadline can
-    end.  Heartbeats stop with it, so telemetry shows the real shape of
-    a wedged worker.
+  - ``hang`` spins on the wall clock before the simulation starts,
+    checking the point's deadline every 10 ms: the cycle-domain
+    watchdog never sees it, and only a ``--point-timeout`` deadline
+    ends it.  No heartbeat is sent while it spins, so telemetry shows
+    the real shape of a wedged worker.
   - ``sleep=S`` stretches every matching point by ``S`` wall-clock
     seconds before the timed region, without touching its simulated
     numbers -- deterministic slowness for kill-and-resume tests.
 
   The hook in :func:`repro.core.experiment._simulate` costs one
-  environment lookup per simulation when chaos is off.
+  environment lookup per simulation when chaos is off, and chaos
+  points simulate on the selected backend like any other.
 
 * **On-disk and process havoc helpers** used by the chaos tests from
   the outside: tearing a JSONL line, corrupting a store entry three
@@ -44,13 +45,11 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.experiment import ExperimentSettings
-    from repro.cpu.core import OutOfOrderCore
     from repro.memory.hierarchy import MemorySystem
     from repro.workloads.generator import WorkloadSpec
 
@@ -118,14 +117,9 @@ class ChaosPlan:
         directives = parse_directives(raw)
         return cls(directives) if directives else None
 
-    def prepare(
-        self,
-        memory: "MemorySystem",
-        spec: "WorkloadSpec",
-        settings: "ExperimentSettings",
-    ) -> "ExperimentSettings":
-        """Apply pre-run chaos to one simulation; returns the (possibly
-        modified) settings the core must be built with."""
+    def prepare(self, memory: "MemorySystem", spec: "WorkloadSpec") -> None:
+        """Apply chaos to one simulation before it runs."""
+        from repro.robustness.deadline import active_deadline
         from repro.robustness.faults import inject_stuck_mshr
 
         for directive in self.directives:
@@ -136,26 +130,13 @@ class ChaosPlan:
             elif directive.kind == "stuck-mshr":
                 inject_stuck_mshr(memory)
             elif directive.kind == "hang":
-                inject_stuck_mshr(memory)
-                # The watchdog would end this hang with a DeadlockError;
-                # the point of "hang" is a failure only a wall-clock
-                # deadline can see, so silence the cycle-domain guard.
-                settings = replace(
-                    settings,
-                    cpu=replace(settings.cpu, watchdog_stall_cycles=0),
-                )
-        return settings
-
-    def arm(self, core: "OutOfOrderCore", spec: "WorkloadSpec") -> None:
-        """Apply chaos that needs the constructed core (``hang`` only)."""
-        for directive in self.directives:
-            if directive.kind == "hang" and directive.matches(spec.name):
-                # Without the idle-cycle jump the core walks one cycle
-                # per loop iteration toward the stuck MSHR's far-future
-                # fill -- a genuine CPU-bound spin, not a sleep.
-                core._skip_to_next_event = (
-                    lambda cycle, window, comp, blocking_branch: cycle + 1
-                )
+                # A wall-clock spin the watchdog never sees: only the
+                # point's deadline ends it.
+                while True:
+                    deadline = active_deadline()
+                    if deadline is not None:
+                        deadline.check()
+                    time.sleep(0.01)
 
 
 # ---------------------------------------------------------------------------

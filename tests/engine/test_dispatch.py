@@ -1,5 +1,6 @@
-"""Cost model, chunk planning, dispatch profiling, and the persistent pool."""
+"""Cost model, chunk planning, and the persistent pool."""
 
+import io
 import multiprocessing
 import time
 from dataclasses import replace
@@ -8,17 +9,12 @@ import pytest
 
 from repro.core.experiment import ExperimentSettings
 from repro.core.organizations import banked, duplicate, ideal_ports
-from repro.engine.dispatch import (
-    CHUNK_MAX_ENV,
-    CHUNKS_PER_WORKER_ENV,
-    CostModel,
-    DispatchProfile,
-    _budget_proxy,
-    plan_chunks,
-)
+from repro.engine import dispatch
+from repro.engine.dispatch import CostModel, _budget_proxy, plan_chunks
 from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.key import ExperimentKey
 from repro.engine.store import ResultStore
+from repro.observability.telemetry import sweep_telemetry
 from repro.workloads.catalog import benchmark
 
 FAST = ExperimentSettings(
@@ -170,7 +166,7 @@ class TestPlanChunks:
         assert [key.workload for key, _ in chunks[0]] == ["tomcatv"]
 
     def test_chunk_max_env_caps_chunk_size(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_MAX_ENV, "1")
+        monkeypatch.setattr(dispatch, "CHUNK_MAX", 1)
         points = _points("gcc", "tomcatv", "li")
         chunks = plan_chunks(points, lambda key: 1.0, workers=1)
         assert all(len(chunk) == 1 for chunk in chunks)
@@ -178,71 +174,16 @@ class TestPlanChunks:
     def test_chunks_per_worker_env_raises_chunk_count(self, monkeypatch):
         points = _points("gcc", "tomcatv", "li", "database", "compress")
         coarse = plan_chunks(points, lambda key: 1.0, workers=1)
-        monkeypatch.setenv(CHUNKS_PER_WORKER_ENV, str(len(points)))
+        monkeypatch.setattr(dispatch, "CHUNKS_PER_WORKER", len(points))
         fine = plan_chunks(points, lambda key: 1.0, workers=1)
         assert len(fine) >= len(coarse)
         assert all(len(chunk) == 1 for chunk in fine)
-
-    def test_nonsense_env_values_fall_back_to_defaults(self, monkeypatch):
-        points = _points("gcc", "tomcatv", "li")
-        baseline = plan_chunks(points, lambda key: 1.0, workers=2)
-        for value in ("0", "-3", "banana", ""):
-            monkeypatch.setenv(CHUNK_MAX_ENV, value)
-            monkeypatch.setenv(CHUNKS_PER_WORKER_ENV, value)
-            assert plan_chunks(points, lambda key: 1.0, workers=2) == baseline
 
 
 def _est_by_workload(key):
     return {"gcc": 50.0, "tomcatv": 400.0, "li": 10.0, "database": 50.0}.get(
         key.workload, 1.0
     )
-
-
-# ---------------------------------------------------------------------------
-# Dispatch profile
-# ---------------------------------------------------------------------------
-
-
-class TestDispatchProfile:
-    def test_first_chunk_is_not_a_steal(self):
-        profile = DispatchProfile(points=4, workers=2)
-        profile.chunk_started("w1")
-        assert profile.total_steals == 0
-        profile.chunk_started("w1")
-        profile.chunk_started("w1")
-        profile.chunk_started("w2")
-        assert profile.total_steals == 2
-        assert profile.worker_stats("w1").chunks == 3
-        assert profile.worker_stats("w2").steals == 0
-
-    def test_utilization_is_busy_over_wall_times_workers(self):
-        profile = DispatchProfile(points=2, workers=2)
-        profile.point_done("w1", 1.0)
-        profile.point_done("w2", 1.0)
-        profile.wall_seconds = 2.0
-        assert profile.utilization() == pytest.approx(0.5)
-
-    def test_utilization_is_clamped_and_safe_on_zero_wall(self):
-        profile = DispatchProfile(points=1, workers=1)
-        assert profile.utilization() == 0.0
-        profile.point_done("w1", 100.0)
-        profile.wall_seconds = 1.0
-        assert profile.utilization() == 1.0
-
-    def test_as_dict_round_trips_worker_stats(self):
-        profile = DispatchProfile(points=3, workers=2)
-        profile.chunks = 2
-        profile.chunk_started("w1")
-        profile.point_done("w1", 0.25)
-        payload = profile.as_dict()
-        assert payload["points"] == 3
-        assert payload["chunks"] == 2
-        assert payload["worker_stats"]["w1"] == {
-            "points": 1, "chunks": 1, "busy_seconds": 0.25, "steals": 0,
-        }
-        for field in ("pool_reused", "wall_seconds", "utilization",
-                      "fallback_points", "timeout_points", "interrupted"):
-            assert field in payload
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +253,30 @@ class TestPersistentPool:
         assert eng._pool_fingerprint(False) != base
         eng.jobs = 2
         assert eng._pool_fingerprint(False) == base
-        monkeypatch.setenv("REPRO_CHUNK_MAX", "7")
+        monkeypatch.setenv("REPRO_POINT_GRACE", "7")
         assert eng._pool_fingerprint(False) != base
-        monkeypatch.delenv("REPRO_CHUNK_MAX")
+        monkeypatch.delenv("REPRO_POINT_GRACE")
         monkeypatch.setenv("UNRELATED_VAR", "7")
         assert eng._pool_fingerprint(False) == base
 
     def test_pool_survives_across_batches(self, engine):
         _run_batch(engine, ["gcc", "tomcatv"])
-        assert engine.last_dispatch.pool_reused is False
         first_pool = engine._pool.pool
         settings = ExperimentSettings(
             instructions=2_000, timing_warmup=300, functional_warmup=20_000
         )
         _run_batch(engine, ["gcc", "tomcatv"], settings)
-        assert engine.last_dispatch.pool_reused is True
         assert engine._pool.pool is first_pool
 
     def test_env_change_invalidates_the_pool(self, engine, monkeypatch):
         _run_batch(engine, ["gcc", "tomcatv"])
-        monkeypatch.setenv("REPRO_CHUNKS_PER_WORKER", "2")
+        stale = engine._pool.pool
+        monkeypatch.setenv("REPRO_POINT_GRACE", "7")
         settings = ExperimentSettings(
             instructions=2_000, timing_warmup=300, functional_warmup=20_000
         )
         _run_batch(engine, ["gcc", "tomcatv"], settings)
-        assert engine.last_dispatch.pool_reused is False
+        assert engine._pool.pool is not stale
 
     def test_broken_pool_is_replaced(self, engine):
         _run_batch(engine, ["gcc", "tomcatv"])
@@ -346,7 +286,6 @@ class TestPersistentPool:
             instructions=2_000, timing_warmup=300, functional_warmup=20_000
         )
         keys, plan = _run_batch(engine, ["gcc", "tomcatv"], settings)
-        assert engine.last_dispatch.pool_reused is False
         assert engine._pool.pool is not stale
         assert all(not plan.resolve(key).failed for key in keys)
 
@@ -358,26 +297,30 @@ class TestPersistentPool:
         engine.shutdown_pool()  # second call is a no-op
 
     def test_profile_accounts_for_every_point(self, engine):
-        keys, _plan = _run_batch(engine, ["gcc", "tomcatv", "li"])
-        profile = engine.last_dispatch
-        assert profile.points == len(keys)
-        stats = profile.as_dict()["worker_stats"]
-        assert sum(s["points"] for s in stats.values()) == len(keys)
-        assert sum(s["chunks"] for s in stats.values()) == profile.chunks
-        assert profile.fallback_points == 0
+        with sweep_telemetry(progress=True, stream=io.StringIO()) as hub:
+            keys, _plan = _run_batch(engine, ["gcc", "tomcatv", "li"])
+            summary = hub.snapshot()["dispatch"]
+        assert engine.outcomes == {key: "simulated" for key in keys}
+        assert summary["workers"] == 2
+        assert 1 <= summary["chunks"] <= len(keys)
+        assert 0.0 < summary["utilization"] <= 1.0
+        assert summary["pool_reused"] is False
 
     def test_every_batch_counts_exactly_its_own_points(self, engine):
         """Chunk results are authoritative: over many back-to-back
-        batches on one pool, no batch counts a point or chunk twice or
+        batches on one pool, no batch resolves a point twice or
         inherits one from the batch before it."""
-        for batch in range(20):
-            settings = replace(FAST, instructions=FAST.instructions + batch)
-            keys, _plan = _run_batch(engine, ["gcc", "tomcatv", "li"], settings)
-            profile = engine.last_dispatch
-            assert profile.pool_reused is (batch > 0)
-            stats = profile.as_dict()["worker_stats"].values()
-            assert sum(s["points"] for s in stats) == len(keys), batch
-            assert sum(s["chunks"] for s in stats) == profile.chunks, batch
+        with sweep_telemetry(progress=True, stream=io.StringIO()) as hub:
+            for batch in range(20):
+                settings = replace(FAST, instructions=FAST.instructions + batch)
+                keys, _plan = _run_batch(
+                    engine, ["gcc", "tomcatv", "li"], settings
+                )
+                summary = hub.snapshot()["dispatch"]
+                assert summary["pool_reused"] is (batch > 0), batch
+                assert engine.outcomes == {
+                    key: "simulated" for key in keys
+                }, batch
 
     def test_marks_of_an_earlier_batch_are_dropped(self, engine):
         _run_batch(engine, ["gcc", "tomcatv"])

@@ -19,8 +19,10 @@ import pytest
 
 from repro.core import experiment
 from repro.core.experiment import ExperimentSettings
-from repro.core.organizations import duplicate
+from repro.core.organizations import banked, duplicate, ideal_ports
+from repro.engine import dispatch
 from repro.engine.checkpoint import SweepCheckpoint, list_checkpoints
+from repro.engine.dispatch import CostModel, plan_chunks
 from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.key import ExperimentKey
 from repro.engine.store import ResultStore
@@ -28,6 +30,7 @@ from repro.robustness.chaos import CHAOS_ENV
 from repro.robustness.deadline import POINT_GRACE_ENV, POINT_TIMEOUT_ENV
 from repro.robustness.runner import resilient_sweeps
 from repro.robustness.shutdown import ShutdownController, SweepInterrupted
+from repro.workloads.catalog import benchmark
 
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
@@ -83,8 +86,7 @@ class TestWorkerCrashMidChunk:
 
         assert keys == serial_keys
         assert [plan.resolve(key).ipc for key in keys] == expected
-        profile = engine.last_dispatch
-        assert profile.fallback_points > 0
+        assert all(engine.outcomes[key] == "simulated" for key in keys)
         assert engine._pool is None or engine._pool.broken
 
     @FORK_ONLY
@@ -129,7 +131,7 @@ class TestTimeoutInsideStolenChunk:
         monkeypatch.setenv(POINT_GRACE_ENV, "0.5")
         # Two workers x one chunk each: every chunk holds two points, so
         # the sleeper is guaranteed to share a chunk.
-        monkeypatch.setenv("REPRO_CHUNKS_PER_WORKER", "1")
+        monkeypatch.setattr(dispatch, "CHUNKS_PER_WORKER", 1)
         started = time.monotonic()
         with resilient_sweeps() as log:
             plan = ExecutionPlan(engine)
@@ -142,17 +144,50 @@ class TestTimeoutInsideStolenChunk:
             assert not results[keys[name]].failed
         assert [r.resolution for r in log.records] == ["timeout"]
         assert "killed by the parent" in log.records[0].message
-        assert engine.last_dispatch.timeout_points == 1
+        assert engine.outcomes[keys["gcc"]] == "timeout"
         assert elapsed < 30.0  # nobody waited out the sleep
 
     def test_multi_point_chunks_were_actually_planned(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKS_PER_WORKER", "1")
+        monkeypatch.setattr(dispatch, "CHUNKS_PER_WORKER", 1)
         plan = ExecutionPlan(engine)
-        for name in NAMES:
-            plan.add(duplicate(), name, FAST)
-        plan.execute()
-        profile = engine.last_dispatch
-        assert profile.chunks < profile.points  # at least one multi-point chunk
+        points = [(plan.add(duplicate(), n, FAST), benchmark(n)) for n in NAMES]
+        estimate = CostModel.for_engine(engine).estimate
+        chunks = plan_chunks(points, estimate, engine.jobs)
+        assert len(chunks) < len(points)  # at least one multi-point chunk
+
+
+class TestQueuedChunk:
+    def test_a_chunk_waiting_in_the_queue_is_not_wedged(
+        self, engine, monkeypatch
+    ):
+        """Only a worker's ``point-start`` mark starts a point's clock.
+
+        The pool's call queue holds workers + 1 chunks, so a chunk can
+        sit there, not yet picked up, for longer than twice the point
+        budget.  Its points have not started; none of them may be
+        killed as a timeout.
+        """
+        monkeypatch.setattr(dispatch, "CHUNKS_PER_WORKER", 1)
+        monkeypatch.setattr(dispatch, "CHUNK_MAX", 5)
+        # A healthy point takes about half its budget; a 5-point chunk
+        # outlasts twice the budget plus grace.
+        monkeypatch.setenv(CHAOS_ENV, "sleep=0.5")
+        monkeypatch.setenv(POINT_TIMEOUT_ENV, "1.0")
+        monkeypatch.setenv(POINT_GRACE_ENV, "0.1")
+        plan = ExecutionPlan(engine)
+        keys = [
+            plan.add(org, name, FAST)
+            for org in (duplicate(), banked(banks=4), ideal_ports(ports=2))
+            for name in NAMES
+        ]
+        points = [(key, benchmark(key.workload)) for key in keys]
+        chunks = plan_chunks(points, CostModel.for_engine(engine).estimate, 2)
+        assert [len(chunk) for chunk in chunks] == [5, 5, 2]
+        with resilient_sweeps() as log:
+            results = plan.execute()
+        assert log.records == []
+        assert "timeout" not in engine.outcomes.values()
+        assert all(not results[key].failed for key in keys)
 
 
 class TestShutdownMidBatch:
@@ -190,7 +225,6 @@ class TestShutdownMidBatch:
         # Checkpoint marks must never outrun the store: every completed
         # mark is backed by a loadable result.
         assert status["completed"] <= store.info()["entries"]
-        assert engine.last_dispatch.interrupted is True
 
     def test_interrupted_sweep_resumes_to_the_serial_answer(
         self, tmp_path, monkeypatch

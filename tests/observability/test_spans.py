@@ -12,9 +12,13 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.observability import spans as sp
 from repro.observability.spans import (
     NULL_SPAN,
@@ -184,6 +188,39 @@ class TestRootTrace:
         second = next_trace_id(digest)
         assert first.startswith(digest[:12])
         assert first != second
+
+    def test_two_invocations_of_one_plan_get_separate_traces(self, tmp_path):
+        """Runs of one plan in two processes, appending to one sink, are
+        two traces: ``spans last`` reads the second run alone."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for name in ("REPRO_SPANS", "REPRO_TRACE", "REPRO_CHAOS", "REPRO_CACHE_DIR"):
+            env.pop(name, None)
+        sink = str(tmp_path / "s.jsonl")
+
+        def repro_cli(*args) -> str:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *args],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        for jobs in ("1", "2"):
+            repro_cli(
+                "figure4", "--benchmarks", "gcc", "--instructions", "1200",
+                "--timing-warmup", "200", "--functional-warmup", "5000",
+                "--no-progress", "--jobs", jobs, "--spans-out", sink,
+                "--cache-dir", str(tmp_path / f"store-{jobs}"),
+            )
+        analysis = json.loads(repro_cli(
+            "spans", "last", "--cache-dir", str(tmp_path / "store-2"),
+            "--format", "json",
+        ))
+        assert analysis["jobs"] == 2
+        trace = [s for s in read_spans(sink) if s["trace"] == analysis["trace"]]
+        assert [s["name"] for s in trace].count("sweep") == 1
 
 
 class TestFork:

@@ -376,19 +376,13 @@ class TestProgressDisplay:
 
 
 class TestDispatchSurface:
-    """The engine's dispatch profile flows through every telemetry view."""
+    """The engine's dispatch summary flows through every telemetry view."""
 
     _PROFILE = {
-        "points": 6,
-        "chunks": 4,
         "workers": 2,
-        "steals": 2,
+        "chunks": 4,
         "utilization": 0.913,
         "pool_reused": False,
-        "worker_stats": {
-            "pid:11": {"points": 4, "busy_seconds": 2.5, "steals": 2},
-            "pid:12": {"points": 2, "busy_seconds": 1.25, "steals": 0},
-        },
     }
 
     def _hub_with_dispatch(self) -> TelemetryHub:
@@ -412,12 +406,11 @@ class TestDispatchSurface:
         assert len(pool) == 1
         assert "2 workers" in pool[0]
         assert "4 chunks" in pool[0]
-        assert "2 steals" in pool[0]
         assert "91% busy" in pool[0]
         assert "pool cold" in pool[0]  # pool_reused is False
 
     def test_warm_pool_with_no_steals_renders_lean(self):
-        profile = dict(self._PROFILE, steals=0, pool_reused=True)
+        profile = dict(self._PROFILE, pool_reused=True)
         hub = _hub()
         hub.batch_started(6)
         hub.record_dispatch(profile)
@@ -426,7 +419,6 @@ class TestDispatchSurface:
             for line in render_progress_lines(hub.snapshot())
             if line.startswith("  pool:")
         ]
-        assert "steals" not in pool
         assert "pool cold" not in pool
 
 
@@ -461,13 +453,12 @@ class TestFinalSummary:
         hub.point_finished("p2", "b", "simulated")
         hub.point_finished("p3", "c", "gap")
         hub.record_dispatch(
-            {"workers": 2, "utilization": 0.75, "steals": 1, "chunks": 2}
+            {"workers": 2, "utilization": 0.75, "chunks": 2}
         )
         line = render_final_summary(hub.snapshot())
         assert line.startswith("sweep finished: 3/3 points in ")
         assert "1 FAILED" in line
         assert "2 workers 75% busy" in line
-        assert "1 steal(s)" in line
 
     def test_minimal_recap_without_extras(self):
         hub = _hub()
