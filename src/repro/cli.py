@@ -51,19 +51,22 @@ Observability: ``trace <benchmark>`` records the full event stream of
 one simulation of the paper's recommended organization (``--format
 chrome`` writes Chrome trace-event JSON for Perfetto instead of JSONL;
 ``--from-jsonl`` converts an existing trace offline); ``metrics
-[benchmark]`` prints every named counter of that design point (served
-from the result store when warm); ``counters <benchmark>`` samples the
-microarchitectural counter set every ``--interval`` committed
-instructions (or ``REPRO_COUNTER_INTERVAL``) and prints the per-phase
-time series with sparklines (``--format json|csv`` for the raw series;
-``--format chrome`` merges Perfetto counter tracks into the simulation
-trace export); ``compare <benchmark> --a <org> --b <org>`` runs two
-design points with sampling on, aligns their series on the instruction
-axis, ranks the divergent intervals, and prints a paper-style verdict;
-``diagnose <benchmark>`` re-runs the Figure 4-7 design points with
+[benchmark]`` prints every named counter of that design point;
+``counters <benchmark>`` samples the microarchitectural counter set
+every ``--interval`` committed instructions (or
+``REPRO_COUNTER_INTERVAL``) and prints the per-phase time series with
+sparklines (``--format json|csv`` for the raw series; ``--format
+chrome`` merges Perfetto counter tracks into the simulation trace
+export); ``compare <benchmark> --a <org> --b <org>`` runs two design
+points with sampling on, aligns their series on the instruction axis,
+ranks the divergent intervals, and prints a paper-style verdict;
+``diagnose <benchmark>`` runs the Figure 4-7 design points with
 latency attribution and ranks each one's stall sources
 (``--from-counters`` adds each point's worst sampled interval to the
-narrative).  Setting ``REPRO_TRACE=<path>``
+narrative).  What a run observes is part of its design point, so these
+verbs use the result store like the figures (stored apart from plain
+results); ``trace`` and ``counters --format chrome`` watch a live run
+and skip it.  Setting ``REPRO_TRACE=<path>``
 streams every event of any command to ``<path>`` as JSON lines
 (gzipped when the path ends in ``.gz``); only simulations in the
 calling process are traced, so trace a sweep with ``--jobs 1``::
@@ -120,6 +123,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 
 from repro.core import ExperimentSettings, figures
+from repro.core.experiment import Observe
 from repro.core import reporting
 from repro.engine.executor import configure_engine, get_engine
 from repro.engine.store import ResultStore
@@ -169,6 +173,17 @@ def _exported(name: str, value) -> Iterator[None]:
             os.environ.pop(name, None)
         else:
             os.environ[name] = previous
+
+
+@contextmanager
+def _point_engine(store: ResultStore | None) -> Iterator[None]:
+    """The engine at one job with ``store`` for an observing verb;
+    restores the previous configuration on exit."""
+    previous = configure_engine(jobs=1, store=store)
+    try:
+        yield
+    finally:
+        configure_engine(jobs=previous[0], store=previous[1])
 
 
 @contextmanager
@@ -224,7 +239,9 @@ HEADLINE_INSTRUCTIONS = 24_000
 
 
 def _settings(
-    args: argparse.Namespace, experiment: str | None = None
+    args: argparse.Namespace,
+    experiment: str | None = None,
+    observe: Observe | None = None,
 ) -> ExperimentSettings:
     instructions = args.instructions
     if instructions is None:
@@ -238,6 +255,7 @@ def _settings(
         timing_warmup=args.timing_warmup,
         functional_warmup=args.functional_warmup,
         seed=args.seed,
+        observe=observe,
     )
 
 
@@ -382,7 +400,7 @@ def _trace_command(args: argparse.Namespace) -> int:
     """``python -m repro trace <benchmark>``: one fully traced simulation
     (``--from-jsonl``: convert an existing stream instead)."""
     from repro.core.experiment import run_experiment
-    from repro.observability import attributing, tracing, utilization_summary
+    from repro.observability import tracing, utilization_summary
 
     if args.from_jsonl is not None:
         if args.fmt != "chrome":
@@ -403,19 +421,15 @@ def _trace_command(args: argparse.Namespace) -> int:
     organization = _recommended_organization()
     benchmark = args.benchmark
     chrome = args.fmt == "chrome"
+    observe = Observe(attribution=True) if args.attribution else None
+    settings = _settings(args, observe=observe)
     # No store: the point of 'trace' is watching a live run.
-    previous = configure_engine(jobs=1, store=None)
-    try:
-        with ExitStack() as stack:
-            sink = None
-            if args.trace_out is not None and not chrome:
-                sink = stack.enter_context(obs_trace.open_sink(args.trace_out))
-            if args.attribution:
-                stack.enter_context(attributing())
-            with tracing(capacity=args.trace_limit, sink=sink) as tracer:
-                result = run_experiment(organization, benchmark, _settings(args))
-    finally:
-        configure_engine(jobs=previous[0], store=previous[1])
+    with _point_engine(None), ExitStack() as stack:
+        sink = None
+        if args.trace_out is not None and not chrome:
+            sink = stack.enter_context(obs_trace.open_sink(args.trace_out))
+        with tracing(capacity=args.trace_limit, sink=sink) as tracer:
+            result = run_experiment(organization, benchmark, settings)
     _warn_overflow(tracer)
     print(f"traced {organization.label} on {benchmark}: {result.summary()}")
     print()
@@ -470,22 +484,14 @@ def _print_json(payload) -> None:
 def _metrics_command(args: argparse.Namespace) -> int:
     """``python -m repro metrics [benchmark]``: every named counter."""
     from repro.core.experiment import run_experiment
-    from repro.observability import attributing, utilization_summary
+    from repro.observability import utilization_summary
 
     organization = _recommended_organization()
     benchmark = args.benchmark
-    # With --attribution a stored (unattributed) result would lack the
-    # attribution.* metrics, so bypass the store for that run.
-    use_store = not args.no_cache and not args.attribution
-    store = ResultStore(args.cache_dir) if use_store else None
-    previous = configure_engine(jobs=1, store=store)
-    try:
-        with ExitStack() as stack:
-            if args.attribution:
-                stack.enter_context(attributing())
-            result = run_experiment(organization, benchmark, _settings(args))
-    finally:
-        configure_engine(jobs=previous[0], store=previous[1])
+    observe = Observe(attribution=True) if args.attribution else None
+    settings = _settings(args, observe=observe)
+    with _point_engine(None if args.no_cache else ResultStore(args.cache_dir)):
+        result = run_experiment(organization, benchmark, settings)
     if not result.metrics:
         print(
             "no metrics on this result (stale cache entry?); "
@@ -521,11 +527,7 @@ def _metrics_command(args: argparse.Namespace) -> int:
 
 
 def _diagnose_command(args: argparse.Namespace) -> int:
-    """``python -m repro diagnose <benchmark>``: rank stall sources.
-
-    Simulates directly: attribution must not ride or pollute the shared
-    result store, so the engine is not involved at all.
-    """
+    """``python -m repro diagnose <benchmark>``: rank stall sources."""
     from repro.observability.diagnose import diagnose_benchmark, render_diagnosis
 
     benchmark = args.benchmark
@@ -533,9 +535,10 @@ def _diagnose_command(args: argparse.Namespace) -> int:
     counter_interval = None
     if args.from_counters:
         counter_interval = _counter_interval(args, settings)
-    diagnoses = diagnose_benchmark(
-        benchmark, settings, counter_interval=counter_interval
-    )
+    with _point_engine(ResultStore(args.cache_dir)):
+        diagnoses = diagnose_benchmark(
+            benchmark, settings, counter_interval=counter_interval
+        )
     print(render_diagnosis(diagnoses, benchmark))
     return 0
 
@@ -544,45 +547,33 @@ def _counter_interval(
     args: argparse.Namespace, settings: ExperimentSettings
 ) -> int:
     """The sampling interval: ``--interval``, env, or ~20 rows/run."""
-    from repro.observability import counters as obs_counters
-
     if args.interval is not None:
         return args.interval
-    from_env = obs_counters.interval()
-    if from_env is not None:
-        return from_env
-    return max(1, settings.scaled().instructions // 20)
+    scaled = settings.scaled()
+    if scaled.observe is not None and scaled.observe.counter_interval:
+        return scaled.observe.counter_interval
+    return max(1, scaled.instructions // 20)
 
 
 def _counters_command(args: argparse.Namespace) -> int:
-    """``python -m repro counters <benchmark>``: the interval series.
-
-    Simulates directly (like ``diagnose``): sampling-enabled results
-    must not pollute the shared store, and a stored counter-less result
-    must not shadow a sampling run.
-    """
-    from repro.core.experiment import _simulate
+    """``python -m repro counters <benchmark>``: the interval series."""
+    from repro.core.experiment import run_experiment
     from repro.observability import counters as obs_counters
     from repro.observability import tracing
-    from repro.workloads.catalog import benchmark as benchmark_spec
 
     organization = _recommended_organization()
     benchmark = args.benchmark
-    settings = _settings(args)
-    every = _counter_interval(args, settings)
+    every = _counter_interval(args, _settings(args))
+    settings = _settings(args, observe=Observe(counter_interval=every))
     chrome = args.fmt == "chrome"
-    with obs_counters.sampling(every):
-        if chrome:
-            # The Chrome export wants the event stream too, so the
-            # counter tracks land alongside the slice tracks.
-            with tracing(capacity=args.trace_limit) as tracer:
-                result = _simulate(
-                    organization, benchmark_spec(benchmark), settings.scaled()
-                )
-        else:
-            result = _simulate(
-                organization, benchmark_spec(benchmark), settings.scaled()
-            )
+    if chrome:
+        # The Chrome export wants the event stream too, so the counter
+        # tracks land alongside the slice tracks: a live run, no store.
+        with _point_engine(None), tracing(capacity=args.trace_limit) as tracer:
+            result = run_experiment(organization, benchmark, settings)
+    else:
+        with _point_engine(ResultStore(args.cache_dir)):
+            result = run_experiment(organization, benchmark, settings)
     series = result.counters
     if not series or not obs_counters.row_count(series):
         print(
@@ -637,10 +628,9 @@ def _counters_command(args: argparse.Namespace) -> int:
 
 def _compare_command(args: argparse.Namespace) -> int:
     """``python -m repro compare <benchmark> --a X --b Y``: A/B diagnosis."""
-    from repro.core.experiment import _simulate
+    from repro.engine.executor import ExecutionPlan
     from repro.observability import counters as obs_counters
     from repro.observability.diagnose import compare_catalog
-    from repro.workloads.catalog import benchmark as benchmark_spec
 
     catalog = compare_catalog()
 
@@ -658,12 +648,14 @@ def _compare_command(args: argparse.Namespace) -> int:
     label_a, figure_a, org_a = resolve(args.compare_a)
     label_b, figure_b, org_b = resolve(args.compare_b)
     benchmark = args.benchmark
-    settings = _settings(args)
-    spec = benchmark_spec(benchmark)
-    every = _counter_interval(args, settings)
-    with obs_counters.sampling(every):
-        result_a = _simulate(org_a, spec, settings.scaled())
-        result_b = _simulate(org_b, spec, settings.scaled())
+    every = _counter_interval(args, _settings(args))
+    settings = _settings(args, observe=Observe(counter_interval=every))
+    with _point_engine(ResultStore(args.cache_dir)):
+        plan = ExecutionPlan()
+        key_a = plan.add(org_a, benchmark, settings)
+        key_b = plan.add(org_b, benchmark, settings)
+        plan.execute()
+        result_a, result_b = plan.resolve(key_a), plan.resolve(key_b)
     ranked = obs_counters.rank_divergent(result_a.counters, result_b.counters)
     # The verdict cites the figure the slower organization belongs to.
     figure = figure_a if result_a.ipc <= result_b.ipc else figure_b
@@ -1522,7 +1514,7 @@ def _parser() -> argparse.ArgumentParser:
 
     counters = verbs.add_parser(
         "counters",
-        parents=[sim, interval, ring],
+        parents=[sim, store, interval, ring],
         help="the interval-sampled counter time series",
     )
     _add_format(counters, "table", "json", "csv", "chrome")
@@ -1538,7 +1530,7 @@ def _parser() -> argparse.ArgumentParser:
 
     compare = verbs.add_parser(
         "compare",
-        parents=[sim, interval, tabular],
+        parents=[sim, store, interval, tabular],
         help="race two organizations interval by interval",
     )
     compare.add_argument(
@@ -1570,7 +1562,7 @@ def _parser() -> argparse.ArgumentParser:
 
     diagnose = verbs.add_parser(
         "diagnose",
-        parents=[sim, interval],
+        parents=[sim, store, interval],
         help="rank the stall sources of the Figure 4-7 design points",
     )
     diagnose.add_argument("benchmark", type=_validated_benchmarks)

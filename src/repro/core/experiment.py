@@ -38,7 +38,6 @@ from repro.memory.hierarchy import MemorySystem
 from repro.core.organizations import CacheOrganization
 from repro.robustness import runner
 from repro.robustness.runner import FailureLog, FailureRecord
-from repro.workloads.catalog import benchmark
 from repro.workloads.generator import WorkloadSpec
 
 #: Accepted range for ``REPRO_SCALE``; values outside are clamped.
@@ -130,6 +129,40 @@ def instructions_override() -> int | None:
 
 
 @dataclass(frozen=True)
+class Observe:
+    """What a run observes besides its timing, part of its identity:
+    interval counters every ``counter_interval`` committed instructions
+    (:mod:`repro.observability.counters`) and per-load latency
+    attribution (:mod:`repro.observability.attribution`)."""
+
+    counter_interval: int | None = None
+    attribution: bool = False
+
+    def __post_init__(self) -> None:
+        every = self.counter_interval
+        if every is not None and every < 1:
+            raise ValueError(f"sampling interval must be >= 1, got {every}")
+
+    @classmethod
+    def from_env(cls) -> "Observe | None":
+        """``REPRO_COUNTER_INTERVAL`` and ``REPRO_ATTRIBUTION``; None when
+        neither observes anything.  A garbage or non-positive interval
+        reads as off (an observer must never fail a run over a bad
+        knob), and any attribution value but "" / "0" turns it on."""
+        raw = os.environ.get("REPRO_COUNTER_INTERVAL")
+        try:
+            every = int(raw) if raw else None
+        except ValueError:
+            every = None
+        flag = os.environ.get("REPRO_ATTRIBUTION")
+        observe = cls(
+            counter_interval=every if every and every > 0 else None,
+            attribution=bool(flag) and flag != "0",
+        )
+        return None if observe == cls() else observe
+
+
+@dataclass(frozen=True)
 class ExperimentSettings:
     """Simulation budgets and machine parameters for one experiment."""
 
@@ -139,13 +172,18 @@ class ExperimentSettings:
     seed: int = 1
     cpu: ProcessorConfig = field(default_factory=ProcessorConfig)
     backside: BacksideConfig = field(default_factory=BacksideConfig)
+    #: ``None`` is a plain run; its key omits the field entirely
+    observe: Observe | None = None
 
     def scaled(self) -> "ExperimentSettings":
+        """Apply ``REPRO_SCALE``, ``REPRO_INSTRUCTIONS`` and, when
+        :attr:`observe` is unset, :meth:`Observe.from_env` (an explicit
+        ``observe`` wins over the environment)."""
+        scaled = self
+        if self.observe is None:
+            scaled = replace(self, observe=Observe.from_env())
         factor = scale_factor()
         override = instructions_override()
-        if factor == 1.0 and override is None:
-            return self
-        scaled = self
         if factor != 1.0:
             scaled = replace(
                 scaled,
@@ -181,17 +219,10 @@ def run_experiment(
     with the error recorded in the active failure log -- one bad point
     never kills a whole sweep.  Outside the context errors propagate.
     """
-    from repro.engine.executor import get_engine
-    from repro.engine.key import ExperimentKey
+    from repro.engine.executor import ExecutionPlan
 
-    settings = (settings or ExperimentSettings()).scaled()
-    spec = workload if isinstance(workload, WorkloadSpec) else benchmark(workload)
-    key = ExperimentKey(organization, spec.name, settings)
-    engine = get_engine()
-    cached = engine.lookup(key, spec)
-    if cached is not None:
-        return cached
-    return engine.run_point(key, spec)
+    plan = ExecutionPlan()
+    return plan.resolve(plan.add(organization, workload, settings))
 
 
 def _simulate(
@@ -207,7 +238,12 @@ def _simulate(
     # would; one env lookup per simulation when off.
     chaos = ChaosPlan.from_env()
     backend = kernel.active_backend()
-    memory = MemorySystem(organization.memory_config(settings.backside))
+    observe = settings.observe or Observe()
+    memory = MemorySystem(
+        organization.memory_config(settings.backside),
+        attribution=observe.attribution,
+        counter_interval=observe.counter_interval,
+    )
     if chaos is not None:
         chaos.prepare(memory, spec)
     trace = backend.prepare(spec, memory, settings)

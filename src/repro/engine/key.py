@@ -8,6 +8,10 @@ checkpoints), and content-addressable: the digest is a SHA-256 over
 the canonical JSON form of every field, so it is stable
 across processes and interpreter invocations -- no dependence on
 ``PYTHONHASHSEED`` or dict iteration order.
+
+A plain point's ``settings.observe`` is ``None``, and its canonical form
+omits the field, so plain digests and stored keys read exactly as they
+did before observation was part of a point's identity.
 """
 
 from __future__ import annotations
@@ -31,10 +35,16 @@ class ExperimentKey:
     settings: ExperimentSettings  #: REPRO_SCALE already applied
 
     def to_dict(self) -> dict:
-        return to_plain(self)
+        data = to_plain(self)
+        if self.settings.observe is None:
+            del data["settings"]["observe"]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentKey":
+        settings = data.get("settings") if isinstance(data, dict) else None
+        if isinstance(settings, dict) and "observe" not in settings:
+            data = {**data, "settings": {**settings, "observe": None}}
         return from_plain(cls, data)
 
     def canonical_json(self) -> str:

@@ -10,7 +10,10 @@ re-simulating it.  Layout::
 Each entry records the schema stamp, the digest, the *full* key dict
 (collision/corruption guard: a load verifies the stored key matches the
 requested one before trusting the result), and the serialized
-:class:`~repro.cpu.result.SimulationResult`.
+:class:`~repro.cpu.result.SimulationResult`.  What a run observed is
+part of its key (``settings.observe``), so an observed result -- with
+counters or ``attribution.*`` metrics -- never answers a plain load,
+and a plain one never answers an observed load.
 
 Robustness rules: unreadable/garbled/mis-versioned entries are treated
 as misses, never errors; writes are atomic (tempfile + rename) so
@@ -186,7 +189,7 @@ class ResultStore:
         if "key" not in entry or "result" not in entry:
             return "missing key/result fields"
         try:
-            key = from_plain(ExperimentKey, entry["key"])
+            key = ExperimentKey.from_dict(entry["key"])
             from_plain(SimulationResult, entry["result"])
         except (TypeError, ValueError) as error:
             return f"undecodable key or result ({error})"

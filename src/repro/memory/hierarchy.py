@@ -30,7 +30,7 @@ from repro.memory.ports import make_arbiter
 from repro.memory.sram import SetAssociativeCache
 from repro.memory.stats import MemoryStats
 from repro.memory.victim import VictimCache
-from repro.observability import attribution, counters, events, trace
+from repro.observability import events, trace
 from repro.observability.attribution import AttributionAccumulator
 from repro.observability.counters import CounterSampler
 from repro.robustness.errors import SimulationInvariantError
@@ -92,7 +92,13 @@ class MemoryConfig:
 class MemorySystem:
     """Facade over the full data-memory hierarchy for one simulation."""
 
-    def __init__(self, config: MemoryConfig):
+    def __init__(
+        self,
+        config: MemoryConfig,
+        *,
+        attribution: bool = False,
+        counter_interval: int | None = None,
+    ):
         config = config.validated()
         self.config = config
         self.l1 = SetAssociativeCache(config.l1_size, config.l1_assoc, config.l1_line)
@@ -134,13 +140,13 @@ class MemorySystem:
         #: Per-access critical-path accounting; ``None`` (the default)
         #: keeps the load path identical to the unattributed one.
         self.attribution: AttributionAccumulator | None = (
-            AttributionAccumulator() if attribution.enabled() else None
+            AttributionAccumulator() if attribution else None
         )
         #: Interval counter sampler; ``None`` (the default) keeps the
         #: kernel commit loops' per-commit cost at one ``is None`` test.
         self.counters: CounterSampler | None = (
-            CounterSampler(self, counters.interval())
-            if counters.enabled()
+            CounterSampler(self, counter_interval)
+            if counter_interval is not None
             else None
         )
 

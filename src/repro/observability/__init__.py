@@ -14,22 +14,23 @@ Public surface:
   pipeline-utilization breakdown table;
 * :mod:`repro.observability.attribution` -- per-access critical-path
   cycle accounting (exact-sum latency decomposition, fixed-bucket
-  histograms with p50/p95/p99), off unless ``attributing()`` or
-  ``REPRO_ATTRIBUTION=1``;
+  histograms with p50/p95/p99), off unless the run's settings carry
+  ``Observe(attribution=True)``;
 * :mod:`repro.observability.counters` -- interval-sampled
   microarchitectural counter series (the software analog of PMU
   sampling): one columnar row of integer deltas every
-  ``REPRO_COUNTER_INTERVAL`` committed instructions, bit-identical
-  across kernel backends, off unless ``sampling()`` or the env var;
+  ``Observe.counter_interval`` committed instructions, bit-identical
+  across kernel backends, off unless the run's settings ask;
 * :mod:`repro.observability.chrometrace` -- Chrome trace-event JSON
   export of any captured or JSONL stream, for Perfetto;
 * :mod:`repro.observability.diagnose` -- stall-source ranking and the
   ``repro diagnose`` narrative report;
 * :mod:`repro.observability.spans` -- sweep-scope hierarchical span
   tracing of the orchestration layer (plan, pricing, chunks, queue
-  wait, worker execution, absorption), with cross-process propagation,
-  a JSONL(.gz) sink (``REPRO_SPANS``/``--spans-out``), and the
-  critical-path analyzer behind ``repro spans``;
+  wait, worker execution, absorption), written by the coordinating
+  process alone, with a JSONL(.gz) sink (``REPRO_SPANS``/
+  ``--spans-out``) and the critical-path analyzer behind ``repro
+  spans``;
 * :mod:`repro.observability.telemetry` -- live sweep telemetry: worker
   heartbeats over a multiprocessing queue feeding the per-point
   ``--progress`` display (``sweep_telemetry()`` scope, zero overhead
@@ -47,9 +48,8 @@ from repro.observability import (
 from repro.observability.attribution import (
     AttributionAccumulator,
     LatencyHistogram,
-    attributing,
 )
-from repro.observability.counters import CounterSampler, sampling
+from repro.observability.counters import CounterSampler
 from repro.observability.chrometrace import (
     chrome_trace_events,
     read_jsonl,
@@ -102,7 +102,6 @@ __all__ = [
     "activate",
     "active",
     "analyze",
-    "attributing",
     "attribution",
     "chrome_trace_events",
     "collecting",
@@ -112,7 +111,6 @@ __all__ = [
     "read_jsonl",
     "read_spans",
     "render_analysis",
-    "sampling",
     "snapshot_memory_system",
     "snapshot_simulation",
     "spans",

@@ -34,17 +34,15 @@ record` enforces this at record time; the property tests in
 multi-port, banked, and DRAM-cache organizations.
 
 Attribution is off by default and adds nothing to the hot path when
-off (the same hoisted ``is None`` discipline as tracing).  Enable it
-per-scope with :func:`attributing` or process-wide for worker pools
-with ``REPRO_ATTRIBUTION=1``.
+off (the same hoisted ``is None`` discipline as tracing).  A run asks
+for it with ``Observe(attribution=True)`` in its settings (or with
+``REPRO_ATTRIBUTION=1`` when they leave ``observe`` unset).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.robustness.errors import SimulationInvariantError
 
@@ -77,51 +75,6 @@ BUCKET_BOUNDS = (
     1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64,
     96, 128, 192, 256, 384, 512, 768, 1024,
 )
-
-#: Environment switch: any value but "" / "0" enables attribution
-#: process-wide (it propagates to ``ProcessPoolExecutor`` workers,
-#: unlike module globals).
-ENV_FLAG = "REPRO_ATTRIBUTION"
-
-_ENABLED = False
-
-
-def enabled() -> bool:
-    """Whether new :class:`~repro.memory.hierarchy.MemorySystem`
-    instances should attribute their accesses."""
-    if _ENABLED:
-        return True
-    raw = os.environ.get(ENV_FLAG)
-    return bool(raw) and raw != "0"
-
-
-def enable() -> None:
-    """Turn attribution on process-wide (serial runs; workers need
-    :data:`ENV_FLAG` instead)."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    global _ENABLED
-    _ENABLED = False
-
-
-@contextmanager
-def attributing() -> Iterator[None]:
-    """Scope with attribution enabled; restores the prior state::
-
-        with attributing():
-            result = run_experiment(org, "gcc", settings)
-        result.metrics["attribution.component.bank_conflict.cycles"]
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = True
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def critical_path(**parts: int) -> tuple[tuple[str, int], ...]:

@@ -4,7 +4,7 @@ Every whole-run aggregate the simulator exports -- IPC, conflict
 counts, line-buffer hit rates -- averages away exactly the dynamics the
 paper argues about: bank conflicts and port contention *burst* with
 program phases (Figures 4-7).  This module is the software analog of
-hardware PMU sampling: every ``REPRO_COUNTER_INTERVAL`` committed
+hardware PMU sampling: every ``counter_interval`` committed
 instructions, a :class:`CounterSampler` snapshots a curated set of
 counters and emits one row of deltas, building a compact columnar time
 series that rides ``SimulationResult.counters`` through the store and
@@ -26,31 +26,20 @@ are never silently skewed by a truncated tail.
 
 Sampling is off by default and costs the hot loop one hoisted
 ``is None`` test per committed instruction when off (the same
-discipline as tracing/attribution).  Enable it per-scope with
-:func:`sampling` or process-wide (pool workers included) with
-``REPRO_COUNTER_INTERVAL=<instructions>``.
+discipline as tracing/attribution).  A run asks for it with
+``Observe(counter_interval=<instructions>)`` in its settings (or with
+``REPRO_COUNTER_INTERVAL`` when they leave ``observe`` unset).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.result import PipelineStats
     from repro.memory.hierarchy import MemorySystem
-
-#: Environment switch *and* interval: any integer value > 0 enables
-#: sampling process-wide at that many committed instructions per row
-#: (it propagates to ``ProcessPoolExecutor`` workers, unlike module
-#: globals).  Unset / "" / "0" means off.
-ENV_FLAG = "REPRO_COUNTER_INTERVAL"
-
-#: In-process override (serial runs; workers need :data:`ENV_FLAG`).
-_INTERVAL: int | None = None
 
 #: Series layout version, carried inside the payload so offline readers
 #: can tell layouts apart without consulting the store schema.
@@ -99,50 +88,6 @@ _DELTA_COLUMNS = (
 
 #: Every column of one series row, in order.
 COLUMNS = _ROW_COLUMNS + _DELTA_COLUMNS
-
-
-def interval() -> int | None:
-    """The active sampling interval in committed instructions, or None.
-
-    The in-process override wins; otherwise :data:`ENV_FLAG` is parsed
-    (garbage or non-positive values read as off -- sampling is an
-    observer and must never fail a simulation over a bad knob).
-    """
-    if _INTERVAL is not None:
-        return _INTERVAL
-    raw = os.environ.get(ENV_FLAG)
-    if not raw:
-        return None
-    try:
-        every = int(raw)
-    except ValueError:
-        return None
-    return every if every > 0 else None
-
-
-def enabled() -> bool:
-    """Whether new :class:`~repro.memory.hierarchy.MemorySystem`
-    instances should carry a counter sampler."""
-    return interval() is not None
-
-
-@contextmanager
-def sampling(every: int) -> Iterator[None]:
-    """Scope with interval sampling enabled; restores the prior state::
-
-        with sampling(1_000):
-            result = run_experiment(org, "gcc", settings)
-        result.counters["columns"]
-    """
-    global _INTERVAL
-    if every < 1:
-        raise ValueError(f"sampling interval must be >= 1, got {every}")
-    previous = _INTERVAL
-    _INTERVAL = every
-    try:
-        yield
-    finally:
-        _INTERVAL = previous
 
 
 def _cumulative(memory: "MemorySystem", pipeline: "PipelineStats") -> tuple:

@@ -1,24 +1,24 @@
 """Stall-source diagnosis: where do a design point's load cycles go?
 
-``python -m repro diagnose <benchmark>`` re-simulates representative
-design points from Figures 4-7 with latency attribution enabled and
-ranks each point's stall sources, producing the paper-style narrative
-("banked-4: 31% of load cycles lost to bank conflicts -- cf. Fig. 5")
-plus the full per-component breakdown table.
+``python -m repro diagnose <benchmark>`` runs representative design
+points from Figures 4-7 with latency attribution on and ranks each
+point's stall sources, producing the paper-style narrative ("banked-4:
+31% of load cycles lost to bank conflicts -- cf. Fig. 5") plus the full
+per-component breakdown table.
 
-Runs go through :func:`repro.core.experiment._simulate` directly
-rather than the execution engine: a memoized or stored result from an
-unattributed run would carry no attribution metrics, and diagnosis
-must never pollute the shared result store with attribution-enabled
-entries either.  Attribution does not perturb timing (the golden suite
-pins that), so the IPCs printed here match the cached figures exactly.
+The points run as one :class:`~repro.engine.executor.ExecutionPlan`
+with ``Observe(attribution=True)`` in their settings: design points
+like any other, stored apart from the plain figure points, answered by
+the store on a warm rerun.  Attribution does not perturb timing (the
+golden suite pins that), so the IPCs printed here match the figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import experiment
+from repro.core.experiment import Observe
 from repro.core.organizations import (
     KB,
     CacheOrganization,
@@ -28,8 +28,8 @@ from repro.core.organizations import (
     ideal_ports,
 )
 from repro.core.reporting import format_table
+from repro.engine.executor import ExecutionPlan
 from repro.observability import attribution, counters
-from repro.workloads.catalog import benchmark as benchmark_spec
 
 #: Human labels for the narrative lines.
 COMPONENT_LABELS = {
@@ -142,6 +142,12 @@ def _worst_interval(series: dict | None) -> dict | None:
     }
 
 
+def _observed(settings, counter_interval: int | None):
+    """``settings`` with attribution on, and sampling when asked."""
+    observe = Observe(counter_interval=counter_interval, attribution=True)
+    return replace(settings or experiment.ExperimentSettings(), observe=observe)
+
+
 def diagnose_design_point(
     label: str,
     figure: str,
@@ -150,20 +156,15 @@ def diagnose_design_point(
     settings: "experiment.ExperimentSettings",
     counter_interval: int | None = None,
 ) -> PointDiagnosis:
-    """One attributed simulation, summarized.
+    """One attributed design point, summarized.
 
     ``counter_interval`` additionally samples interval counters during
     the same run (``--from-counters``), so the narrative can cite the
     worst phase instead of only whole-run aggregates.
     """
-    spec = benchmark_spec(benchmark)
-    scaled = settings.scaled()
-    if counter_interval is not None:
-        with attribution.attributing(), counters.sampling(counter_interval):
-            result = experiment._simulate(organization, spec, scaled)
-    else:
-        with attribution.attributing():
-            result = experiment._simulate(organization, spec, scaled)
+    result = experiment.run_experiment(
+        organization, benchmark, _observed(settings, counter_interval)
+    )
     metrics = result.metrics
     prefix = "attribution.component."
     components = {
@@ -200,10 +201,13 @@ def diagnose_benchmark(
     counter_interval: int | None = None,
 ) -> list[PointDiagnosis]:
     """Diagnose every design point (Figures 4-7) on one benchmark."""
-    if settings is None:
-        settings = experiment.ExperimentSettings()
     if points is None:
         points = _design_points()
+    # One plan for every point; each summary below is then a memo hit.
+    plan = ExecutionPlan()
+    observed = _observed(settings, counter_interval)
+    plan.add_all(((org, benchmark) for _, _, org in points), observed)
+    plan.execute()
     return [
         diagnose_design_point(
             label,

@@ -6,8 +6,9 @@ case-insensitive values), gzip trace output, the loud dropped-events
 warning, ``REPRO_TRACE`` env pickup, offline ``--from-jsonl``
 conversion, ``metrics --attribution``, the interval-counter verbs
 (table/json/csv/chrome, the A/B compare report, ``diagnose
---from-counters``), and the store-discipline rule that sampling runs
-never write the shared result store.
+--from-counters``), and the store rule that observation is part of a
+design point: observed results are stored under observed keys, apart
+from plain ones, and a warm observing verb is served by the store.
 """
 
 from __future__ import annotations
@@ -230,6 +231,20 @@ class TestReproTraceEnv:
         assert sum(1 for _ in read_records(path)) == emitted
 
 
+#: The ``observe`` part of a key sampled every 300 instructions.
+SAMPLED_300 = {"counter_interval": 300, "attribution": False}
+
+
+def _stored_observers(root) -> list:
+    """Each store entry's ``settings.observe`` (``None``: a plain key)."""
+    return [
+        json.loads(path.read_text(encoding="utf-8"))["key"]["settings"].get(
+            "observe"
+        )
+        for path in sorted(root.glob("v*/??/*.json"))
+    ]
+
+
 def _v4_bytes(root) -> dict:
     """Every file of a store's ``v4/`` tree, by relative path."""
     v4 = root / "v4"
@@ -313,7 +328,7 @@ class TestCountersVerb:
         assert main(
             ["counters", "gcc", "--interval", "300", *FAST_FLAGS]
         ) == 0
-        assert not list((tmp_path / "store").glob("v*/??/*.json"))
+        assert _stored_observers(tmp_path / "store") == [SAMPLED_300]
 
     def test_bad_interval_is_a_parser_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -381,7 +396,7 @@ class TestCompareVerb:
         assert main(
             ["compare", "gcc", "--interval", "300", *FAST_FLAGS]
         ) == 0
-        assert not list((tmp_path / "store").glob("v*/??/*.json"))
+        assert _stored_observers(tmp_path / "store") == [SAMPLED_300] * 2
 
 
 class TestDiagnoseFromCounters:
@@ -396,3 +411,47 @@ class TestDiagnoseFromCounters:
     def test_plain_diagnose_is_unchanged(self, capsys):
         assert main(["diagnose", "gcc", *FAST_FLAGS]) == 0
         assert "worst interval" not in capsys.readouterr().out
+
+
+class TestObservedPointsAreDesignPoints:
+    """What a run observes is part of its key, in both directions."""
+
+    def test_plain_metrics_after_an_attributed_run_has_no_attribution(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
+        assert main(["metrics", "gcc", *FAST_FLAGS]) == 0
+        assert "attribution." in capsys.readouterr().out
+        monkeypatch.delenv("REPRO_ATTRIBUTION")
+        experiment.clear_cache()
+        assert main(["metrics", "gcc", *FAST_FLAGS]) == 0
+        assert "attribution." not in capsys.readouterr().out
+
+    def test_sampled_sweep_on_a_plain_store_carries_counters(
+        self, monkeypatch, capsys
+    ):
+        argv = ["figure4", "--benchmarks", "gcc", "--no-progress", *FAST_FLAGS]
+        assert main(argv) == 0
+        experiment.clear_cache()
+        monkeypatch.setenv("REPRO_COUNTER_INTERVAL", "300")
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["runs", "show", "last", "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert points
+        assert all(row["outcome"] == "simulated" for row in points)
+        assert all(row["counters"] is not None for row in points)
+
+    def test_warm_diagnose_simulates_nothing(self, monkeypatch, capsys):
+        argv = ["diagnose", "gcc", "--from-counters", *FAST_FLAGS]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        experiment.clear_cache()
+        # Any simulation would now deadlock; a store-served run never
+        # starts one.
+        monkeypatch.setenv("REPRO_CHAOS", "stuck-mshr")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert main(["runs", "show", "last", "--format", "json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [row["outcome"] for row in points] == ["store"] * 7

@@ -15,7 +15,7 @@ import pytest
 
 from repro import kernel
 from repro.core import figures, sweeps
-from repro.core.experiment import ExperimentSettings, _simulate
+from repro.core.experiment import ExperimentSettings, Observe, _simulate
 from repro.core import organizations
 from repro.engine.executor import get_engine
 from repro.kernel import tracecache
@@ -152,11 +152,14 @@ class TestPointParity:
         from repro.observability import counters
 
         spec = benchmark("su2cor")
+        sampled = dataclasses.replace(
+            SETTINGS, observe=Observe(counter_interval=every)
+        )
         series = {}
         for name in kernel.BACKEND_NAMES:
             tracecache.clear()
-            with counters.sampling(every), kernel.use_backend(name):
-                result = _simulate(org, spec, SETTINGS)
+            with kernel.use_backend(name):
+                result = _simulate(org, spec, sampled)
             assert result.counters is not None
             assert result.counters["interval"] == every
             series[name] = result.counters
@@ -182,18 +185,20 @@ class TestPointParity:
     )
     def test_trace_events_and_attribution_identical(self, org, workload):
         """The event stream and the attribution metrics match too."""
-        from repro.observability import attribution, trace
+        from repro.observability import trace
 
         spec = benchmark(workload)
+        attributed = dataclasses.replace(
+            SETTINGS, observe=Observe(attribution=True)
+        )
         observed = {}
         for name in kernel.BACKEND_NAMES:
             tracecache.clear()
             with (
                 kernel.use_backend(name),
-                attribution.attributing(),
                 trace.tracing(capacity=500_000) as tracer,
             ):
-                result = _simulate(org, spec, SETTINGS)
+                result = _simulate(org, spec, attributed)
             assert tracer.dropped == 0
             assert any(key.startswith("attribution.") for key in result.metrics)
             observed[name] = (tracer.events(), result.metrics)
@@ -201,15 +206,16 @@ class TestPointParity:
 
     def test_counter_series_identical_through_asdict(self):
         """The counters field rides full-result parity like any other."""
-        from repro.observability import counters
-
         spec = benchmark("gcc")
         org = organizations.banked(banks=4)
+        sampled = dataclasses.replace(
+            SETTINGS, observe=Observe(counter_interval=300)
+        )
         results = {}
         for name in kernel.BACKEND_NAMES:
             tracecache.clear()
-            with counters.sampling(300), kernel.use_backend(name):
-                result = _simulate(org, spec, SETTINGS)
+            with kernel.use_backend(name):
+                result = _simulate(org, spec, sampled)
             payload = dataclasses.asdict(result)
             payload.pop("backend")
             results[name] = payload

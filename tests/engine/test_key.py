@@ -7,7 +7,7 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
-from repro.core.experiment import ExperimentSettings
+from repro.core.experiment import ExperimentSettings, Observe
 from repro.core.organizations import duplicate, ideal_ports
 from repro.cpu.config import R10000_FU_LIMITS, ProcessorConfig
 from repro.engine.key import ExperimentKey
@@ -18,6 +18,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _perturbed(value):
+    if value is None:  # a plain run's ``observe``
+        return Observe(attribution=True)
     if isinstance(value, bool):
         return not value
     if isinstance(value, (int, float)):

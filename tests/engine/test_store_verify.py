@@ -1,11 +1,12 @@
 """Store/ledger self-healing: `repro cache verify` and torn appends."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.core.experiment import ExperimentSettings
+from repro.core.experiment import ExperimentSettings, Observe
 from repro.core.organizations import duplicate
 from repro.cpu.result import SimulationResult
 from repro.engine.key import ExperimentKey
@@ -45,6 +46,23 @@ class TestVerifyHealthy:
             "healed": False,
             "fragment_path": None,
         }
+
+    def test_observed_and_plain_entries_verify_ok(self, tmp_path):
+        """Plain keys omit ``settings.observe``; observed keys carry it.
+        Verify decodes both as loads do, so both are healthy."""
+        store = _store_with_entries(tmp_path, workloads=("gcc",))
+        observed = ExperimentKey(
+            _key().organization,
+            "gcc",
+            replace(FAST, observe=Observe(counter_interval=300)),
+        )
+        assert observed.digest != _key().digest
+        assert store.save(observed, _result())
+        report = store.verify()
+        assert (report["scanned"], report["ok"]) == (2, 2)
+        assert report["quarantined"] == []
+        assert store.load(observed) is not None
+        assert store.load(_key()) is not None
 
     def test_empty_store_verifies(self, tmp_path):
         report = ResultStore(tmp_path / "nothing").verify()

@@ -10,12 +10,14 @@ tripwire works.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.core.experiment import ExperimentSettings, _simulate
+from repro.core.experiment import ExperimentSettings, Observe, _simulate
 from repro.core.organizations import KB, banked, dram_cache, duplicate, ideal_ports
-from repro.observability import attribution, events, trace
+from repro.observability import events, trace
 from repro.observability.attribution import (
     BUCKET_BOUNDS,
     AttributionAccumulator,
@@ -28,6 +30,7 @@ from repro.workloads.catalog import benchmark
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
 )
+ATTRIBUTED = replace(FAST, observe=Observe(attribution=True))
 
 #: One organization per hardware style the taxonomy must decompose.
 ORGANIZATIONS = [
@@ -39,9 +42,8 @@ ORGANIZATIONS = [
 
 
 def _attributed_run(organization, bench="gcc"):
-    with attribution.attributing():
-        with trace.tracing(capacity=500_000) as tracer:
-            result = _simulate(organization, benchmark(bench), FAST)
+    with trace.tracing(capacity=500_000) as tracer:
+        result = _simulate(organization, benchmark(bench), ATTRIBUTED)
     assert tracer.dropped == 0, "test capacity must retain the whole stream"
     return result, tracer
 
@@ -99,8 +101,7 @@ class TestNoPerturbation:
     @pytest.mark.parametrize("organization", ORGANIZATIONS)
     def test_attribution_changes_no_simulated_number(self, organization):
         plain = _simulate(organization, benchmark("gcc"), FAST)
-        with attribution.attributing():
-            attributed = _simulate(organization, benchmark("gcc"), FAST)
+        attributed = _simulate(organization, benchmark("gcc"), ATTRIBUTED)
         assert attributed.cycles == plain.cycles
         assert attributed.instructions == plain.instructions
         stripped = {
@@ -119,18 +120,12 @@ class TestNoPerturbation:
 
 class TestEnableSwitch:
     def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv(attribution.ENV_FLAG, "1")
-        assert attribution.enabled()
-        monkeypatch.setenv(attribution.ENV_FLAG, "0")
-        assert not attribution.enabled()
-        monkeypatch.setenv(attribution.ENV_FLAG, "")
-        assert not attribution.enabled()
-
-    def test_attributing_scope_restores(self):
-        assert not attribution.enabled()
-        with attribution.attributing():
-            assert attribution.enabled()
-        assert not attribution.enabled()
+        monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
+        assert Observe.from_env() == Observe(attribution=True)
+        monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
+        assert Observe.from_env() is None
+        monkeypatch.setenv("REPRO_ATTRIBUTION", "")
+        assert Observe.from_env() is None
 
 
 class TestAccumulatorGuards:

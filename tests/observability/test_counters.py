@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
 from repro import kernel
-from repro.core.experiment import ExperimentSettings, _simulate
+from repro.core.experiment import ExperimentSettings, Observe, _simulate
 from repro.core.organizations import KB, banked, duplicate, ideal_ports
 from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.ledger import build_record
@@ -43,45 +44,38 @@ def _run(every: int, org=None, instructions: int | None = None):
             timing_warmup=FAST.timing_warmup,
             functional_warmup=FAST.functional_warmup,
         )
-    with counters.sampling(every):
-        return _simulate(
-            org if org is not None else duplicate(32 * KB, line_buffer=True),
-            benchmark("gcc"),
-            settings,
-        )
+    return _simulate(
+        org if org is not None else duplicate(32 * KB, line_buffer=True),
+        benchmark("gcc"),
+        replace(settings, observe=Observe(counter_interval=every)),
+    )
 
 
 class TestConfiguration:
     def test_off_by_default(self):
-        assert counters.interval() is None
-        assert not counters.enabled()
+        assert Observe.from_env() is None
+        assert ExperimentSettings().scaled().observe is None
         result = _simulate(duplicate(32 * KB), benchmark("gcc"), FAST)
         assert result.counters is None
 
     def test_env_flag_value_is_the_interval(self, monkeypatch):
-        monkeypatch.setenv(counters.ENV_FLAG, "250")
-        assert counters.interval() == 250
-        assert counters.enabled()
+        monkeypatch.setenv("REPRO_COUNTER_INTERVAL", "250")
+        assert Observe.from_env() == Observe(counter_interval=250)
 
     @pytest.mark.parametrize("raw", ("", "0", "-5", "garbage"))
     def test_bad_env_values_read_as_off(self, monkeypatch, raw):
-        monkeypatch.setenv(counters.ENV_FLAG, raw)
-        assert counters.interval() is None
-        assert not counters.enabled()
+        monkeypatch.setenv("REPRO_COUNTER_INTERVAL", raw)
+        assert Observe.from_env() is None
 
-    def test_sampling_scope_restores_previous_state(self):
-        assert counters.interval() is None
-        with counters.sampling(100):
-            assert counters.interval() == 100
-            with counters.sampling(7):
-                assert counters.interval() == 7
-            assert counters.interval() == 100
-        assert counters.interval() is None
+    def test_env_fills_only_an_unset_observe(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COUNTER_INTERVAL", "250")
+        assert FAST.scaled().observe == Observe(counter_interval=250)
+        explicit = replace(FAST, observe=Observe(attribution=True))
+        assert explicit.scaled().observe == Observe(attribution=True)
 
     def test_sampling_rejects_non_positive_interval(self):
         with pytest.raises(ValueError, match="must be >= 1"):
-            with counters.sampling(0):
-                pass  # pragma: no cover
+            Observe(counter_interval=0)
 
 
 class TestIntervalAccounting:
@@ -250,7 +244,7 @@ class TestSerialization:
 class TestParallelDispatch:
     def test_series_identical_across_jobs_1_and_2(self, tmp_path, monkeypatch):
         """Counter-bearing results survive the worker boundary intact."""
-        monkeypatch.setenv(counters.ENV_FLAG, "250")
+        monkeypatch.setenv("REPRO_COUNTER_INTERVAL", "250")
         plans = {}
         for jobs in (1, 2):
             store = ResultStore(tmp_path / f"jobs{jobs}")
@@ -386,8 +380,7 @@ class TestHotPathDiscipline:
 
         config = duplicate(32 * KB).memory_config(FAST.backside)
         assert MemorySystem(config).counters is None
-        with counters.sampling(100):
-            sampler = MemorySystem(config).counters
+        sampler = MemorySystem(config, counter_interval=100).counters
         assert sampler is not None
         assert sampler.every == 100
         assert sampler.next_at == -1  # armed only at measurement start

@@ -59,11 +59,6 @@ class TestBankedFigure5:
 
 
 class TestDiagnoseMechanics:
-    def test_attribution_left_disabled_afterwards(self, banked_diagnosis):
-        from repro.observability import attribution
-
-        assert not attribution.enabled()
-
     def test_components_reconcile_with_load_cycles(self, banked_diagnosis):
         assert (
             sum(banked_diagnosis.components.values())
@@ -119,11 +114,6 @@ class TestCounterEvidence:
         line = narrative_line(counted_diagnosis)
         assert "worst interval" in line
         assert "IPC under" in line
-
-    def test_sampling_left_disabled_afterwards(self, counted_diagnosis):
-        from repro.observability import counters as obs_counters
-
-        assert not obs_counters.enabled()
 
     def test_without_counters_no_interval_claim(self, banked_diagnosis):
         assert banked_diagnosis.worst_interval is None
