@@ -207,7 +207,6 @@ def _sweep_scope(args: argparse.Namespace, store: ResultStore | None):
     spans_path = args.spans_out or os.environ.get(obs_spans.SPANS_ENV)
     with ExitStack() as stack:
         if spans_path:
-            stack.enter_context(_exported(obs_spans.SPANS_ENV, spans_path))
             recorder = stack.enter_context(obs_spans.collecting(spans_path))
         previous = configure_engine(jobs=args.jobs, store=store)
         try:
@@ -269,10 +268,10 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
     if name == "table1":
         return reporting.render_table1(figures.table1())
     if name == "table2":
-        return reporting.render_table2(figures.table2())
+        return reporting.render_table2(figures.table2(seed=args.seed))
     if name == "figure3":
         return reporting.render_figure3(
-            figures.figure3(benchmarks=tuple(BENCHMARKS))
+            figures.figure3(benchmarks=tuple(BENCHMARKS), seed=args.seed)
         )
     if name == "figure4":
         return reporting.render_ipc_grid(
@@ -361,19 +360,16 @@ def _recommended_organization():
 
 
 def _warn_overflow(tracer) -> None:
-    """A truncated trace is never silent -- but the warning fires once
-    per run with the final totals, not once per design point.
+    """A truncated trace is never silent.
 
     Counting-only tracers (capacity 0) retain nothing by design, so
     they never count as overflow.
     """
     if tracer.capacity <= 0 or not tracer.dropped:
         return
-    points = max(tracer.overflow_points, 1)
     print(
-        f"warning: ring overflowed on {points} design point(s) -- "
-        f"{tracer.dropped} event(s) dropped in total; analyses of this "
-        "trace are truncated "
+        f"warning: ring overflowed -- {tracer.dropped} event(s) dropped; "
+        "analyses of this trace are truncated "
         "(raise --trace-limit or use --trace-out for the full stream)",
         file=sys.stderr,
     )
@@ -1192,9 +1188,8 @@ def main(argv: list[str] | None = None) -> int:
     (``.gz`` paths gzip the JSONL stream transparently).
 
     The tracer keeps no ring: the sink holds the whole stream, so
-    nothing is dropped and no result gains a ``trace.dropped_events``
-    metric.  Only simulations in this process are traced; pool workers
-    run untraced, so trace a sweep with ``--jobs 1``.
+    nothing is dropped.  Only simulations in this process are traced;
+    pool workers run untraced, so trace a sweep with ``--jobs 1``.
     """
     trace_path = os.environ.get("REPRO_TRACE")
     if not trace_path:

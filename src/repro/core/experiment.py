@@ -26,7 +26,6 @@ result but excluded from cache keys.
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -272,94 +271,58 @@ def _retry_reduced(
     log: FailureLog,
     error_type: str,
     message: str,
-) -> SimulationResult:
-    """Resilience tail after a failed first attempt: bounded, backed-off
-    retries at a shrinking instruction budget, then a marked gap.
+) -> tuple[SimulationResult, str]:
+    """Resilience tail after a failed first attempt: one retry at a
+    reduced instruction budget, or a marked gap.
 
     Shared by the serial path and the parallel engine (where the first
     attempt happened inside a worker and arrives as ``error_type`` +
-    ``message`` strings); retries always run in the calling process.
+    ``message`` strings); the retry always runs in the calling process.
 
-    A point that overran its wall-clock deadline skips retries entirely
-    and becomes a ``timeout`` gap: it already consumed its whole budget,
+    A point that overran its wall-clock deadline is not retried and
+    becomes a ``timeout`` gap: it already consumed its whole budget,
     and re-running a hang -- even at reduced fidelity -- doubles the
-    damage.  Ordinary failures back off exponentially between attempts
-    (deterministic jitter seeded by the point label, so the failure path
-    is as reproducible as the success path), each retry runs under its
-    own fresh deadline, and the whole retry tail is bounded by
-    :data:`~repro.robustness.runner.RETRY_BUDGET_SECONDS` of wall clock.
+    damage.  Any other failure is retried once, at
+    1/:data:`~repro.robustness.runner.BUDGET_DIVISOR` of the budget
+    under a fresh deadline, and resolves to ``recovered``, ``timeout``
+    or ``gap``.  Exactly one :class:`FailureRecord` is logged; the
+    result and that record's resolution are returned.
     """
     from repro.robustness.deadline import point_deadline
     from repro.robustness.errors import DeadlineExceededError
 
-    label = organization.label
-
-    def timeout_gap(attempts: int, detail: str) -> SimulationResult:
-        log.record(
-            FailureRecord(
-                label=label,
-                workload=spec.name,
-                error_type="DeadlineExceededError",
-                message=detail,
-                attempts=attempts,
-                resolution="timeout",
-            )
-        )
-        return SimulationResult(instructions=0, cycles=0, failed=True)
-
-    if error_type == "DeadlineExceededError":
-        return timeout_gap(1, message)
-
-    attempts = 1
-    reduced = settings
-    seed = f"{label}/{spec.name}"
-    retry_started = time.monotonic()
-    for _ in range(runner.RETRIES):
+    result = SimulationResult(instructions=0, cycles=0, failed=True)
+    attempts, resolution = 1, "timeout"
+    if error_type != "DeadlineExceededError":
+        attempts = 2
+        divisor = runner.BUDGET_DIVISOR
         reduced = replace(
-            reduced,
-            instructions=max(1_000, reduced.instructions // runner.BUDGET_DIVISOR),
-            timing_warmup=reduced.timing_warmup // runner.BUDGET_DIVISOR,
-            functional_warmup=reduced.functional_warmup // runner.BUDGET_DIVISOR,
+            settings,
+            instructions=max(1_000, settings.instructions // divisor),
+            timing_warmup=settings.timing_warmup // divisor,
+            functional_warmup=settings.functional_warmup // divisor,
         )
-        attempts += 1
-        delay = runner.retry_backoff(attempts, seed=seed)
-        elapsed = time.monotonic() - retry_started
-        if elapsed + delay > runner.RETRY_BUDGET_SECONDS:
-            break  # retry wall clock exhausted; the gap below says so
-        if delay > 0.0:
-            time.sleep(delay)
         try:
             with point_deadline():
                 result = _simulate(organization, spec, reduced)
+            # Recovered at lower fidelity: usable, but never memoized
+            # under the full-budget key and flagged in the summary.
+            resolution = "recovered"
         except DeadlineExceededError as error:
-            return timeout_gap(attempts, _failure_message(error))
+            error_type, message = type(error).__name__, _failure_message(error)
         except Exception:  # noqa: BLE001
-            continue
-        # Recovered at lower fidelity: usable, but never memoized under
-        # the full-budget key and flagged in the summary.
-        log.record(
-            FailureRecord(
-                label=label,
-                workload=spec.name,
-                error_type=error_type,
-                message=message,
-                attempts=attempts,
-                resolution="recovered",
-            )
-        )
-        return result
-
+            resolution = "gap"
     log.record(
         FailureRecord(
-            label=label,
+            label=organization.label,
             workload=spec.name,
             error_type=error_type,
             message=message,
             attempts=attempts,
-            resolution="gap",
+            resolution=resolution,
         )
     )
-    return SimulationResult(instructions=0, cycles=0, failed=True)
+    return result, resolution
 
 
 def average_ipc(

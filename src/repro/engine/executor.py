@@ -544,11 +544,9 @@ class Engine:
         with telemetry.beaconing(
             key, hub.handle if hub is not None else None, attempt=2
         ):
-            result = experiment._retry_reduced(
+            result, outcome = experiment._retry_reduced(
                 key.organization, spec, key.settings, log, error_type, message
             )
-        # ``_retry_reduced`` always records exactly one outcome.
-        outcome = log.records[-1].resolution if log.records else "gap"
         self._settle(key, outcome, seconds + time.monotonic() - started)
         return result
 
@@ -666,7 +664,7 @@ class Engine:
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 
         from repro.engine.dispatch import CostModel, plan_chunks
-        from repro.robustness.deadline import configured_timeout, grace_seconds
+        from repro.robustness.deadline import GRACE_SECONDS, configured_timeout
         from repro.robustness.shutdown import SweepInterrupted, shutdown_requested
 
         if results is None:
@@ -707,7 +705,7 @@ class Engine:
             handle.broken = True
 
         timeout = configured_timeout()
-        budget = None if timeout is None else timeout + grace_seconds()
+        budget = None if timeout is None else timeout + GRACE_SECONDS
         absorbed: set[str] = set()
         errors: dict[str, tuple] = {}
         #: chunk id -> (digest, started_at) of its in-flight point.

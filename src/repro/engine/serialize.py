@@ -21,9 +21,9 @@ ignored rather than misread.
 Schema v3: ``SimulationResult.metrics`` may carry the attribution
 export -- integer component/outcome/bucket counters plus float
 ``attribution.latency.p50/p95/p99`` percentiles -- and, when a trace
-ring overflowed during the run, ``trace.dropped_events``.  All are
-plain JSON scalars in the existing flat metrics dict, so the
-codec needs no shape change; the version bump exists to
+ring overflowed during the run, ``trace.dropped_events`` (no longer
+written).  All are plain JSON scalars in the existing flat metrics
+dict, so the codec needs no shape change; the version bump exists to
 retire v2 entries whose metrics predate those keys' semantics.
 
 Schema v4: ``SimulationResult.counters`` may carry the interval-sampled

@@ -36,7 +36,8 @@ from repro.engine.serialize import from_plain, to_plain
 #: a simulator change invalidates previously stored numbers).
 #: v3: ``metrics`` may carry ``attribution.*`` (per-load critical-path
 #: components, latency histogram buckets, float percentiles) and
-#: ``trace.dropped_events``; v2 entries predate those semantics.
+#: ``trace.dropped_events`` (no longer written); v2 entries predate
+#: those semantics.
 #: v4: results gain a ``counters`` field -- the interval-sampled
 #: counter series (or None when sampling was off); v3 entries would
 #: silently read back as counter-less, so they are retired instead.

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from repro.observability import trace
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cpu.result import SimulationResult
     from repro.memory.hierarchy import MemorySystem
@@ -166,15 +164,4 @@ def snapshot_simulation(
     snapshot_memory_system(memory, out)
     if memory.attribution is not None:
         out.update(memory.attribution.to_metrics())
-    tracer = trace._ACTIVE
-    if tracer is not None and tracer.capacity > 0:
-        # Recorded only when events were actually lost, so results are
-        # serialization-identical with and without (non-overflowing)
-        # tracing -- but a truncated trace is never silently truncated.
-        # The per-point delta (not the sweep-cumulative total) is what
-        # belongs on this point's metrics; capacity-0 counting tracers
-        # retain nothing by design and are excluded.
-        point_drops = tracer.note_point()
-        if point_drops:
-            out["trace.dropped_events"] = point_drops
     return dict(sorted(out.items()))

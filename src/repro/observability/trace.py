@@ -73,11 +73,9 @@ class Tracer:
         "capacity",
         "emitted",
         "by_kind",
-        "overflow_points",
         "_ring",
         "_sink",
         "_buffer",
-        "_dropped_marked",
     )
 
     def __init__(
@@ -90,12 +88,9 @@ class Tracer:
         self.capacity = capacity
         self.emitted = 0
         self.by_kind: dict[str, int] = {}
-        #: Design points that overflowed the ring (see :meth:`note_point`).
-        self.overflow_points = 0
         self._ring: deque[TraceEvent] = deque(maxlen=capacity)
         self._sink = sink
         self._buffer: list[str] = []
-        self._dropped_marked = 0
 
     def capture(self, kind: str, cycle: int, fields: dict) -> None:
         """Record one event (ring + per-kind count + optional sink)."""
@@ -121,21 +116,6 @@ class Tracer:
         """Events that fell off the ring (still counted in ``by_kind``)."""
         return self.emitted - len(self._ring)
 
-    def note_point(self) -> int:
-        """Mark a design-point boundary; returns drops since the last mark.
-
-        A sweep shares one tracer across many simulations, so per-point
-        consumers (the metrics snapshot) need the *delta* of dropped
-        events, not the cumulative total -- and run-level consumers (the
-        CLI's one-per-run overflow warning) need to know how many points
-        overflowed, which :attr:`overflow_points` accumulates here.
-        """
-        drops = self.dropped - self._dropped_marked
-        self._dropped_marked = self.dropped
-        if drops:
-            self.overflow_points += 1
-        return drops
-
     def events(self, kind: str | None = None) -> list[TraceEvent]:
         """Retained events, oldest first, optionally filtered by kind."""
         if kind is None:
@@ -150,8 +130,6 @@ class Tracer:
         self._ring.clear()
         self.by_kind.clear()
         self.emitted = 0
-        self.overflow_points = 0
-        self._dropped_marked = 0
 
     def __len__(self) -> int:
         return len(self._ring)

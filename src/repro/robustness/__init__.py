@@ -12,7 +12,7 @@ all``.  This package makes the simulator defend itself:
 * :mod:`repro.robustness.faults` — deterministic fault injection used to
   prove the invariants and watchdog actually fire;
 * :mod:`repro.robustness.runner` — per-design-point isolation with
-  bounded, backed-off retry so one failing point yields a marked gap,
+  one reduced-budget retry, so one failing point yields a marked gap,
   not a dead run;
 * :mod:`repro.robustness.deadline` — per-point wall-clock budgets
   (``--point-timeout`` / ``REPRO_POINT_TIMEOUT``) ending hangs the
@@ -57,7 +57,6 @@ from repro.robustness.runner import (
     FailureLog,
     current_failure_log,
     resilient_sweeps,
-    retry_backoff,
 )
 from repro.robustness.watchdog import CommitWatchdog
 
@@ -88,6 +87,5 @@ __all__ = [
     "FailureLog",
     "current_failure_log",
     "resilient_sweeps",
-    "retry_backoff",
     "CommitWatchdog",
 ]

@@ -21,8 +21,8 @@ its whole wall-clock budget; re-running a hang doubles the damage).
 
 Configuration is one environment variable, ``REPRO_POINT_TIMEOUT``
 (seconds, fractional allowed), set by the CLI's ``--point-timeout`` so
-worker processes inherit it.  ``REPRO_POINT_GRACE`` tunes the extra
-slack the *parent* grants a worker before declaring it wedged and
+worker processes inherit it.  The *parent* grants a worker
+:data:`GRACE_SECONDS` of extra slack before declaring it wedged and
 killing it (the cooperative in-worker check normally fires first).
 """
 
@@ -38,12 +38,9 @@ from repro.robustness.errors import DeadlineExceededError
 #: Environment variable carrying the per-point wall-clock budget.
 POINT_TIMEOUT_ENV = "REPRO_POINT_TIMEOUT"
 
-#: Environment variable tuning the parent-side grace on top of the
-#: budget before a silent worker is killed.
-POINT_GRACE_ENV = "REPRO_POINT_GRACE"
-
-#: Default parent-side grace (seconds) beyond the deadline.
-DEFAULT_GRACE_SECONDS = 5.0
+#: Parent-side grace (seconds) beyond the deadline before a silent
+#: worker is killed.
+GRACE_SECONDS = 5.0
 
 #: Hot-loop iterations between wall-clock reads inside ``tick``.
 _TICK_MASK = 255
@@ -63,19 +60,6 @@ def configured_timeout() -> float | None:
     except ValueError:
         return None
     return value if value > 0 else None
-
-
-def grace_seconds() -> float:
-    """Parent-side grace beyond the deadline before a worker is killed."""
-    raw = os.environ.get(POINT_GRACE_ENV)
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_GRACE_SECONDS
 
 
 class Deadline:

@@ -138,3 +138,12 @@ class TestCli:
         )
         assert code == 0
         assert "Table 2" in capsys.readouterr().out
+
+    def test_table2_honours_seed(self, capsys):
+        outputs = {}
+        for seed in ("1", "7"):
+            assert main(["table2", "--seed", seed]) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().out == outputs["1"]
+        assert outputs["7"] != outputs["1"]

@@ -253,9 +253,9 @@ class TestPersistentPool:
         assert eng._pool_fingerprint(False) != base
         eng.jobs = 2
         assert eng._pool_fingerprint(False) == base
-        monkeypatch.setenv("REPRO_POINT_GRACE", "7")
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "600")
         assert eng._pool_fingerprint(False) != base
-        monkeypatch.delenv("REPRO_POINT_GRACE")
+        monkeypatch.delenv("REPRO_POINT_TIMEOUT")
         monkeypatch.setenv("UNRELATED_VAR", "7")
         assert eng._pool_fingerprint(False) == base
 
@@ -271,7 +271,7 @@ class TestPersistentPool:
     def test_env_change_invalidates_the_pool(self, engine, monkeypatch):
         _run_batch(engine, ["gcc", "tomcatv"])
         stale = engine._pool.pool
-        monkeypatch.setenv("REPRO_POINT_GRACE", "7")
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "600")
         settings = ExperimentSettings(
             instructions=2_000, timing_warmup=300, functional_warmup=20_000
         )

@@ -27,7 +27,8 @@ from repro.engine.executor import Engine, ExecutionPlan
 from repro.engine.key import ExperimentKey
 from repro.engine.store import ResultStore
 from repro.robustness.chaos import CHAOS_ENV
-from repro.robustness.deadline import POINT_GRACE_ENV, POINT_TIMEOUT_ENV
+from repro.robustness import deadline
+from repro.robustness.deadline import POINT_TIMEOUT_ENV
 from repro.robustness.runner import resilient_sweeps
 from repro.robustness.shutdown import ShutdownController, SweepInterrupted
 from repro.workloads.catalog import benchmark
@@ -128,7 +129,7 @@ class TestTimeoutInsideStolenChunk:
         # wedge backstop, not cooperative timeouts.
         monkeypatch.setenv(CHAOS_ENV, "sleep=30:gcc")
         monkeypatch.setenv(POINT_TIMEOUT_ENV, "1.5")
-        monkeypatch.setenv(POINT_GRACE_ENV, "0.5")
+        monkeypatch.setattr(deadline, "GRACE_SECONDS", 0.5)
         # Two workers x one chunk each: every chunk holds two points, so
         # the sleeper is guaranteed to share a chunk.
         monkeypatch.setattr(dispatch, "CHUNKS_PER_WORKER", 1)
@@ -173,7 +174,7 @@ class TestQueuedChunk:
         # outlasts twice the budget plus grace.
         monkeypatch.setenv(CHAOS_ENV, "sleep=0.5")
         monkeypatch.setenv(POINT_TIMEOUT_ENV, "1.0")
-        monkeypatch.setenv(POINT_GRACE_ENV, "0.1")
+        monkeypatch.setattr(deadline, "GRACE_SECONDS", 0.1)
         plan = ExecutionPlan(engine)
         keys = [
             plan.add(org, name, FAST)

@@ -23,11 +23,8 @@ from repro.core.organizations import duplicate
 from repro.engine.executor import ExecutionPlan, configure_engine
 from repro.engine.store import CACHE_DIR_ENV, ResultStore
 from repro.robustness.chaos import CHAOS_ENV, child_pids, corrupt_entry, kill_process
-from repro.robustness.deadline import (
-    POINT_GRACE_ENV,
-    POINT_TIMEOUT_ENV,
-    grace_seconds,
-)
+from repro.robustness import deadline
+from repro.robustness.deadline import POINT_TIMEOUT_ENV
 from repro.robustness.runner import resilient_sweeps
 
 FAST = ExperimentSettings(
@@ -97,7 +94,7 @@ class TestHangAndTimeout:
         assert result.failed
         assert [r.resolution for r in log.records] == ["timeout"]
         assert log.records[0].error_type == "DeadlineExceededError"
-        assert elapsed < 0.5 + grace_seconds()
+        assert elapsed < 0.5 + deadline.GRACE_SECONDS
 
     def test_unscoped_points_are_untouched_by_scoped_chaos(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "hang:gcc")
@@ -114,7 +111,7 @@ class TestHangAndTimeout:
         deadline ticks never run) is killed by the parent's backstop."""
         monkeypatch.setenv(CHAOS_ENV, "sleep=10:gcc")
         monkeypatch.setenv(POINT_TIMEOUT_ENV, "0.5")
-        monkeypatch.setenv(POINT_GRACE_ENV, "0.5")
+        monkeypatch.setattr(deadline, "GRACE_SECONDS", 0.5)
         previous = configure_engine(jobs=2, store=None)
         try:
             started = time.monotonic()

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import ExperimentSettings, clear_cache, run_experiment
+from repro.core.organizations import duplicate
+from repro.engine.executor import configure_engine
+from repro.engine.store import ResultStore
 from repro.observability import trace
 from repro.observability.trace import DEFAULT_CAPACITY, TraceEvent, Tracer
+
+FAST = ExperimentSettings(
+    instructions=1_500, timing_warmup=300, functional_warmup=20_000
+)
 
 
 class TestTracer:
@@ -127,3 +135,26 @@ class TestProperties:
 
     def test_default_capacity_is_bounded(self):
         assert 0 < DEFAULT_CAPACITY <= 1_000_000
+
+
+class TestOverflowLeavesResultsAlone:
+    def test_overflowing_ring_stores_the_untraced_bytes(self, tmp_path):
+        """A ring that drops events must not write into a stored result."""
+        stored = {}
+        for name, capacity in (("plain", None), ("traced", 100)):
+            clear_cache()
+            store = ResultStore(tmp_path / name)
+            previous = configure_engine(store=store)
+            try:
+                if capacity is None:
+                    run_experiment(duplicate(line_buffer=True), "gcc", FAST)
+                else:
+                    with trace.tracing(capacity=capacity) as tracer:
+                        run_experiment(duplicate(line_buffer=True), "gcc", FAST)
+                    assert tracer.dropped > 0
+            finally:
+                configure_engine(store=previous[1])
+                clear_cache()
+            (entry,) = store.version_dir.rglob("*.json")
+            stored[name] = entry.read_bytes()
+        assert stored["traced"] == stored["plain"]

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.robustness.deadline import (
-    DEFAULT_GRACE_SECONDS,
-    POINT_GRACE_ENV,
     POINT_TIMEOUT_ENV,
     _TICK_MASK,
     Deadline,
     active_deadline,
     clear_deadline,
     configured_timeout,
-    grace_seconds,
     point_deadline,
 )
 from repro.robustness.errors import DeadlineExceededError
@@ -92,14 +89,6 @@ class TestConfiguration:
     def test_bad_values_disable_not_fail(self, monkeypatch, raw):
         monkeypatch.setenv(POINT_TIMEOUT_ENV, raw)
         assert configured_timeout() is None
-
-    def test_grace_default_and_override(self, monkeypatch):
-        monkeypatch.delenv(POINT_GRACE_ENV, raising=False)
-        assert grace_seconds() == DEFAULT_GRACE_SECONDS
-        monkeypatch.setenv(POINT_GRACE_ENV, "1.5")
-        assert grace_seconds() == 1.5
-        monkeypatch.setenv(POINT_GRACE_ENV, "nope")
-        assert grace_seconds() == DEFAULT_GRACE_SECONDS
 
 
 class TestPointDeadlineScope:

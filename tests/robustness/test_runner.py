@@ -9,11 +9,14 @@ from repro.core import experiment
 from repro.core.experiment import ExperimentSettings, clear_cache, run_experiment
 from repro.core.organizations import duplicate
 from repro.robustness import (
+    DeadlineExceededError,
     FailureLog,
     SimulationInvariantError,
     current_failure_log,
     resilient_sweeps,
 )
+from repro.robustness.runner import BUDGET_DIVISOR
+from repro.workloads.catalog import benchmark
 
 FAST = ExperimentSettings(
     instructions=1_500, timing_warmup=300, functional_warmup=20_000
@@ -111,6 +114,52 @@ class TestIsolation:
             result = run_experiment(duplicate(), "gcc", FAST)
         assert not result.failed
         assert log.records == []
+
+
+class TestRetryReduced:
+    """One retry at reduced budget; the returned resolution is the
+    one the single failure record carries."""
+
+    @pytest.mark.parametrize(
+        "first_error, retry, resolution, attempts",
+        [
+            ("SimulationInvariantError", "recover", "recovered", 2),
+            ("SimulationInvariantError", "fail", "gap", 2),
+            ("SimulationInvariantError", "overrun", "timeout", 2),
+            ("DeadlineExceededError", "fail", "timeout", 1),
+        ],
+    )
+    def test_returns_the_resolution_it_records(
+        self, monkeypatch, first_error, retry, resolution, attempts
+    ):
+        real = experiment._simulate
+        budgets = []
+
+        def retried(org, spec, settings):
+            budgets.append(settings.instructions)
+            if retry == "recover":
+                return real(org, spec, settings)
+            if retry == "overrun":
+                raise DeadlineExceededError("retry overran", seconds=1.0)
+            raise SimulationInvariantError("still broken")
+
+        monkeypatch.setattr(experiment, "_simulate", retried)
+        log = FailureLog()
+        result, returned = experiment._retry_reduced(
+            duplicate(), benchmark("gcc"), FAST, log, first_error, "first try"
+        )
+        (record,) = log.records
+        assert returned == record.resolution == resolution
+        assert record.attempts == attempts
+        assert result.failed == (resolution != "recovered")
+        reduced = max(1_000, FAST.instructions // BUDGET_DIVISOR)
+        assert budgets == ([] if attempts == 1 else [reduced])
+        if retry == "overrun":
+            assert record.error_type == "DeadlineExceededError"
+            assert record.message == "retry overran"
+        else:
+            assert record.error_type == first_error
+            assert record.message == "first try"
 
 
 class TestFailureSummary:
