@@ -56,6 +56,27 @@ class TestStaticFigures:
             assert monotone_non_increasing(values, tolerance=0.002)
         assert curves["database"][0][1] > curves["li"][0][1]
 
+    def test_figure3_pinned_miss_counts(self):
+        # Misses per size (4 KB .. 1 MB) of every benchmark at seed 1,
+        # so a change to how Figure 3 reads its streams shows here.
+        pinned = {
+            "gcc": (776, 627, 445, 383, 324, 323, 322, 322, 322),
+            "li": (440, 255, 185, 176, 174, 173, 173, 173, 173),
+            "compress": (1099, 1010, 906, 782, 722, 720, 700, 700, 700),
+            "tomcatv": (1135, 1054, 1000, 925, 918, 918, 918, 918, 918),
+            "su2cor": (1005, 904, 840, 788, 777, 777, 777, 777, 777),
+            "apsi": (1761, 1608, 1501, 1422, 483, 449, 449, 449, 449),
+            "pmake": (1016, 950, 863, 738, 703, 637, 633, 632, 631),
+            "database": (1539, 1482, 1423, 1354, 1299, 1279, 1271, 1265, 1262),
+            "VCS": (1301, 1251, 1189, 1106, 1036, 990, 977, 972, 971),
+        }
+        curves = figure3(instructions=20_000, warmup_instructions=20_000)
+        sizes = [4 * 1024 << k for k in range(9)]
+        assert curves == {
+            name: [(size, miss / 20_000) for size, miss in zip(sizes, misses)]
+            for name, misses in pinned.items()
+        }
+
 
 class TestTimingFigures:
     def test_figure4_grid_complete(self):
