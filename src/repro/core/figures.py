@@ -166,19 +166,21 @@ def figure3(
     curves: dict[str, list[tuple[int, float]]] = {}
     for name in names:
         generator = WorkloadGenerator(benchmark(name), seed)
-        warm_refs = generator.memory_references(warmup_instructions)
-        refs = generator.memory_references(instructions)
+        # Packed references: ``address << 1 | is_store``, so a 32 B
+        # line is ``packed >> 6``.
+        warm_refs = generator.packed_references(warmup_instructions)
+        refs = generator.packed_references(instructions)
         series = []
         for size in sizes:
             cache = SetAssociativeCache(size, 2, 32)
-            for is_store, address in warm_refs:
-                if not cache.lookup(address >> 5, write=is_store):
-                    cache.fill(address >> 5, dirty=is_store)
+            for packed in warm_refs:
+                if not cache.lookup(packed >> 6, write=packed & 1):
+                    cache.fill(packed >> 6, dirty=packed & 1)
             misses = 0
-            for is_store, address in refs:
-                if not cache.lookup(address >> 5, write=is_store):
+            for packed in refs:
+                if not cache.lookup(packed >> 6, write=packed & 1):
                     misses += 1
-                    cache.fill(address >> 5, dirty=is_store)
+                    cache.fill(packed >> 6, dirty=packed & 1)
             series.append((size, misses / instructions))
         curves[name] = series
     return curves

@@ -21,6 +21,7 @@ building the L2 takes a single ``[EMPTY] * n`` (3.6 ms to 0.08 ms on a
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import NamedTuple
 
 
@@ -256,58 +257,62 @@ class SetAssociativeCache:
 
 
 class FullyAssociativeCache:
-    """Small fully-associative LRU cache (line buffer, victim-style uses)."""
+    """Small fully-associative LRU cache (line buffer, victim-style uses).
+
+    Lines are the keys of an ``OrderedDict``, least recently used first,
+    so a lookup, a fill and an eviction are each one C-level dict
+    operation, and a line cannot be held twice.
+    """
 
     def __init__(self, entries: int, line_bytes: int):
         if entries <= 0:
             raise ValueError(f"entries must be positive: {entries}")
         self.entries = entries
         self.line_bytes = line_bytes
-        self._lines: list[int] = []  # MRU first
+        self._lines: OrderedDict[int, None] = OrderedDict()  # LRU first
 
     def lookup(self, line: int) -> bool:
-        try:
-            pos = self._lines.index(line)
-        except ValueError:
-            return False
-        if pos:
-            self._lines.insert(0, self._lines.pop(pos))
-        return True
+        if line in self._lines:
+            self._lines.move_to_end(line)
+            return True
+        return False
 
     def probe(self, line: int) -> bool:
         return line in self._lines
 
     def fill(self, line: int) -> int | None:
         """Install a line; returns the evicted line address, if any."""
-        if self.lookup(line):
+        lines = self._lines
+        if line in lines:
+            lines.move_to_end(line)
             return None
         evicted = None
-        if len(self._lines) >= self.entries:
-            evicted = self._lines.pop()
-        self._lines.insert(0, line)
+        if len(lines) >= self.entries:
+            evicted = lines.popitem(last=False)[0]
+        lines[line] = None
         return evicted
 
     def invalidate(self, line: int) -> bool:
         if line in self._lines:
-            self._lines.remove(line)
+            del self._lines[line]
             return True
         return False
 
     def snapshot_state(self) -> list[int]:
-        """Copy of the contents in LRU order (see
+        """Copy of the contents, MRU first (see
         :meth:`SetAssociativeCache.snapshot_state`)."""
-        return list(self._lines)
+        return list(reversed(self._lines))
 
     def restore_state(self, state: list[int]) -> None:
         """Replace all contents with a copy of a snapshot's."""
-        self._lines = list(state)
+        self._lines = OrderedDict.fromkeys(reversed(state))
 
     def clear(self) -> None:
         self._lines.clear()
 
     def resident_lines(self) -> list[int]:
         """All currently held line addresses, MRU first."""
-        return list(self._lines)
+        return list(reversed(self._lines))
 
     def audit(self, name: str = "buffer") -> list[str]:
         """Structural self-check; returns a list of problem descriptions."""
@@ -316,8 +321,6 @@ class FullyAssociativeCache:
             problems.append(
                 f"{name}: {len(self._lines)} lines exceed capacity {self.entries}"
             )
-        if len(set(self._lines)) != len(self._lines):
-            problems.append(f"{name}: duplicate line in LRU order")
         return problems
 
     def __len__(self) -> int:

@@ -98,14 +98,16 @@ class BranchModel:
         mean = self.profile.mean_trip_count
         return max(2, int(self._rng.expovariate(1.0 / mean)) + 1)
 
-    def next_branch(self, srcs: tuple[int, ...] = ()) -> MicroOp:
+    def draw(self) -> tuple[int, bool]:
+        """The next dynamic branch as ``(pc, taken)``, without building
+        the micro-op :meth:`next_branch` wraps it in."""
         rng = self._rng
         if rng.random() < self.profile.loop_fraction:
             self._loop_left -= 1
             if self._loop_left <= 0:
                 self._loop_left = self._new_trip_count()
-                return make_branch(self._loop_pc, taken=False, srcs=srcs)
-            return make_branch(self._loop_pc, taken=True, srcs=srcs)
+                return self._loop_pc, False
+            return self._loop_pc, True
         # ``rng.randrange(len(sites))``, drawn exactly as CPython 3.11's
         # ``_randbelow_with_getrandbits`` draws it.
         sites = self._data_sites
@@ -114,4 +116,8 @@ class BranchModel:
         while site >= len(sites):
             site = rng.getrandbits(bits)
         pc, bias = sites[site]
-        return make_branch(pc, taken=rng.random() < bias, srcs=srcs)
+        return pc, rng.random() < bias
+
+    def next_branch(self, srcs: tuple[int, ...] = ()) -> MicroOp:
+        pc, taken = self.draw()
+        return make_branch(pc, taken=taken, srcs=srcs)

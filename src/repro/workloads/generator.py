@@ -32,6 +32,8 @@ _SPACE_STRIDE = 1 << 26  # 64 MB
 _KERNEL_SPACE_INDEX = 31
 #: Length of one kernel burst (system call / interrupt service), instrs.
 _KERNEL_BURST = 400
+#: Countdown of a phase event that never fires (no kernel, one process).
+_NEVER = 1 << 62
 
 _INT_COMPUTE = ((Op.IALU, 0.92), (Op.IMUL, 0.06), (Op.IDIV, 0.02))
 _FP_COMPUTE = ((Op.FADD, 0.50), (Op.FMUL, 0.38), (Op.FDIV, 0.10), (Op.FSQRT, 0.02))
@@ -127,12 +129,42 @@ class WorkloadGenerator:
         else:
             self._user_run = 0
 
+    def _stretches(self) -> Iterator[tuple[int, bool, _Space]]:
+        """One stream's runs of instructions drawn from one address space,
+        as ``(length, in_kernel, space)``: kernel bursts alternate with
+        user runs (the first one instruction short), and processes take
+        turns every ``context_switch_interval``.  Draws no randomness;
+        each call starts over in process 0's user phase.
+        """
+        user_spaces = self._user_spaces
+        kernel_space = self._kernel_space
+        interval = self.spec.context_switch_interval
+        user_run = self._user_run
+        # Instructions until each event next fires; an event fires as
+        # the first instruction of the stretch that follows it.
+        to_toggle = _NEVER if kernel_space is None else user_run - 1
+        to_switch = interval - 1 if interval else _NEVER
+        in_kernel = False
+        process = 0
+        space = user_spaces[0]
+        while True:
+            length = min(to_toggle, to_switch)
+            yield length, in_kernel, space
+            to_toggle -= length
+            to_switch -= length
+            if not to_toggle:
+                in_kernel = not in_kernel
+                to_toggle = _KERNEL_BURST if in_kernel else user_run
+            if not to_switch:
+                process = (process + 1) % len(user_spaces)
+                to_switch = interval
+            space = kernel_space if in_kernel else user_spaces[process]
+
     def instructions(self) -> Iterator[MicroOp]:
         """The infinite instruction stream.
 
-        Every per-stream constant and bound method is a local; the
-        current address space's three draw methods are rebound only
-        when a kernel burst or a context switch changes the space.
+        Every per-stream constant is a local; the current address
+        space's draw methods are rebound once per stretch.
         """
         spec = self.spec
         uniform = self._rng.random
@@ -140,78 +172,43 @@ class WorkloadGenerator:
         p_store = p_load + spec.store_fraction
         p_branch = p_store + spec.branches.frequency
         fp_fraction = spec.fp_fraction
-        switch_interval = spec.context_switch_interval
-        processes = spec.processes
-        user_run = self._user_run
         load, store = Op.LOAD, Op.STORE
-
-        def draws(space: _Space):
-            return (
-                space.deps.next_srcs,
-                space.memory.next_address,
-                space.branches.next_branch,
-            )
-
-        user_draws = [draws(space) for space in self._user_spaces]
-        kernel_draws = (
-            None if self._kernel_space is None else draws(self._kernel_space)
-        )
-        next_srcs, next_address, next_branch = user_draws[0]
-        process = 0
-        since_switch = 0
-        in_kernel = False
-        phase_left = user_run if user_run else -1
         seq = 0  # global dynamic instruction index
 
-        while True:
-            # --- phase bookkeeping (kernel bursts, context switches) ---
-            switched = False
-            if kernel_draws is not None:
-                phase_left -= 1
-                if phase_left <= 0:
-                    in_kernel = not in_kernel
-                    phase_left = _KERNEL_BURST if in_kernel else user_run
-                    switched = True
-            if switch_interval:
-                since_switch += 1
-                if since_switch >= switch_interval:
-                    since_switch = 0
-                    process = (process + 1) % processes
-                    switched = True
-            if switched:
-                next_srcs, next_address, next_branch = (
-                    kernel_draws if in_kernel else user_draws[process]
-                )
-
-            # --- instruction class ---
-            point = uniform()
-            if point < p_load:
-                yield MicroOp(
-                    load, next_srcs(seq, address=True), address=next_address()
-                )
-            elif point < p_store:
-                yield MicroOp(
-                    store, next_srcs(seq, address=True), address=next_address()
-                )
-            elif point < p_branch:
-                # Branch conditions resolve quickly in real codes (compare
-                # of a register already in flight); modeling them as
-                # chain-free keeps mispredict resolution realistic instead
-                # of serializing behind the whole chain backlog.
-                yield next_branch(())
-            else:
-                kernel_fp = 0.0 if in_kernel else fp_fraction
-                table = _FP_COMPUTE if uniform() < kernel_fp else _INT_COMPUTE
+        for length, in_kernel, space in self._stretches():
+            next_srcs = space.deps.next_srcs
+            next_address = space.memory.next_address
+            next_branch = space.branches.next_branch
+            kernel_fp = 0.0 if in_kernel else fp_fraction
+            end = seq + length
+            for seq in range(seq, end):
                 point = uniform()
-                acc = 0.0
-                for op, weight in table:
-                    acc += weight
-                    if point < acc:
-                        break
+                if point < p_load:
+                    yield MicroOp(
+                        load, next_srcs(seq, address=True), address=next_address()
+                    )
+                elif point < p_store:
+                    yield MicroOp(
+                        store, next_srcs(seq, address=True), address=next_address()
+                    )
+                elif point < p_branch:
+                    # Branch conditions resolve quickly in real codes (a
+                    # compare of a register already in flight); chain-free
+                    # branches keep mispredict resolution realistic instead
+                    # of serializing behind the whole chain backlog.
+                    yield next_branch(())
                 else:
-                    op = table[0][0]
-                yield MicroOp(op, next_srcs(seq))
-            seq += 1
+                    table = _FP_COMPUTE if uniform() < kernel_fp else _INT_COMPUTE
+                    point = uniform()
+                    acc = 0.0
+                    for op, weight in table:
+                        acc += weight
+                        if point < acc:
+                            break
+                    else:
+                        op = table[0][0]
+                    yield MicroOp(op, next_srcs(seq))
+            seq = end
 
     def footprint_lines(self, line_bytes: int = 32) -> list[int]:
         """All cache lines the workload's regions span, across every
@@ -248,17 +245,39 @@ class WorkloadGenerator:
         Each entry is ``address << 1 | is_store``: an ``array('Q')`` is
         ~10x smaller than the tuple list, which is what lets the fast
         backend's trace cache hold several benchmarks' warm-up streams
-        at once.  Consumes the generator state exactly like
-        :meth:`memory_references` (same stream, same RNG draws).
+        at once.  Makes every RNG draw :meth:`instructions` makes, in
+        the same order, so the generator ends in the same state; but it
+        builds no micro-op, and most instructions are not references.
         """
         refs = array("Q")
         append = refs.append
-        stream = self.instructions()
-        for _ in range(instructions):
-            mop = next(stream)
-            if mop.is_memory:
-                append((mop.address << 1) | (mop.op is Op.STORE))
-        return refs
+        spec = self.spec
+        uniform = self._rng.random
+        p_load = spec.load_fraction
+        p_store = p_load + spec.store_fraction
+        p_branch = p_store + spec.branches.frequency
+        seq = 0
+
+        for length, _, space in self._stretches():
+            next_srcs = space.deps.next_srcs
+            next_address = space.memory.next_address
+            draw_branch = space.branches.draw
+            end = min(seq + length, instructions)
+            for seq in range(seq, end):
+                point = uniform()
+                if point < p_store:
+                    next_srcs(seq, address=True)
+                    append(next_address() << 1 | (point >= p_load))
+                elif point < p_branch:
+                    draw_branch()
+                else:
+                    # The compute table and op draws, then the sources.
+                    uniform()
+                    uniform()
+                    next_srcs(seq)
+            if end >= instructions:
+                return refs
+            seq = end
 
 
 def trace(spec: WorkloadSpec, seed: int = 0) -> Iterator[MicroOp]:

@@ -1,5 +1,6 @@
 """The backend seam itself: selection, trace cache, packed streams."""
 
+import itertools
 import os
 import warnings
 
@@ -12,7 +13,7 @@ from repro.core.experiment import (
     instructions_override,
 )
 from repro.kernel import tracecache
-from repro.workloads.catalog import benchmark
+from repro.workloads.catalog import BENCHMARKS, benchmark
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -137,11 +138,30 @@ class TestTraceCache:
 
 class TestPackedReferences:
     def test_packed_matches_memory_references(self):
-        spec = benchmark("gcc")
-        packed = WorkloadGenerator(spec, seed=3).packed_references(400)
-        refs = WorkloadGenerator(spec, seed=3).memory_references(400)
-        unpacked = [(bool(word & 1), word >> 1) for word in packed]
-        assert unpacked == refs
+        # The draw-only stream must make the micro-op stream's draws:
+        # same references, and the same generator state afterwards.
+        # 60k instructions span several kernel bursts and, on the
+        # multiprogrammed benchmarks, many context switches.
+        for name in sorted(BENCHMARKS):
+            for seed in (1, 7):
+                drawn = WorkloadGenerator(BENCHMARKS[name], seed)
+                built = WorkloadGenerator(BENCHMARKS[name], seed)
+                packed = drawn.packed_references(60_000)
+                refs = built.memory_references(60_000)
+                assert list(packed) == [
+                    (address << 1) | is_store for is_store, address in refs
+                ], f"{name} seed {seed}: references differ"
+                for mop, expected in zip(
+                    itertools.islice(drawn.instructions(), 3_000),
+                    itertools.islice(built.instructions(), 3_000),
+                ):
+                    assert (mop.op, mop.srcs, mop.address, mop.pc, mop.taken) == (
+                        expected.op,
+                        expected.srcs,
+                        expected.address,
+                        expected.pc,
+                        expected.taken,
+                    ), f"{name} seed {seed}: timing micro-ops differ"
 
     def test_footprint_lines_cached_and_exact(self):
         spec = benchmark("tomcatv")
