@@ -4,6 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cpu.isa import MAX_DEP_DISTANCE
+
+#: Entries in the kernel loops' per-instruction rings, indexed by
+#: ``seq & (_RING - 1)``.  A loop reads a producer's completion up to
+#: ``MAX_DEP_DISTANCE`` seqs behind the oldest instruction in the
+#: window, so a window above ``_RING - MAX_DEP_DISTANCE`` would alias.
+_RING = 1024
+
 
 @dataclass(frozen=True)
 class ProcessorConfig:
@@ -44,6 +52,11 @@ class ProcessorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.window_size < self.fetch_width:
             raise ValueError("window must hold at least one fetch group")
+        if self.window_size > _RING - MAX_DEP_DISTANCE:
+            raise ValueError(
+                f"window_size {self.window_size} exceeds "
+                f"{_RING - MAX_DEP_DISTANCE}, the most the kernel rings hold"
+            )
         if self.lsq_size < 1:
             raise ValueError("load/store buffer needs at least one entry")
         if self.mispredict_redirect_penalty < 0:

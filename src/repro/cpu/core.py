@@ -28,13 +28,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.cpu.branch import BranchStats, make_predictor
-from repro.cpu.config import ProcessorConfig
+from repro.cpu.config import _RING, ProcessorConfig
 from repro.cpu.isa import MAX_DEP_DISTANCE, MicroOp
 from repro.cpu.result import SimulationResult
 from repro.memory.hierarchy import MemorySystem
 
 _NOT_ISSUED = -1
-_RING = 1024
 _RING_MASK = _RING - 1
 assert _RING >= MAX_DEP_DISTANCE + 512, "ring must outlive any dependence"
 

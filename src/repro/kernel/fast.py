@@ -4,35 +4,44 @@ Same machine, different bookkeeping.  Where the reference loop rescans
 the whole 64-entry window every iteration (issue) and again on every
 idle cycle (skip), this loop tracks readiness incrementally:
 
-* **dependency counting** -- each fetched slot knows how many of its
-  producers are still unissued (``pending``) and the latest completion
-  among those already issued (``ready``); producers keep per-slot
-  waiter lists, so an issue touches exactly its consumers;
-* **ready heap / eligible list** -- dep-satisfied slots wait in a
-  min-heap keyed by ready cycle; once ready they move to a seq-sorted
+* **the window is a seq range** -- the in-flight instructions are
+  exactly the seqs ``[committed, fetched)``, so their state (micro-op,
+  completion cycle or ``_NOT_ISSUED``, unissued-producer count, ready
+  cycle, waiter seqs) lives in rings indexed by ``seq & _RING_MASK``,
+  with no per-instruction objects.  :meth:`ProcessorConfig.validated`
+  bounds the window so that no two live seqs, nor a live seq and a
+  producer it still reads, share a ring entry;
+* **dependency counting** -- each fetched instruction knows how many
+  of its producers are still unissued (``pending``) and the latest
+  completion among those already issued (``ready``); producers keep
+  waiter lists of seqs, so an issue touches exactly its consumers;
+* **ready heap / eligible list** -- dep-satisfied seqs wait in a
+  min-heap keyed by ready cycle; once ready they move to a sorted
   eligible list, so the issue stage walks only genuinely issuable
-  slots (in the same oldest-first order the reference scan produces);
-* **completion heap** -- issued slots' completion cycles, lazily
-  pruned at commit, make the idle-cycle jump O(log n) instead of a
-  window scan, and generalize it: memory-wait, fetch-starved, and
-  mispredict-stall states all resolve through the same three sources
-  (completions, ready times, branch resume);
-* **slot freelist** -- committed slots are reused instead of
-  reallocated (guarding the one case where a committed slot is still
-  referenced: a mispredicted branch whose redirect penalty is still
-  counting down);
+  instructions (in the same oldest-first order the reference scan
+  produces);
+* **heap-free idle horizon** -- an idle iteration takes the earliest
+  of the ready heap's top, the mispredicted branch's resume cycle and
+  the in-flight completions, scanning the window from its head only
+  until some issued instruction completes by the next cycle.  On the
+  perfbench sweeps every idle iteration is a one-cycle step, so the
+  scan stops early;
+* **tapes** -- every fetch reads a :class:`~repro.kernel.tracecache.TapeReplay`
+  (a plain iterator is taped as it is consumed), and the measured op
+  mix is counted once per run over the committed slice of the tape;
 * **precomputed workload artifacts** -- the functional-warmup stream
   and the timing trace come from :mod:`repro.kernel.tracecache`, so
   thirty organizations of one benchmark generate them once.
 
-Every architectural decision -- which slots issue on which cycle, in
-which order memory is accessed, when stats reset, when the watchdog
-and audits run, which trace events fire -- is made identically to
-:mod:`repro.kernel.reference`.  The stall counters even preserve the
-reference loop's *iteration* semantics (they count loop iterations,
-not cycles), which is why the advance/skip structure mirrors it
-exactly.  ``tests/engine/test_backends.py`` and the golden suite hold
-the two backends bit-identical.
+Every architectural decision -- which instructions issue on which
+cycle, in which order memory is accessed, when stats reset, when the
+watchdog and audits run, which trace events fire -- is made
+identically to :mod:`repro.kernel.reference`.  The stall counters even
+preserve the reference loop's *iteration* semantics (they count loop
+iterations, not cycles), which is why the advance/skip structure
+mirrors it exactly.  ``tests/engine/test_backends.py``, the kernel
+property test and the golden suite hold the two backends
+bit-identical.
 
 This is the default backend.
 """
@@ -41,8 +50,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import insort
-from collections import deque
+from collections import Counter
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.cpu.isa import (
@@ -79,23 +89,9 @@ _STORE = Op.STORE
 _BRANCH = Op.BRANCH
 
 #: ``member.name`` resolves through a DynamicClassAttribute descriptor
-#: (a Python-level call); the commit stage needs it once per
-#: instruction, so read it from a plain dict instead.
+#: (a Python-level call); read the op mix's names from a plain dict.
 _OP_NAMES = {op: op.name for op in Op}
-
-
-class _FastSlot:
-    """One instruction in flight, plus incremental readiness state."""
-
-    __slots__ = ("seq", "mop", "complete", "issued", "pending", "ready")
-
-    def __init__(self, seq: int, mop: MicroOp):
-        self.seq = seq
-        self.mop = mop
-        self.complete = 0  # valid only when issued
-        self.issued = False
-        self.pending = 0  # unissued producers
-        self.ready = 0  # max completion among issued producers
+_OP_OF = attrgetter("op")
 
 
 class FastBackend:
@@ -278,6 +274,21 @@ def warm_memory(memory: "MemorySystem", packed_refs) -> array:
     return log
 
 
+def _window(first: int, end: int, mops: list, comp: list) -> list:
+    """Slot-shaped views of seqs ``[first, end)``, for the failure dumps."""
+    from repro.cpu.core import _RING_MASK, _Slot
+
+    slots = []
+    for seq in range(first, end):
+        slot = _Slot(seq, mops[seq & _RING_MASK])
+        when = comp[seq & _RING_MASK]
+        if when >= 0:
+            slot.complete = when
+            slot.issued = True
+        slots.append(slot)
+    return slots
+
+
 def run_loop(
     core: "OutOfOrderCore",
     trace: Iterator[MicroOp],
@@ -286,7 +297,7 @@ def run_loop(
     warmup_instructions: int = 0,
 ) -> SimulationResult:
     """The event-driven cycle loop (see module docstring)."""
-    from repro.cpu.core import _NOT_ISSUED, _RING, _RING_MASK
+    from repro.cpu.core import _NOT_ISSUED, _RING, _RING_MASK, _Slot
 
     if max_instructions <= 0:
         raise ValueError("max_instructions must be positive")
@@ -308,40 +319,37 @@ def run_loop(
     memory_load = memory.load
     memory_store = memory.store
     alu_latency = R10000_LATENCY
-    op_names = _OP_NAMES
 
-    # A TapeReplay exposes its tape for direct indexing: one list access
-    # per fetched micro-op instead of a generator-frame resume.  The
-    # cursor is written back on exit so the iterator stays resumable.
-    tape = tape_extend = None
-    tape_index = 0
-    if type(trace) is tracecache.TapeReplay:
-        tape = trace.tape
-        tape_extend = trace.extend
-        tape_index = trace.index
+    # Seq ``s`` is ``tape[base + s]``: one list index per fetch instead
+    # of a generator-frame resume.  The cursor is written back on exit,
+    # just past the last fetched micro-op, so the iterator stays
+    # resumable.
+    if type(trace) is not tracecache.TapeReplay:
+        trace = tracecache.TapeReplay.over(trace)
+    tape = trace.tape
+    tape_extend = trace.extend
+    base = trace.index
 
-    window: "deque[_FastSlot]" = deque()
+    # Per-seq rings; the window is the seq range [committed, fetched).
+    mops: "list[MicroOp | None]" = [None] * _RING
     comp = [0] * _RING  # completion cycle by seq; pre-trace state is ready
-    consumers: "list[list[_FastSlot] | None]" = [None] * _RING
-    ready_heap: list = []  # (ready, seq, slot): deps met, waiting on time
-    eligible: list = []  # [(seq, slot)] issuable now, oldest first
-    completion_heap: list = []  # (complete, seq) of issued, uncommitted
-    freelist: "list[_FastSlot]" = []
+    pending = [0] * _RING  # unissued producers of an unissued seq
+    ready = [0] * _RING  # latest completion among its issued producers
+    consumers: "list[list[int] | None]" = [None] * _RING  # waiter seqs
+    ready_heap: list = []  # (ready, seq): deps met, waiting on time
+    eligible: list[int] = []  # seqs issuable now, oldest first
     pipeline = PipelineStats()
-    op_counts: dict[str, int] = {}
     store_lines: dict[int, tuple[int, int]] = {}  # line -> (seq, ready)
 
     cycle = 0
     fetched = 0
-    committed = 0
-    expected_seq = 0
+    committed = 0  # also the seq at the head of the window
     commits_since_audit = 0
     lsq_used = 0
     wd_limit = cfg.watchdog_stall_cycles
     wd_last = 0  # mirrors watchdog._last_progress_cycle, loop-locally
     watchdog = CommitWatchdog(wd_limit) if wd_limit else None
-    held: MicroOp | None = None  # fetched but blocked on a full LSQ
-    blocking_branch: "_FastSlot | None" = None
+    blocking_branch: int | None = None  # seq of a mispredicted branch
     trace_done = False
     measuring = warmup_instructions == 0
     measure_start_cycle = 0
@@ -360,41 +368,37 @@ def run_loop(
         # land inside the enclosing interval's cycle delta for free.
         sampler.begin(cycle, committed, pipeline)
 
-    while committed < target and not (trace_done and not window):
+    while committed < target and not (trace_done and committed == fetched):
         if deadline is not None:
             deadline.tick(cycle)
         # Inlined CommitWatchdog.check guard: the mirror ``wd_last``
         # tracks its ``_last_progress_cycle`` exactly, so ``check``
         # (which then raises) is only entered when it would raise.
-        if wd_limit and window and cycle - wd_last > wd_limit:
-            watchdog.check(cycle, window, mshrs)
+        if wd_limit and committed < fetched and cycle - wd_last > wd_limit:
+            watchdog.check(
+                cycle, _window(committed, fetched, mops, comp), mshrs
+            )
 
         # ---------------- commit ----------------
         n_commit = 0
-        while window and n_commit < commit_width:
-            slot = window[0]
-            if not slot.issued or slot.complete > cycle:
+        while committed < fetched and n_commit < commit_width:
+            masked = committed & _RING_MASK
+            when = comp[masked]
+            if when < 0 or when > cycle:
                 break
-            window.popleft()
-            if slot.seq != expected_seq:
-                raise SimulationInvariantError(
-                    f"out-of-order commit: window head has seq {slot.seq}, "
-                    f"expected {expected_seq} at cycle {cycle}",
-                    {"instruction window": dump_window(window, cycle)},
-                )
-            expected_seq += 1
-            mop = slot.mop
+            mop = mops[masked]
             op = mop.op
             if tracer is not None:
                 tracer.capture(
-                    obs.CPU_COMMIT, cycle, {"seq": slot.seq, "op": op.name}
+                    obs.CPU_COMMIT, cycle, {"seq": committed, "op": op.name}
                 )
             if op is _LOAD or op is _STORE:
                 lsq_used -= 1
                 if lsq_used < 0:
+                    window = _window(committed + 1, fetched, mops, comp)
                     raise SimulationInvariantError(
                         f"load/store queue underflow committing seq "
-                        f"{slot.seq} at cycle {cycle}",
+                        f"{committed} at cycle {cycle}",
                         {"instruction window": dump_window(window, cycle)},
                     )
                 if op is _STORE:
@@ -402,18 +406,10 @@ def run_loop(
                     memory_store(mop.address, cycle + 1)
                     line = mop.address >> line_shift
                     entry = store_lines.get(line)
-                    if entry is not None and entry[0] == slot.seq:
+                    if entry is not None and entry[0] == committed:
                         del store_lines[line]
-            if measuring:
-                name = op_names[op]
-                op_counts[name] = op_counts.get(name, 0) + 1
             committed += 1
             n_commit += 1
-            if slot is not blocking_branch:
-                # A mispredicted branch can commit while its redirect
-                # penalty is still stalling fetch; its slot stays live
-                # until the resume check below releases it.
-                freelist.append(slot)
             if committed == warmup_instructions and not measuring:
                 measuring = True
                 measure_start_cycle = cycle
@@ -439,163 +435,115 @@ def run_loop(
 
         # ---------------- issue ----------------
         while ready_heap and ready_heap[0][0] <= cycle:
-            entry = heappop(ready_heap)
-            insort(eligible, (entry[1], entry[2]))
+            insort(eligible, heappop(ready_heap)[1])
         n_issue = 0
         if eligible:
             if fu_limits is None:
-                take = len(eligible)
-                if take > issue_width:
-                    take = issue_width
-                for index in range(take):
-                    seq, slot = eligible[index]
-                    if tracer is not None:
-                        issue_one(
-                            core, slot, cycle, store_lines, pipeline, tracer
-                        )
-                        when = slot.complete
-                    else:
-                        # Inline of reference.issue_slot (the canonical
-                        # version) minus its tracer branches; the
-                        # parity suite and golden snapshots pin the two
-                        # paths identical.
-                        mop = slot.mop
-                        op = mop.op
-                        if op is _LOAD:
-                            address_ready = cycle + ADDRESS_CALC_CYCLES
-                            entry = (
-                                store_lines.get(mop.address >> line_shift)
-                                if store_forwarding
-                                else None
-                            )
-                            if entry is not None:
-                                pipeline.store_forwards += 1
-                                when = address_ready + 1
-                                forwarded = entry[1] + 1
-                                if forwarded > when:
-                                    when = forwarded
-                            else:
-                                when = memory_load(
-                                    mop.address, address_ready
-                                ).completion_cycle
-                        elif op is _STORE:
-                            when = cycle + ADDRESS_CALC_CYCLES
-                            if store_forwarding:
-                                store_lines[mop.address >> line_shift] = (seq, when)
-                        else:
-                            when = cycle + alu_latency[op]
-                        slot.complete = when
-                        slot.issued = True
-                    masked = seq & _RING_MASK
-                    comp[masked] = when
-                    heappush(completion_heap, (when, seq))
-                    waiters = consumers[masked]
-                    if waiters is not None:
-                        consumers[masked] = None
-                        for waiter in waiters:
-                            if when > waiter.ready:
-                                waiter.ready = when
-                            waiter.pending -= 1
-                            if not waiter.pending:
-                                heappush(
-                                    ready_heap,
-                                    (waiter.ready, waiter.seq, waiter),
-                                )
-                del eligible[:take]
-                n_issue = take
+                issuing = eligible[:issue_width]
+                del eligible[:issue_width]
             else:
                 # Structural hazards: same skip-but-stay-eligible
                 # behavior as the reference scan, oldest first.
                 fu_free = dict(fu_limits)
-                remaining: list = []
-                for entry in eligible:
-                    if n_issue >= issue_width:
-                        remaining.append(entry)
-                        continue
-                    seq, slot = entry
-                    unit = FU_CLASS[slot.mop.op]
-                    if fu_free.get(unit, 0) <= 0:
-                        remaining.append(entry)
-                        continue
+                issuing = []
+                remaining: list[int] = []
+                for seq in eligible:
+                    unit = FU_CLASS[mops[seq & _RING_MASK].op]
+                    if len(issuing) < issue_width and fu_free.get(unit, 0) > 0:
+                        fu_free[unit] -= 1
+                        issuing.append(seq)
+                    else:
+                        remaining.append(seq)
+                eligible = remaining
+            n_issue = len(issuing)
+            for seq in issuing:
+                masked = seq & _RING_MASK
+                mop = mops[masked]
+                if tracer is not None:
+                    slot = _Slot(seq, mop)
                     issue_one(core, slot, cycle, store_lines, pipeline, tracer)
                     when = slot.complete
-                    masked = seq & _RING_MASK
-                    comp[masked] = when
-                    heappush(completion_heap, (when, seq))
-                    waiters = consumers[masked]
-                    if waiters is not None:
-                        consumers[masked] = None
-                        for waiter in waiters:
-                            if when > waiter.ready:
-                                waiter.ready = when
-                            waiter.pending -= 1
-                            if not waiter.pending:
-                                heappush(
-                                    ready_heap,
-                                    (waiter.ready, waiter.seq, waiter),
-                                )
-                    fu_free[unit] -= 1
-                    n_issue += 1
-                eligible = remaining
+                else:
+                    # Inline of reference.issue_slot (the canonical
+                    # version) minus its tracer branches; the parity
+                    # suite and golden snapshots pin the two paths
+                    # identical.
+                    op = mop.op
+                    if op is _LOAD:
+                        address_ready = cycle + ADDRESS_CALC_CYCLES
+                        entry = (
+                            store_lines.get(mop.address >> line_shift)
+                            if store_forwarding
+                            else None
+                        )
+                        if entry is not None:
+                            pipeline.store_forwards += 1
+                            when = address_ready + 1
+                            forwarded = entry[1] + 1
+                            if forwarded > when:
+                                when = forwarded
+                        else:
+                            when = memory_load(
+                                mop.address, address_ready
+                            ).completion_cycle
+                    elif op is _STORE:
+                        when = cycle + ADDRESS_CALC_CYCLES
+                        if store_forwarding:
+                            store_lines[mop.address >> line_shift] = (seq, when)
+                    else:
+                        when = cycle + alu_latency[op]
+                comp[masked] = when
+                waiters = consumers[masked]
+                if waiters is not None:
+                    consumers[masked] = None
+                    for waiter in waiters:
+                        wmasked = waiter & _RING_MASK
+                        if when > ready[wmasked]:
+                            ready[wmasked] = when
+                        left = pending[wmasked] - 1
+                        pending[wmasked] = left
+                        if not left:
+                            heappush(ready_heap, (ready[wmasked], waiter))
 
         # ---------------- fetch ----------------
         n_fetch = 0
         if blocking_branch is not None:
-            if blocking_branch.issued:
-                resume = blocking_branch.complete + redirect_penalty
+            # Fetch is stalled, so the branch's ring entry outlives its
+            # commit until the redirect completes.
+            when = comp[blocking_branch & _RING_MASK]
+            if when >= 0:
+                resume = when + redirect_penalty
                 if cycle >= resume:
                     if tracer is not None:
                         tracer.capture(
                             obs.CPU_FLUSH,
                             cycle,
-                            {"seq": blocking_branch.seq, "resume": resume},
+                            {"seq": blocking_branch, "resume": resume},
                         )
-                    if blocking_branch.seq < expected_seq:
-                        # Already committed; recyclable now that the
-                        # redirect stall is over.
-                        freelist.append(blocking_branch)
                     blocking_branch = None
             if blocking_branch is not None and measuring:
                 pipeline.mispredict_stall_cycles += 1
         if blocking_branch is None and not trace_done:
             while n_fetch < fetch_width:
-                if len(window) >= window_size:
+                if fetched - committed >= window_size:
                     if measuring:
                         pipeline.window_full_stalls += 1
                     break
-                if held is not None:
-                    mop, held = held, None
-                elif tape is not None:
-                    if tape_index < len(tape) or tape_extend():
-                        mop = tape[tape_index]
-                        tape_index += 1
-                    else:
-                        mop = None
-                else:
-                    mop = next(trace, None)
-                if mop is None:
+                position = base + fetched
+                if position == len(tape) and not tape_extend():
                     trace_done = True
                     break
+                mop = tape[position]
                 op = mop.op
                 is_mem = op is _LOAD or op is _STORE
                 if is_mem and lsq_used >= lsq_size:
                     if measuring:
                         pipeline.lsq_full_stalls += 1
-                    held = mop  # retry next cycle
-                    break
+                    break  # the same micro-op retries next cycle
                 seq = fetched
-                if freelist:
-                    slot = freelist.pop()
-                    slot.seq = seq
-                    slot.mop = mop
-                    slot.complete = 0
-                    slot.issued = False
-                else:
-                    slot = _FastSlot(seq, mop)
                 masked = seq & _RING_MASK
+                mops[masked] = mop
                 comp[masked] = _NOT_ISSUED
-                consumers[masked] = None
-                window.append(slot)
                 fetched += 1
                 n_fetch += 1
                 if tracer is not None:
@@ -605,72 +553,83 @@ def run_loop(
                 if is_mem:
                     lsq_used += 1
                     if lsq_used > lsq_size:
+                        window = _window(committed, fetched, mops, comp)
                         raise SimulationInvariantError(
                             f"load/store queue overflow ({lsq_used} > "
-                            f"{lsq_size}) fetching seq {slot.seq} "
+                            f"{lsq_size}) fetching seq {seq} "
                             f"at cycle {cycle}",
                             {"instruction window": dump_window(window, cycle)},
                         )
                 # Register dependencies: count unissued producers, take
                 # the max completion among issued ones.
-                pending = 0
-                ready = 0
+                waiting = 0
+                at = 0
                 for distance in mop.srcs:
                     producer = seq - distance
                     if producer >= 0:
                         pmasked = producer & _RING_MASK
                         when = comp[pmasked]
                         if when < 0:
-                            pending += 1
+                            waiting += 1
                             waiters = consumers[pmasked]
                             if waiters is None:
-                                consumers[pmasked] = [slot]
+                                consumers[pmasked] = [seq]
                             else:
-                                waiters.append(slot)
-                        elif when > ready:
-                            ready = when
-                slot.pending = pending
-                slot.ready = ready
-                if not pending:
-                    if ready <= cycle:
-                        # Already issuable at the next issue stage; the
-                        # ready heap would pop it straight back out, and
-                        # a fresh fetch always carries the highest seq,
-                        # so appending keeps ``eligible`` seq-sorted.
-                        eligible.append((seq, slot))
-                    else:
-                        heappush(ready_heap, (ready, seq, slot))
+                                waiters.append(seq)
+                        elif when > at:
+                            at = when
+                if waiting:
+                    pending[masked] = waiting
+                    ready[masked] = at
+                elif at <= cycle:
+                    # Already issuable at the next issue stage; the
+                    # ready heap would pop it straight back out, and a
+                    # fresh fetch always carries the highest seq, so
+                    # appending keeps ``eligible`` sorted.
+                    eligible.append(seq)
+                else:
+                    heappush(ready_heap, (at, seq))
                 if op is _BRANCH:
                     if not predictor_observe(mop.pc, mop.taken):
-                        blocking_branch = slot
+                        blocking_branch = seq
                         break
 
         # ---------------- advance time ----------------
-        if n_commit or n_issue or n_fetch:
-            cycle += 1
-        else:
-            # Identical horizon to the reference window scan, from three
-            # incremental sources: the earliest in-flight completion,
-            # the earliest dep-satisfied ready time (eligible slots are
-            # ready *now*, so they pin the horizon to cycle + 1), and
-            # the mispredicted branch's fetch-resume cycle.
-            while completion_heap and completion_heap[0][1] < expected_seq:
-                heappop(completion_heap)
-            horizon = completion_heap[0][0] if completion_heap else None
-            if eligible and (horizon is None or cycle + 1 < horizon):
-                horizon = cycle + 1
-            if ready_heap:
-                candidate = ready_heap[0][0]
-                if horizon is None or candidate < horizon:
-                    horizon = candidate
-            if blocking_branch is not None and blocking_branch.issued:
-                resume = blocking_branch.complete + redirect_penalty
-                if horizon is None or resume < horizon:
-                    horizon = resume
-            cycle = cycle + 1 if horizon is None or horizon <= cycle else horizon
+        cycle += 1
+        if not (n_commit or n_issue or n_fetch or eligible):
+            # Identical horizon to the reference window scan: the
+            # earliest dep-satisfied ready time, the mispredicted
+            # branch's fetch-resume cycle and the earliest in-flight
+            # completion, but never less than one cycle on.  (Eligible
+            # instructions are ready *now*, which pins it to one.)  The
+            # window scan stops at the first completion that does.
+            horizon = ready_heap[0][0] if ready_heap else None
+            if blocking_branch is not None:
+                when = comp[blocking_branch & _RING_MASK]
+                if when >= 0:
+                    resume = when + redirect_penalty
+                    if horizon is None or resume < horizon:
+                        horizon = resume
+            if horizon is None or horizon > cycle:
+                for seq in range(committed, fetched):
+                    when = comp[seq & _RING_MASK]
+                    if when >= 0 and (horizon is None or when < horizon):
+                        horizon = when
+                        if when <= cycle:
+                            break
+                if horizon is not None and horizon > cycle:
+                    cycle = horizon
 
-    if tape is not None:
-        trace.index = tape_index
+    trace.index = base + fetched
+
+    # The measured op mix, counted once: the tape slice is in commit
+    # order, so the dict keeps each op's first-commit key order.
+    op_counts = {
+        _OP_NAMES[op]: count
+        for op, count in Counter(
+            map(_OP_OF, tape[base + warmup_instructions : base + committed])
+        ).items()
+    }
 
     # Final structural audit: catches corruption that accumulated
     # after the last periodic check (or any at all on short runs).

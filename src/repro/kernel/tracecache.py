@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.cpu.isa import MicroOp
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
@@ -94,7 +94,7 @@ class WorkloadArtifacts:
 
     def timing_stream(self) -> "TapeReplay":
         """A fresh iterator over the (shared, lazily grown) timing tape."""
-        return TapeReplay(self)
+        return TapeReplay(self._tape, self._extend)
 
     def _extend(self) -> bool:
         """Pull one more micro-op from the live generator onto the tape."""
@@ -115,20 +115,37 @@ class WorkloadArtifacts:
 
 
 class TapeReplay:
-    """Iterator over one artifacts tape, with direct-index access.
+    """Iterator over a micro-op tape, with direct-index access.
 
     A generator resume costs a full frame switch per micro-op; the fast
     loop instead reads ``tape``/``extend``/``index`` directly (one list
     index per fetch) and writes ``index`` back when it stops.
-    ``__next__`` keeps this a plain iterator for every other consumer.
+    ``extend()`` appends one more micro-op to ``tape`` and returns
+    whether it could.  ``__next__`` keeps this a plain iterator for
+    every other consumer.
     """
 
     __slots__ = ("tape", "extend", "index")
 
-    def __init__(self, artifacts: WorkloadArtifacts):
-        self.tape = artifacts._tape
-        self.extend = artifacts._extend
+    def __init__(self, tape: list[MicroOp], extend: Callable[[], bool]):
+        self.tape = tape
+        self.extend = extend
         self.index = 0
+
+    @classmethod
+    def over(cls, iterator: Iterator[MicroOp]) -> "TapeReplay":
+        """Tape a plain iterator as it is consumed, one micro-op per pull."""
+        tape: list[MicroOp] = []
+        append = tape.append
+
+        def extend() -> bool:
+            mop = next(iterator, None)
+            if mop is None:
+                return False
+            append(mop)
+            return True
+
+        return cls(tape, extend)
 
     def __iter__(self) -> "TapeReplay":
         return self

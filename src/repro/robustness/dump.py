@@ -25,7 +25,11 @@ def _format_table(headers: list[str], rows: list[list[str]], title: str) -> str:
 
 
 def dump_window(window: Iterable, cycle: int) -> str:
-    """The in-flight instruction window, oldest first (``_Slot`` objects)."""
+    """The in-flight instruction window, oldest first.
+
+    Takes slot-shaped objects: ``seq``, ``mop``, ``issued`` and
+    ``complete``, as on :class:`repro.cpu.core._Slot`.
+    """
     rows = []
     for slot in window:
         if len(rows) >= _WINDOW_ROWS:

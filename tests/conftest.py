@@ -6,6 +6,10 @@ stale results from (or leak results into) a developer's real
 for, and exactly what hermetic tests must not see.  Likewise every test
 starts with tracing disabled: a test that activates a tracer and fails
 before restoring it must not leak event capture into its neighbors.
+Nor does the shell steer a test: the variables that change what a
+simulation runs or observes are unset, and a test that needs one sets
+it through ``monkeypatch``.  ``REPRO_BACKEND`` is left alone on purpose,
+so the whole suite can be run on either backend.
 """
 
 import pytest
@@ -22,6 +26,26 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/golden/*.json snapshots from current behavior",
     )
+
+
+#: Environment variables that steer a simulation's budget, faults or
+#: observers.
+STEERING_ENV = (
+    "REPRO_SCALE",
+    "REPRO_INSTRUCTIONS",
+    "REPRO_POINT_TIMEOUT",
+    "REPRO_CHAOS",
+    "REPRO_TRACE",
+    "REPRO_ATTRIBUTION",
+    "REPRO_COUNTER_INTERVAL",
+    "REPRO_SPANS",
+)
+
+
+@pytest.fixture(autouse=True)
+def _unsteered_environment(monkeypatch):
+    for name in STEERING_ENV:
+        monkeypatch.delenv(name, raising=False)
 
 
 @pytest.fixture(autouse=True)

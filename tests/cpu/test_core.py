@@ -288,6 +288,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProcessorConfig(window_size=2, fetch_width=4).validated()
 
+    def test_rejects_window_that_aliases_the_rings(self):
+        # 1024 ring entries less the 256-seq dependence reach.
+        assert ProcessorConfig(window_size=768).validated().window_size == 768
+        with pytest.raises(ValueError, match="window_size 769 exceeds 768"):
+            ProcessorConfig(window_size=769).validated()
+
     def test_rejects_negative_penalty(self):
         with pytest.raises(ValueError):
             ProcessorConfig(mispredict_redirect_penalty=-1).validated()
