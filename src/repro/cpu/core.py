@@ -86,23 +86,8 @@ class OutOfOrderCore:
 
     def _reset_stats(self) -> None:
         """Zero every statistics object after cache warmup."""
-        from repro.memory.stats import MemoryStats
-
-        self.memory.stats = MemoryStats()
+        self.memory.reset_stats()
         self.predictor.stats = BranchStats()
-        arbiter = self.memory.arbiter
-        arbiter.stats = type(arbiter.stats)()
-        self.memory.mshrs.stats = type(self.memory.mshrs.stats)()
-        self.memory.mshrs.occupancy_peak = 0
-        if self.memory.line_buffer is not None:
-            self.memory.line_buffer.stats = type(self.memory.line_buffer.stats)()
-        if getattr(self.memory, "victim_cache", None) is not None:
-            self.memory.victim_cache.stats = type(self.memory.victim_cache.stats)()
-        backside = self.memory.backside
-        backside.stats = type(backside.stats)()
-        if self.memory.attribution is not None:
-            # Attribution covers the measured region only, same as stats.
-            self.memory.attribution.reset()
 
 
 def simulate(

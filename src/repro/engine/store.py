@@ -41,7 +41,10 @@ from repro.engine.serialize import from_plain, to_plain
 #: v4: results gain a ``counters`` field -- the interval-sampled
 #: counter series (or None when sampling was off); v3 entries would
 #: silently read back as counter-less, so they are retired instead.
-SCHEMA_VERSION = 4
+#: v5: the ``memory.bus.*`` metrics cover the measured region only;
+#: v4 entries counted timing warm-up transfers too.  Results keep
+#: ``backend``: provenance a backend-agreement audit needs.
+SCHEMA_VERSION = 5
 
 #: Environment override for the store location used by the CLI.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -27,16 +27,16 @@ from repro.robustness.invariants import bus_causality_tap
 
 @dataclass
 class BacksideStats:
-    l1_line_requests: int = 0
-    l2_hits: int = 0
-    l2_misses: int = 0
-    writebacks: int = 0  #: dirty L1 victims written to the L2
-    l2_writebacks: int = 0  #: dirty L2 victims written to memory
+    line_requests: int = 0  #: L1 line fetches sent to the L2
+    hits: int = 0
+    misses: int = 0
+    writebacks_in: int = 0  #: dirty L1 victims written to the L2
+    writebacks_out: int = 0  #: dirty L2 victims written to memory
 
     @property
     def l2_miss_rate(self) -> float:
-        total = self.l2_hits + self.l2_misses
-        return self.l2_misses / total if total else 0.0
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
 
 
 class FillResponse(NamedTuple):
@@ -100,11 +100,11 @@ class BacksideMemory:
 
     def fetch_line(self, l1_line: int, cycle: int) -> FillResponse:
         """Fetch an L1 line requested at ``cycle``; returns arrival timing."""
-        self.stats.l1_line_requests += 1
+        self.stats.line_requests += 1
         l2_line = self._l2_line(l1_line)
         lookup_done = cycle + self.config.l2_hit_cycles
         if self.l2.lookup(l2_line):
-            self.stats.l2_hits += 1
+            self.stats.hits += 1
             transfer = self._checked_transfer(
                 self.chip_bus, lookup_done, self.l1_line_bytes
             )
@@ -114,7 +114,7 @@ class BacksideMemory:
                 bus_transfer=transfer.done_cycle - transfer.start_cycle,
             )
             return FillResponse(transfer.done_cycle, ServedBy.L2, path)
-        self.stats.l2_misses += 1
+        self.stats.misses += 1
         # Miss determined after the L2 lookup; go to main memory.
         mem_ready = lookup_done + self.config.memory_cycles
         mem_xfer = self._checked_transfer(
@@ -122,7 +122,7 @@ class BacksideMemory:
         )
         victim = self.l2.fill(l2_line)
         if victim is not None and victim.dirty:
-            self.stats.l2_writebacks += 1
+            self.stats.writebacks_out += 1
             # Writeback occupies the memory bus but is off the critical path.
             self.memory_bus.transfer(mem_xfer.done_cycle, self.config.l2_line)
         transfer = self._checked_transfer(
@@ -152,13 +152,13 @@ class BacksideMemory:
         else:
             victim = self.l2.fill(l2_line, dirty=True)
             if victim is not None and victim.dirty:
-                self.stats.l2_writebacks += 1
+                self.stats.writebacks_out += 1
                 self.memory_bus.transfer(transfer.done_cycle, self.config.l2_line)
         return transfer.done_cycle
 
     def writeback_line(self, l1_line: int, cycle: int) -> None:
         """A dirty L1 victim crosses the chip bus and updates the L2."""
-        self.stats.writebacks += 1
+        self.stats.writebacks_in += 1
         self.chip_bus.transfer(cycle, self.l1_line_bytes)
         l2_line = self._l2_line(l1_line)
         if self.l2.probe(l2_line):
@@ -167,5 +167,5 @@ class BacksideMemory:
             # Victim no longer in L2 (evicted meanwhile): allocate dirty.
             victim = self.l2.fill(l2_line, dirty=True)
             if victim is not None and victim.dirty:
-                self.stats.l2_writebacks += 1
+                self.stats.writebacks_out += 1
                 self.memory_bus.transfer(cycle, self.config.l2_line)

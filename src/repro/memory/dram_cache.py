@@ -44,16 +44,9 @@ class DramCacheConfig:
 
 @dataclass
 class DramStats:
-    row_cache_hits: int = 0
-    row_cache_misses: int = 0
-    dram_hits: int = 0
-    dram_misses: int = 0
+    hits: int = 0  #: row fetches the DRAM array held
+    misses: int = 0  #: row fetches that went to main memory
     bank_wait_cycles: int = 0
-
-    @property
-    def row_cache_miss_rate(self) -> float:
-        total = self.row_cache_hits + self.row_cache_misses
-        return self.row_cache_misses / total if total else 0.0
 
 
 class DramFill(NamedTuple):
@@ -91,13 +84,13 @@ class DramCacheBackside:
         done = start + self.config.dram_hit_cycles
         self._bank_free[bank] = done  # bank busy for the full access
         if self.dram.lookup(row_line):
-            self.stats.dram_hits += 1
+            self.stats.hits += 1
             path = critical_path(
                 dram_bank_wait=start - cycle,
                 dram_access=self.config.dram_hit_cycles,
             )
             return DramFill(done, ServedBy.DRAM_CACHE, path)
-        self.stats.dram_misses += 1
+        self.stats.misses += 1
         mem_ready = done + self.config.memory_cycles
         transfer = self.memory_bus.transfer(mem_ready, self.config.row_bytes)
         self.bus_events.emit(

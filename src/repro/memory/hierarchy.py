@@ -157,6 +157,47 @@ class MemorySystem:
     def line_of(self, address: int) -> int:
         return address >> self._line_shift
 
+    def stat_owners(self) -> list[tuple[str, object]]:
+        """Every component that keeps a ``stats`` dataclass, under the
+        metric prefix its fields export as.
+
+        The one list of them: :meth:`reset_stats` zeroes it, and the
+        metrics snapshot (which the interval sampler reads through)
+        exports it.  Components an organization lacks are absent.
+        ``MemoryStats`` itself is not listed: it rides the result under
+        its own field names.
+        """
+        owners: list[tuple[str, object]] = [
+            ("memory.ports", self.arbiter),
+            ("memory.mshr", self.mshrs),
+        ]
+        if self.line_buffer is not None:
+            owners.append(("memory.line_buffer", self.line_buffer))
+        if self.victim_cache is not None:
+            owners.append(("memory.victim", self.victim_cache))
+        backside = self.backside
+        if isinstance(backside, DramCacheBackside):
+            owners.append(("memory.dram", backside))
+        else:
+            owners.append(("memory.l2", backside))
+            owners.append(("memory.bus.chip", backside.chip_bus))
+        owners.append(("memory.bus.memory", backside.memory_bus))
+        return owners
+
+    def reset_stats(self) -> None:
+        """Zero every counter: the measured region starts here.
+
+        Stats objects are replaced, not cleared, so a reference taken
+        before the reset keeps reading the warm-up counts.
+        """
+        self.stats = MemoryStats()
+        for _, component in self.stat_owners():
+            component.stats = type(component.stats)()
+        self.mshrs.occupancy_peak = 0
+        if self.attribution is not None:
+            # Attribution covers the measured region only, same as stats.
+            self.attribution.reset()
+
     def audit(self, cycle: int) -> None:
         """Structural self-check of every cross-structure invariant.
 

@@ -41,7 +41,8 @@ class MshrFile:
         # line -> cycle at which its fill completes and the register frees
         self._pending: dict[int, int] = {}
         #: High-water pending-fill count; read-and-reset by the interval
-        #: counter sampler at each boundary (and by ``_reset_stats``).
+        #: counter sampler at each boundary and by
+        #: ``MemorySystem.reset_stats``.
         self.occupancy_peak = 0
 
     def outstanding(self, cycle: int) -> int:

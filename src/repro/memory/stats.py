@@ -40,12 +40,6 @@ class MemoryStats:
         return self.l1_load_hits + self.l1_store_hits
 
     @property
-    def l1_load_miss_rate(self) -> float:
-        """Misses per load that reached the cache (line-buffer hits excluded)."""
-        reached = self.l1_load_hits + self.l1_load_misses
-        return self.l1_load_misses / reached if reached else 0.0
-
-    @property
     def l1_miss_rate(self) -> float:
         reached = self.l1_hits + self.l1_misses
         return self.l1_misses / reached if reached else 0.0

@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Sequence
+
+from repro.observability.metrics import snapshot_memory_system
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.result import PipelineStats
@@ -53,89 +56,57 @@ _ROW_COLUMNS = (
     "mshr_occupancy_peak",  #: high-water pending-fill count this interval
 )
 
-#: Cumulative counters sampled as per-interval deltas, in emit order.
-#: The set mirrors :func:`repro.observability.metrics
-#: .snapshot_memory_system` but is deliberately curated: only the
-#: signals the paper's phase arguments need, so rows stay compact.
-_DELTA_COLUMNS = (
-    "loads",
-    "stores",
-    "l1_load_hits",
-    "l1_load_misses",
-    "l1_store_hits",
-    "l1_store_misses",
-    "delayed_hits",
-    "port_requests",
-    "port_delayed",
-    "port_wait_cycles",
-    "bank_conflicts",
-    "mshr_primary_misses",
-    "mshr_merged_misses",
-    "mshr_full_stall_cycles",
-    "lb_load_lookups",
-    "lb_load_hits",
-    "chip_bus_busy_cycles",
-    "chip_bus_queue_cycles",
-    "chip_bus_transfers",
-    "memory_bus_busy_cycles",
-    "memory_bus_queue_cycles",
-    "memory_bus_transfers",
-    "window_full_stalls",
-    "lsq_full_stalls",
-    "mispredict_stall_cycles",
-    "store_forwards",
-)
+#: Cumulative counters sampled as per-interval deltas, in emit order,
+#: each with the metric it is read from.  Curated: only the signals the
+#: paper's phase arguments need, so rows stay compact.
+_DELTA_METRICS = {
+    "loads": "memory.loads",
+    "stores": "memory.stores",
+    "l1_load_hits": "memory.l1.load_hits",
+    "l1_load_misses": "memory.l1.load_misses",
+    "l1_store_hits": "memory.l1.store_hits",
+    "l1_store_misses": "memory.l1.store_misses",
+    "delayed_hits": "memory.delayed_hits",
+    "port_requests": "memory.ports.requests",
+    "port_delayed": "memory.ports.delayed",
+    "port_wait_cycles": "memory.ports.wait_cycles",
+    "bank_conflicts": "memory.ports.bank_conflicts",
+    "mshr_primary_misses": "memory.mshr.primary_misses",
+    "mshr_merged_misses": "memory.mshr.merged_misses",
+    "mshr_full_stall_cycles": "memory.mshr.full_stall_cycles",
+    "lb_load_lookups": "memory.line_buffer.load_lookups",
+    "lb_load_hits": "memory.line_buffer.load_hits",
+    "chip_bus_busy_cycles": "memory.bus.chip.busy_cycles",
+    "chip_bus_queue_cycles": "memory.bus.chip.queue_cycles",
+    "chip_bus_transfers": "memory.bus.chip.transfers",
+    "memory_bus_busy_cycles": "memory.bus.memory.busy_cycles",
+    "memory_bus_queue_cycles": "memory.bus.memory.queue_cycles",
+    "memory_bus_transfers": "memory.bus.memory.transfers",
+    "window_full_stalls": "cpu.pipeline.window_full_stalls",
+    "lsq_full_stalls": "cpu.pipeline.lsq_full_stalls",
+    "mispredict_stall_cycles": "cpu.pipeline.mispredict_stall_cycles",
+    "store_forwards": "cpu.pipeline.store_forwards",
+}
 
 #: Every column of one series row, in order.
-COLUMNS = _ROW_COLUMNS + _DELTA_COLUMNS
+COLUMNS = _ROW_COLUMNS + tuple(_DELTA_METRICS)
 
 
 def _cumulative(memory: "MemorySystem", pipeline: "PipelineStats") -> tuple:
     """Current cumulative values of every delta column.
 
-    Read FRESH from the live objects on every call: the core's
-    ``_reset_stats`` *replaces* the stats dataclasses at measurement
-    start, so holding references taken earlier would silently read
-    orphaned objects.  Components a given organization lacks (line
-    buffer, chip bus in DRAM mode) contribute fixed zeros so the column
-    set -- and therefore the serialized shape -- is identical across
-    design points.
+    Read through the metrics snapshot on every call, so a column counts
+    exactly what its metric exports, and a reset (which replaces the
+    stats objects) is seen at once.  Components a given organization
+    lacks (line buffer, chip bus in DRAM mode) contribute fixed zeros
+    so the column set -- and therefore the serialized shape -- is
+    identical across design points.
     """
-    stats = memory.stats
-    ports = memory.arbiter.stats
-    mshr = memory.mshrs.stats
-    lb = memory.line_buffer.stats if memory.line_buffer is not None else None
-    backside = memory.backside
-    chip = getattr(backside, "chip_bus", None)
-    membus = getattr(backside, "memory_bus", None)
-    return (
-        stats.loads,
-        stats.stores,
-        stats.l1_load_hits,
-        stats.l1_load_misses,
-        stats.l1_store_hits,
-        stats.l1_store_misses,
-        stats.delayed_hits,
-        ports.requests,
-        ports.delayed,
-        ports.wait_cycles,
-        ports.bank_conflicts,
-        mshr.primary_misses,
-        mshr.merged_misses,
-        mshr.full_stall_cycles,
-        lb.load_lookups if lb is not None else 0,
-        lb.load_hits if lb is not None else 0,
-        chip.stats.busy_cycles if chip is not None else 0,
-        chip.stats.queue_cycles if chip is not None else 0,
-        chip.stats.transfers if chip is not None else 0,
-        membus.stats.busy_cycles if membus is not None else 0,
-        membus.stats.queue_cycles if membus is not None else 0,
-        membus.stats.transfers if membus is not None else 0,
-        pipeline.window_full_stalls,
-        pipeline.lsq_full_stalls,
-        pipeline.mispredict_stall_cycles,
-        pipeline.store_forwards,
-    )
+    out = {
+        f"cpu.pipeline.{name}": value for name, value in asdict(pipeline).items()
+    }
+    snapshot_memory_system(memory, out)
+    return tuple(out.get(metric, 0) for metric in _DELTA_METRICS.values())
 
 
 class CounterSampler:

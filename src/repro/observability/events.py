@@ -89,10 +89,7 @@ class EventChannel:
         taps: "tuple[Callable[[int, dict], None], ...]" = (),
     ):
         self.kind = kind
-        self._taps = list(taps)
-
-    def add_tap(self, tap: "Callable[[int, dict], None]") -> None:
-        self._taps.append(tap)
+        self._taps = taps
 
     def emit(self, cycle: int, /, **fields) -> None:
         for tap in self._taps:

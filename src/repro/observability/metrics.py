@@ -2,14 +2,16 @@
 
 The simulator's components keep their statistics in small dataclasses
 (:class:`~repro.memory.stats.MemoryStats`, ``PortStats``, ``MshrStats``,
-``BusStats``, ...).  Historically most of those never left the live
-objects -- port contention, MSHR pressure, and bus occupancy were
-discarded when the :class:`~repro.memory.hierarchy.MemorySystem` was
-garbage collected, and only the ``MemoryStats`` aggregate rode the
-:class:`~repro.cpu.result.SimulationResult`.
+``BusStats``, ...).  Which components keep them, and the prefix each
+exports under, is decided in one place:
+:meth:`~repro.memory.hierarchy.MemorySystem.stat_owners`.  Their field
+names are the metric leaves, so ``memory.l2.misses`` is
+``BacksideStats.misses``.  The same list is what
+:meth:`~repro.memory.hierarchy.MemorySystem.reset_stats` zeroes at the
+end of timing warm-up, so every exported counter covers the measured
+region only.
 
-This module gives every counter a stable dotted name and exports the
-whole hierarchy as a flat dict into ``SimulationResult.metrics``, which
+The export is a flat dict in ``SimulationResult.metrics``, which
 serializes through :mod:`repro.engine.serialize` and therefore rides
 the result store, crosses worker-process boundaries bit-identically,
 and is queryable after the fact with ``python -m repro metrics``.
@@ -38,16 +40,18 @@ def _snap(out: dict[str, int], prefix: str, **values: int) -> None:
         out[name] = value
 
 
-def snapshot_memory_system(
-    memory: "MemorySystem", out: dict[str, int], prefix: str = "memory"
-) -> None:
-    """Export every live counter of a memory system into ``out``."""
-    from repro.memory.dram_cache import DramCacheBackside
+def snapshot_memory_system(memory: "MemorySystem", out: dict[str, int]) -> None:
+    """Export every live counter of a memory system into ``out``.
 
+    ``MemoryStats`` keeps the field names ``SimulationResult`` stores,
+    so its block is spelled out here; every other component exports its
+    stats fields as they are, under the prefix
+    :meth:`~repro.memory.hierarchy.MemorySystem.stat_owners` gives it.
+    """
     stats = memory.stats
     _snap(
         out,
-        prefix,
+        "memory",
         loads=stats.loads,
         stores=stats.stores,
         delayed_hits=stats.delayed_hits,
@@ -56,7 +60,7 @@ def snapshot_memory_system(
     )
     _snap(
         out,
-        f"{prefix}.l1",
+        "memory.l1",
         load_hits=stats.l1_load_hits,
         load_misses=stats.l1_load_misses,
         store_hits=stats.l1_store_hits,
@@ -64,83 +68,11 @@ def snapshot_memory_system(
     )
     _snap(
         out,
-        f"{prefix}.served_by",
+        "memory.served_by",
         **{level.name.lower(): count for level, count in stats.served_by.items()},
     )
-
-    ports = memory.arbiter.stats
-    _snap(
-        out,
-        f"{prefix}.ports",
-        requests=ports.requests,
-        delayed=ports.delayed,
-        wait_cycles=ports.wait_cycles,
-        bank_conflicts=ports.bank_conflicts,
-    )
-    mshr = memory.mshrs.stats
-    _snap(
-        out,
-        f"{prefix}.mshr",
-        primary_misses=mshr.primary_misses,
-        merged_misses=mshr.merged_misses,
-        full_stall_cycles=mshr.full_stall_cycles,
-    )
-    if memory.line_buffer is not None:
-        lb = memory.line_buffer.stats
-        _snap(
-            out,
-            f"{prefix}.line_buffer",
-            load_lookups=lb.load_lookups,
-            load_hits=lb.load_hits,
-            fills=lb.fills,
-            store_updates=lb.store_updates,
-            invalidations=lb.invalidations,
-        )
-    if memory.victim_cache is not None:
-        victim = memory.victim_cache.stats
-        _snap(
-            out,
-            f"{prefix}.victim",
-            probes=victim.probes,
-            swap_hits=victim.swap_hits,
-            fills=victim.fills,
-        )
-
-    backside = memory.backside
-    if isinstance(backside, DramCacheBackside):
-        dram = backside.stats
-        _snap(
-            out,
-            f"{prefix}.dram",
-            hits=dram.dram_hits,
-            misses=dram.dram_misses,
-            bank_wait_cycles=dram.bank_wait_cycles,
-        )
-        _snap_bus(out, f"{prefix}.bus.memory", backside.memory_bus)
-    else:
-        l2 = backside.stats
-        _snap(
-            out,
-            f"{prefix}.l2",
-            line_requests=l2.l1_line_requests,
-            hits=l2.l2_hits,
-            misses=l2.l2_misses,
-            writebacks_in=l2.writebacks,
-            writebacks_out=l2.l2_writebacks,
-        )
-        _snap_bus(out, f"{prefix}.bus.chip", backside.chip_bus)
-        _snap_bus(out, f"{prefix}.bus.memory", backside.memory_bus)
-
-
-def _snap_bus(out: dict[str, int], prefix: str, bus) -> None:
-    _snap(
-        out,
-        prefix,
-        transfers=bus.stats.transfers,
-        bytes_moved=bus.stats.bytes_moved,
-        busy_cycles=bus.stats.busy_cycles,
-        queue_cycles=bus.stats.queue_cycles,
-    )
+    for prefix, component in memory.stat_owners():
+        _snap(out, prefix, **asdict(component.stats))
 
 
 def snapshot_simulation(

@@ -22,6 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import experiment
+from repro.engine.store import SCHEMA_VERSION
 from repro.observability.trace import DEFAULT_CAPACITY, read_records
 
 FAST_FLAGS = [
@@ -213,7 +214,8 @@ class TestReproTraceEnv:
         emitted = int(re.search(r"\[REPRO_TRACE: (\d+) event", err).group(1))
         assert emitted > DEFAULT_CAPACITY
         assert "overflowed" not in err
-        assert _v4_bytes(tmp_path / "traced") == _v4_bytes(tmp_path / "plain")
+        plain = _store_bytes(tmp_path / "plain")
+        assert plain and _store_bytes(tmp_path / "traced") == plain
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -245,12 +247,12 @@ def _stored_observers(root) -> list:
     ]
 
 
-def _v4_bytes(root) -> dict:
-    """Every file of a store's ``v4/`` tree, by relative path."""
-    v4 = root / "v4"
+def _store_bytes(root) -> dict:
+    """Every file of a store's current-schema tree, by relative path."""
+    tree = root / f"v{SCHEMA_VERSION}"
     return {
-        str(path.relative_to(v4)): path.read_bytes()
-        for path in sorted(v4.rglob("*"))
+        str(path.relative_to(tree)): path.read_bytes()
+        for path in sorted(tree.rglob("*"))
         if path.is_file()
     }
 

@@ -50,15 +50,16 @@ class TestRoundTrip:
 
 
 class TestPinnedFormat:
-    """A committed v4 entry pins the on-disk bytes: the codec may change
-    what it writes only together with a ``SCHEMA_VERSION`` bump."""
+    """A committed v5 entry pins the on-disk bytes: the codec may change
+    what it writes only together with a ``SCHEMA_VERSION`` bump, and the
+    simulator may change a stored number only the same way."""
 
     FIXTURE = (
-        Path(__file__).parent / "fixtures" / "store-v4-duplicate-32k-lb-gcc.json"
+        Path(__file__).parent / "fixtures" / "store-v5-duplicate-32k-lb-gcc.json"
     )
 
     def test_committed_entry_loads_and_resaves_byte_identically(self, tmp_path):
-        assert SCHEMA_VERSION == 4
+        assert SCHEMA_VERSION == 5
         key = _key()
         pinned = self.FIXTURE.read_bytes()
         assert json.loads(pinned)["digest"] == key.digest
@@ -71,6 +72,7 @@ class TestPinnedFormat:
         assert result is not None  # a hit, not a miss
         fresh = _simulate(key.organization, benchmark("gcc"), FAST)
         assert result.ipc == fresh.ipc
+        assert result.metrics == fresh.metrics
 
         path.unlink()
         assert store.save(key, result)

@@ -7,6 +7,11 @@ from the victim cache, merged into a pending MSHR, or allocated a fresh
 MSHR.  The trace facility sees each of these as a distinct event, so
 the identity is testable end-to-end against a real simulation -- a
 mis-counted path would break the partition.
+
+Traffic is conserved between levels the same way: every bus transfer
+is a line some cache level asked for or wrote back, and the bus and
+cache counters must cover the same measured region for the sums to
+close.
 """
 
 from collections import Counter
@@ -14,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.core.experiment import ExperimentSettings, run_experiment
-from repro.core.organizations import banked, duplicate, ideal_ports
+from repro.core.organizations import banked, dram_cache, duplicate, ideal_ports
 from repro.engine.executor import get_engine
 from repro.observability import events, tracing
 
@@ -27,6 +32,9 @@ ORGANIZATIONS = [
     pytest.param(banked(banks=4), id="banked4"),
     pytest.param(ideal_ports(ports=2, hit_cycles=2), id="ideal-2c"),
 ]
+
+
+BUS_BENCHMARKS = ("gcc", "tomcatv", "database")
 
 
 def _traced_run(organization, benchmark="gcc"):
@@ -83,6 +91,44 @@ class TestLoadConservation:
         assert tracer.count(events.MEM_MSHR_MERGE) == outcomes["miss_merged"]
         # no prefetching in these organizations: every fill had an alloc
         assert tracer.count(events.MEM_MSHR_FILL) == outcomes["miss_alloc"]
+
+
+class TestBusConservation:
+    """Timing warm-up moves lines over both buses; the counters must
+    forget it at the same edge as the L2 counters they are checked
+    against."""
+
+    @pytest.mark.parametrize("workload", BUS_BENCHMARKS)
+    @pytest.mark.parametrize("organization", ORGANIZATIONS)
+    def test_bus_transfers_match_l2_traffic(self, organization, workload):
+        metrics = run_experiment(organization, workload, FAST).metrics
+        # Chip bus: each L1 line the L2 is asked for, and each dirty L1
+        # victim written back to it (write-back, no prefetch here).
+        chip = metrics["memory.bus.chip.transfers"]
+        assert chip == (
+            metrics["memory.l2.line_requests"] + metrics["memory.l2.writebacks_in"]
+        )
+        assert metrics["memory.bus.chip.bytes_moved"] == chip * organization.line_bytes
+        # Memory bus: each L2 miss's fill, and each dirty L2 victim.
+        memory = metrics["memory.bus.memory.transfers"]
+        assert memory == metrics["memory.l2.misses"] + metrics["memory.l2.writebacks_out"]
+        assert (
+            metrics["memory.bus.memory.bytes_moved"]
+            == memory * FAST.backside.l2_line
+        )
+
+    def test_dram_memory_bus_moves_whole_rows(self):
+        """In DRAM-cache mode a memory-bus transfer is a DRAM miss's row
+        fill or a dirty DRAM row written back.  No counter records the
+        dirty rows, so the misses only bound the transfers from below."""
+        organization = dram_cache(line_buffer=True)
+        metrics = run_experiment(organization, "database", FAST).metrics
+        transfers = metrics["memory.bus.memory.transfers"]
+        assert (
+            metrics["memory.bus.memory.bytes_moved"]
+            == transfers * organization.dram.row_bytes
+        )
+        assert transfers >= metrics["memory.dram.misses"] > 0
 
 
 class TestPipelineConservation:

@@ -54,7 +54,7 @@ class TestBacksideMemory:
     def test_writeback_counts(self):
         backside = make_backside()
         backside.writeback_line(5, cycle=0)
-        assert backside.stats.writebacks == 1
+        assert backside.stats.writebacks_in == 1
 
     def test_l2_miss_rate_stat(self):
         backside = make_backside()

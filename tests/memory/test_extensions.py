@@ -89,7 +89,7 @@ class TestVictimCacheInHierarchy:
         from repro.memory import BacksideMemory
 
         assert isinstance(system.backside, BacksideMemory)
-        assert system.backside.stats.writebacks >= 1
+        assert system.backside.stats.writebacks_in >= 1
 
     def test_no_victim_cache_by_default(self):
         assert make_system().victim_cache is None
@@ -138,7 +138,7 @@ class TestWriteThrough:
         from repro.memory import BacksideMemory
 
         assert isinstance(system.backside, BacksideMemory)
-        assert system.backside.stats.writebacks == 0
+        assert system.backside.stats.writebacks_in == 0
 
     def test_rejects_bad_policy(self):
         with pytest.raises(ConfigurationError):

@@ -173,7 +173,7 @@ class TestStores:
         from repro.memory import BacksideMemory
 
         assert isinstance(system.backside, BacksideMemory)
-        assert system.backside.stats.writebacks == 1
+        assert system.backside.stats.writebacks_in == 1
 
 
 class TestDramMode:

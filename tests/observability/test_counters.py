@@ -159,7 +159,7 @@ class TestSerialization:
         payload = to_plain(result)
         assert payload["counters"] is None
         assert from_plain(SimulationResult, payload).counters is None
-        # Every stored entry is v4 and carries the field, so a dict
+        # Every stored entry since v4 carries the field, so a dict
         # without it is damage, not an old entry.
         payload.pop("counters")
         with pytest.raises(SerializationError):
@@ -189,7 +189,7 @@ class TestSerialization:
         key = ExperimentKey(duplicate(32 * KB), "gcc", FAST)
         store.save(key, _run(300))
         # Mis-stamp the entry: claim the previous (counter-less) schema
-        # while living in the v4 directory.
+        # while living in the current-schema directory.
         [entry] = list((tmp_path / "store").glob("v*/??/*.json"))
         payload = json.loads(entry.read_text(encoding="utf-8"))
         payload["schema"] = SCHEMA_VERSION - 1

@@ -44,13 +44,6 @@ class TestEventChannel:
         with pytest.raises(SimulationInvariantError, match="tap says no"):
             channel.emit(0)
 
-    def test_add_tap(self):
-        seen = []
-        channel = EventChannel("k")
-        channel.add_tap(lambda cycle, fields: seen.append(fields))
-        channel.emit(0, a=1)
-        assert seen == [{"a": 1}]
-
 
 class TestKinds:
     def test_kinds_are_unique_and_hierarchical(self):
