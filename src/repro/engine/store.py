@@ -44,7 +44,9 @@ from repro.engine.serialize import from_plain, to_plain
 #: v5: the ``memory.bus.*`` metrics cover the measured region only;
 #: v4 entries counted timing warm-up transfers too.  Results keep
 #: ``backend``: provenance a backend-agreement audit needs.
-SCHEMA_VERSION = 5
+#: v6: DRAM-mode results gain ``memory.dram.writebacks_out`` (dirty
+#: DRAM rows written to memory); v5 entries lack the key.
+SCHEMA_VERSION = 6
 
 #: Environment override for the store location used by the CLI.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -64,7 +64,6 @@ from repro.cpu.isa import (
 )
 from repro.cpu.result import PipelineStats, SimulationResult
 from repro.kernel import reference, tracecache
-from repro.memory.dram_cache import DramCacheBackside
 from repro.observability import events as obs
 from repro.observability import telemetry as obs_telemetry
 from repro.observability import trace as obs_trace
@@ -127,7 +126,7 @@ class FastBackend:
                 if key is not None:
                     artifacts.warm_states[key] = (
                         memory.l1.snapshot_state(),
-                        _back_cache(memory).snapshot_state(),
+                        memory.backside.array.snapshot_state(),
                         log,
                         line_buffers,
                     )
@@ -150,35 +149,28 @@ class FastBackend:
         )
 
 
-def _back_cache(memory: "MemorySystem"):
-    """The backside structure functional warm-up fills (L2 or DRAM array)."""
-    backside = memory.backside
-    if isinstance(backside, DramCacheBackside):
-        return backside.dram
-    return backside.l2
-
-
 def _functional_key(memory: "MemorySystem") -> tuple | None:
     """Geometry fingerprint of the L1 and backside state warm-up leaves.
 
     Warm-up (:meth:`MemorySystem.prefill_backside` plus
     :func:`warm_memory`) mutates the L1, the line buffer and the
     backside, and its decisions read only the L1's and the backside's
-    geometries: never timing parameters, never the line buffer.
+    geometries: never timing parameters, never the line buffer.  Both
+    back sides warm through the same ``array`` and ``line_shift``, and
+    the shift follows from the two line sizes, so the back side's kind
+    is not part of the key.
     Returns ``None`` when the system is not cold (the memos would hide
     whatever state is already there).
     """
     l1 = memory.l1
-    back = _back_cache(memory)
+    back = memory.backside.array
     line_buffer = memory.line_buffer
     if len(l1) or len(back) or (line_buffer is not None and len(line_buffer)):
         return None
-    is_dram = isinstance(memory.backside, DramCacheBackside)
     return (
         l1.size_bytes,
         l1.associativity,
         l1.line_bytes,
-        is_dram,
         back.size_bytes,
         back.associativity,
         back.line_bytes,
@@ -188,7 +180,7 @@ def _functional_key(memory: "MemorySystem") -> tuple | None:
 def _restore_warm_state(memory: "MemorySystem", state: tuple) -> None:
     l1_state, back_state, log, line_buffers = state
     memory.l1.restore_state(l1_state)
-    _back_cache(memory).restore_state(back_state)
+    memory.backside.array.restore_state(back_state)
     _warm_line_buffer(memory, log, line_buffers)
 
 
@@ -232,13 +224,8 @@ def warm_memory(memory: "MemorySystem", packed_refs) -> array:
     l1_fill = l1.fill
     log = array("q")
     record = log.append
-    backside = memory.backside
-    if isinstance(backside, DramCacheBackside):
-        back_fill = backside.dram.fill
-        back_shift = 0
-    else:
-        back_fill = backside.l2.fill
-        back_shift = backside._line_shift
+    back_fill = memory.backside.array.fill
+    back_shift = memory.backside.line_shift
     line_shift = memory._line_shift + 1  # bit 0 of a packed ref = is_store
     prev_line = -1
     run_loaded = False  # a load of prev_line already refreshed the LB

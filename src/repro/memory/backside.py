@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.memory.bus import Bus, Transfer
+from repro.memory.bus import Bus
 from repro.memory.common import ServedBy
-from repro.memory.sram import SetAssociativeCache
+from repro.memory.sram import Eviction, SetAssociativeCache
 from repro.observability.attribution import critical_path
-from repro.observability.events import MEM_BUS_TRANSFER, EventChannel
-from repro.robustness.invariants import bus_causality_tap
 
 
 @dataclass
@@ -62,7 +60,15 @@ class BacksideConfig:
 
 
 class BacksideMemory:
-    """L2 + main memory serving primary-cache line fills."""
+    """L2 + main memory serving primary-cache line fills.
+
+    Shares its interface with
+    :class:`~repro.memory.dram_cache.DramCacheBackside`, so the hierarchy
+    and the kernels never ask which back side they hold: ``fetch_line``
+    and ``writeback_line`` serve the primary cache, ``array`` is the
+    cache functional warm-up fills, ``line_shift`` maps an L1 line to
+    an ``array`` line, and :meth:`stat_owners` lists the counters.
+    """
 
     def __init__(self, config: BacksideConfig, l1_line_bytes: int):
         self.config = config
@@ -72,42 +78,28 @@ class BacksideMemory:
                 f"L1 line ({l1_line_bytes}B) larger than L2 line ({config.l2_line}B)"
             )
         self.l2 = SetAssociativeCache(config.l2_size, config.l2_assoc, config.l2_line)
+        self.array = self.l2
         self.chip_bus = Bus(config.chip_bus_bytes_per_cycle, "chip<->L2")
         self.memory_bus = Bus(config.memory_bus_bytes_per_cycle, "L2<->memory")
-        self.bus_events = EventChannel(MEM_BUS_TRANSFER, (bus_causality_tap,))
         self.stats = BacksideStats()
-        self._line_shift = (config.l2_line // l1_line_bytes).bit_length() - 1
+        self.line_shift = (config.l2_line // l1_line_bytes).bit_length() - 1
 
-    def _l2_line(self, l1_line: int) -> int:
-        return l1_line >> self._line_shift
-
-    def _checked_transfer(self, bus: Bus, cycle: int, nbytes: int) -> Transfer:
-        """Schedule a transfer and emit it on the bus-event channel.
-
-        The channel's causality tap verifies the grant window: a dropped
-        or mis-accounted bus grant surfaces here as data "arriving" at
-        or before the cycle it was requested.
-        """
-        transfer = bus.transfer(cycle, nbytes)
-        self.bus_events.emit(
-            cycle,
-            bus=bus.name,
-            start=transfer.start_cycle,
-            done=transfer.done_cycle,
-            bytes=nbytes,
-        )
-        return transfer
+    def stat_owners(self) -> list[tuple[str, object]]:
+        """This back side's counters, under their metric prefixes."""
+        return [
+            ("memory.l2", self),
+            ("memory.bus.chip", self.chip_bus),
+            ("memory.bus.memory", self.memory_bus),
+        ]
 
     def fetch_line(self, l1_line: int, cycle: int) -> FillResponse:
         """Fetch an L1 line requested at ``cycle``; returns arrival timing."""
         self.stats.line_requests += 1
-        l2_line = self._l2_line(l1_line)
+        l2_line = l1_line >> self.line_shift
         lookup_done = cycle + self.config.l2_hit_cycles
         if self.l2.lookup(l2_line):
             self.stats.hits += 1
-            transfer = self._checked_transfer(
-                self.chip_bus, lookup_done, self.l1_line_bytes
-            )
+            transfer = self.chip_bus.checked_transfer(lookup_done, self.l1_line_bytes)
             path = critical_path(
                 l2_access=self.config.l2_hit_cycles,
                 bus_queue=transfer.start_cycle - lookup_done,
@@ -117,16 +109,12 @@ class BacksideMemory:
         self.stats.misses += 1
         # Miss determined after the L2 lookup; go to main memory.
         mem_ready = lookup_done + self.config.memory_cycles
-        mem_xfer = self._checked_transfer(
-            self.memory_bus, mem_ready, self.config.l2_line
-        )
-        victim = self.l2.fill(l2_line)
-        if victim is not None and victim.dirty:
-            self.stats.writebacks_out += 1
-            # Writeback occupies the memory bus but is off the critical path.
-            self.memory_bus.transfer(mem_xfer.done_cycle, self.config.l2_line)
-        transfer = self._checked_transfer(
-            self.chip_bus, mem_xfer.done_cycle, self.l1_line_bytes
+        mem_xfer = self.memory_bus.checked_transfer(mem_ready, self.config.l2_line)
+        # A dirty victim's write-back occupies the memory bus but is off
+        # the critical path.
+        self._write_victim(self.l2.fill(l2_line), mem_xfer.done_cycle)
+        transfer = self.chip_bus.checked_transfer(
+            mem_xfer.done_cycle, self.l1_line_bytes
         )
         path = critical_path(
             l2_access=self.config.l2_hit_cycles,
@@ -145,27 +133,26 @@ class BacksideMemory:
         is absent from the L2 it is allocated dirty (the fetch from
         memory is off the store's critical path and not modeled).
         """
-        transfer = self._checked_transfer(self.chip_bus, cycle, 8)
-        l2_line = self._l2_line(l1_line)
-        if self.l2.probe(l2_line):
-            self.l2.lookup(l2_line, write=True)
-        else:
-            victim = self.l2.fill(l2_line, dirty=True)
-            if victim is not None and victim.dirty:
-                self.stats.writebacks_out += 1
-                self.memory_bus.transfer(transfer.done_cycle, self.config.l2_line)
+        transfer = self.chip_bus.checked_transfer(cycle, 8)
+        self._write_l2(l1_line, transfer.done_cycle)
         return transfer.done_cycle
 
     def writeback_line(self, l1_line: int, cycle: int) -> None:
         """A dirty L1 victim crosses the chip bus and updates the L2."""
         self.stats.writebacks_in += 1
-        self.chip_bus.transfer(cycle, self.l1_line_bytes)
-        l2_line = self._l2_line(l1_line)
+        self.chip_bus.checked_transfer(cycle, self.l1_line_bytes)
+        self._write_l2(l1_line, cycle)
+
+    def _write_l2(self, l1_line: int, cycle: int) -> None:
+        """Mark an L1 line's L2 line dirty, allocating it if absent."""
+        l2_line = l1_line >> self.line_shift
         if self.l2.probe(l2_line):
             self.l2.lookup(l2_line, write=True)
         else:
-            # Victim no longer in L2 (evicted meanwhile): allocate dirty.
-            victim = self.l2.fill(l2_line, dirty=True)
-            if victim is not None and victim.dirty:
-                self.stats.writebacks_out += 1
-                self.memory_bus.transfer(cycle, self.config.l2_line)
+            self._write_victim(self.l2.fill(l2_line, dirty=True), cycle)
+
+    def _write_victim(self, victim: Eviction | None, cycle: int) -> None:
+        """Write a dirty L2 victim back to memory over the memory bus."""
+        if victim is not None and victim.dirty:
+            self.stats.writebacks_out += 1
+            self.memory_bus.checked_transfer(cycle, self.config.l2_line)

@@ -5,6 +5,10 @@ chip and the L2, and 1.6 GB/s peak between the L2 and main memory.  At
 the reference 200 MHz clock that is 12.5 and 8 bytes per cycle.  A bus
 is a serially reusable resource: each line transfer occupies it for
 ``ceil(bytes / bytes_per_cycle)`` cycles, and later transfers queue.
+
+Every transfer in the simulator goes through :meth:`Bus.checked_transfer`,
+so the causality check and the ``mem.bus.transfer`` trace stream see
+exactly the transfers the bus counters count.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.observability import trace
+from repro.observability.events import MEM_BUS_TRANSFER
+from repro.robustness import invariants
 from repro.robustness.errors import SimulationInvariantError
 
 
@@ -67,6 +74,28 @@ class Bus:
                 f"{self.bytes_per_cycle} bytes/cycle"
             )
         return Transfer(start, start + busy)
+
+    def checked_transfer(self, cycle: int, nbytes: int) -> Transfer:
+        """Schedule a transfer, check its window, then show it to the tracer.
+
+        The one way the memory models move data.  ``self.transfer`` is
+        looked up on the instance, so a fault injection that replaces it
+        (``inject_dropped_bus_grant``) is still checked.  The causality
+        tap and the active tracer see the same fields dict, in that
+        order -- the check-then-capture idiom of ``PortArbiter._grant``.
+        """
+        window = self.transfer(cycle, nbytes)
+        fields = {
+            "bus": self.name,
+            "start": window.start_cycle,
+            "done": window.done_cycle,
+            "bytes": nbytes,
+        }
+        invariants.bus_causality_tap(cycle, fields)
+        tracer = trace._ACTIVE
+        if tracer is not None:
+            tracer.capture(MEM_BUS_TRANSFER, cycle, fields)
+        return window
 
     def utilization(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the bus spent busy."""

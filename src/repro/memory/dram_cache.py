@@ -22,10 +22,8 @@ from typing import NamedTuple
 
 from repro.memory.bus import Bus
 from repro.memory.common import ServedBy
-from repro.memory.sram import SetAssociativeCache
+from repro.memory.sram import Eviction, SetAssociativeCache
 from repro.observability.attribution import critical_path
-from repro.observability.events import MEM_BUS_TRANSFER, EventChannel
-from repro.robustness.invariants import bus_causality_tap
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,7 @@ class DramCacheConfig:
 class DramStats:
     hits: int = 0  #: row fetches the DRAM array held
     misses: int = 0  #: row fetches that went to main memory
+    writebacks_out: int = 0  #: dirty DRAM rows written to memory
     bank_wait_cycles: int = 0
 
 
@@ -64,19 +63,27 @@ class DramCacheBackside:
 
     The row-buffer cache itself lives in the hierarchy frontend (it is
     the primary data cache in DRAM mode); this class serves its misses.
+    It has :class:`~repro.memory.backside.BacksideMemory`'s interface:
+    in DRAM mode an L1 line *is* a row, so ``line_shift`` is 0.
     """
+
+    line_shift = 0
 
     def __init__(self, config: DramCacheConfig):
         self.config = config
         self.dram = SetAssociativeCache(
             config.dram_size, config.dram_assoc, config.row_bytes
         )
+        self.array = self.dram
         self.memory_bus = Bus(config.memory_bus_bytes_per_cycle, "DRAM<->memory")
-        self.bus_events = EventChannel(MEM_BUS_TRANSFER, (bus_causality_tap,))
         self.stats = DramStats()
         self._bank_free = [0] * config.dram_banks
 
-    def fetch_row(self, row_line: int, cycle: int) -> DramFill:
+    def stat_owners(self) -> list[tuple[str, object]]:
+        """This back side's counters, under their metric prefixes."""
+        return [("memory.dram", self), ("memory.bus.memory", self.memory_bus)]
+
+    def fetch_line(self, row_line: int, cycle: int) -> DramFill:
         """Fetch a 512 B row into a row buffer; returns arrival timing."""
         bank = row_line % self.config.dram_banks
         start = max(cycle, self._bank_free[bank])
@@ -92,17 +99,8 @@ class DramCacheBackside:
             return DramFill(done, ServedBy.DRAM_CACHE, path)
         self.stats.misses += 1
         mem_ready = done + self.config.memory_cycles
-        transfer = self.memory_bus.transfer(mem_ready, self.config.row_bytes)
-        self.bus_events.emit(
-            mem_ready,
-            bus=self.memory_bus.name,
-            start=transfer.start_cycle,
-            done=transfer.done_cycle,
-            bytes=self.config.row_bytes,
-        )
-        victim = self.dram.fill(row_line)
-        if victim is not None and victim.dirty:
-            self.memory_bus.transfer(transfer.done_cycle, self.config.row_bytes)
+        transfer = self.memory_bus.checked_transfer(mem_ready, self.config.row_bytes)
+        self._write_victim(self.dram.fill(row_line), transfer.done_cycle)
         self._bank_free[bank] = max(self._bank_free[bank], transfer.done_cycle)
         path = critical_path(
             dram_bank_wait=start - cycle,
@@ -113,15 +111,7 @@ class DramCacheBackside:
         )
         return DramFill(transfer.done_cycle, ServedBy.MEMORY, path)
 
-    def fetch_line(self, line: int, cycle: int) -> DramFill:
-        """Hierarchy-facing alias: in DRAM mode an L1 line *is* a row."""
-        return self.fetch_row(line, cycle)
-
-    def writeback_line(self, line: int, cycle: int) -> None:
-        """Hierarchy-facing alias for dirty row-buffer victims."""
-        self.writeback_row(line, cycle)
-
-    def writeback_row(self, row_line: int, cycle: int) -> None:
+    def writeback_line(self, row_line: int, cycle: int) -> None:
         """A dirty row-buffer victim is written back into the DRAM array."""
         bank = row_line % self.config.dram_banks
         start = max(cycle, self._bank_free[bank])
@@ -129,6 +119,10 @@ class DramCacheBackside:
         if self.dram.probe(row_line):
             self.dram.lookup(row_line, write=True)
         else:
-            victim = self.dram.fill(row_line, dirty=True)
-            if victim is not None and victim.dirty:
-                self.memory_bus.transfer(start, self.config.row_bytes)
+            self._write_victim(self.dram.fill(row_line, dirty=True), start)
+
+    def _write_victim(self, victim: Eviction | None, cycle: int) -> None:
+        """Write a dirty DRAM row back to memory over the memory bus."""
+        if victim is not None and victim.dirty:
+            self.stats.writebacks_out += 1
+            self.memory_bus.checked_transfer(cycle, self.config.row_bytes)

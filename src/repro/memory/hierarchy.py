@@ -175,14 +175,7 @@ class MemorySystem:
             owners.append(("memory.line_buffer", self.line_buffer))
         if self.victim_cache is not None:
             owners.append(("memory.victim", self.victim_cache))
-        backside = self.backside
-        if isinstance(backside, DramCacheBackside):
-            owners.append(("memory.dram", backside))
-        else:
-            owners.append(("memory.l2", backside))
-            owners.append(("memory.bus.chip", backside.chip_bus))
-        owners.append(("memory.bus.memory", backside.memory_bus))
-        return owners
+        return owners + self.backside.stat_owners()
 
     def reset_stats(self) -> None:
         """Zero every counter: the measured region starts here.
@@ -221,18 +214,14 @@ class MemorySystem:
         negligible in the measured region.  Lines are given in L1-line
         units; capacity and LRU behavior of the second level still apply.
         """
-        backside = self.backside
-        if isinstance(backside, DramCacheBackside):
-            for line in l1_lines:
-                backside.dram.fill(line)
-        else:
-            shift = backside._line_shift
-            previous = None
-            for line in l1_lines:
-                l2_line = line >> shift
-                if l2_line != previous:
-                    backside.l2.fill(l2_line)
-                    previous = l2_line
+        fill = self.backside.array.fill
+        shift = self.backside.line_shift
+        previous = None
+        for line in l1_lines:
+            back_line = line >> shift
+            if back_line != previous:
+                fill(back_line)
+                previous = back_line
 
     def warm(self, references: list[tuple[bool, int]]) -> None:
         """Warm cache *state* from (is_store, address) pairs, no timing.
@@ -245,18 +234,15 @@ class MemorySystem:
         """
         l1 = self.l1
         line_buffer = self.line_buffer
-        backside = self.backside
-        is_dram = isinstance(backside, DramCacheBackside)
+        back_fill = self.backside.array.fill
+        back_shift = self.backside.line_shift
         for is_store, address in references:
             line = address >> self._line_shift
             if line_buffer is not None and not is_store:
                 line_buffer._cache.fill(line)
             if l1.lookup(line, write=is_store):
                 continue
-            if is_dram:
-                backside.dram.fill(line)
-            else:
-                backside.l2.fill(line >> backside._line_shift)
+            back_fill(line >> back_shift)
             victim = l1.fill(line, dirty=is_store)
             if victim is not None and line_buffer is not None:
                 line_buffer._cache.invalidate(victim.line)
@@ -401,7 +387,6 @@ class MemorySystem:
         With ``write_allocate`` off, a store miss does not disturb the
         L1 at all -- the classic write-through/no-allocate pairing.
         """
-        assert isinstance(self.backside, BacksideMemory)
         done = start + self._hit_cycles
         if self.l1.lookup(line):
             self.stats.l1_store_hits += 1

@@ -4,9 +4,8 @@ Public surface:
 
 * :mod:`repro.observability.trace` -- the zero-overhead-when-disabled
   event trace (``tracing()`` scope, bounded ring, JSONL sink);
-* :mod:`repro.observability.events` -- the event-kind taxonomy and the
-  :class:`EventChannel` that feeds the bus-transfer stream to both its
-  causality tap and the tracer;
+* :mod:`repro.observability.events` -- the event-kind taxonomy every
+  emit point stamps its events with;
 * :mod:`repro.observability.metrics` -- the per-simulation metrics
   snapshot (every component counter under a dotted name) riding
   ``SimulationResult``;
@@ -55,7 +54,7 @@ from repro.observability.chrometrace import (
     read_jsonl,
     write_chrome_trace,
 )
-from repro.observability.events import ALL_KINDS, EventChannel
+from repro.observability.events import ALL_KINDS
 from repro.observability.metrics import (
     snapshot_memory_system,
     snapshot_simulation,
@@ -90,7 +89,6 @@ __all__ = [
     "AttributionAccumulator",
     "CounterSampler",
     "DEFAULT_CAPACITY",
-    "EventChannel",
     "LatencyHistogram",
     "ProgressDisplay",
     "SPANS_ENV",

@@ -1,4 +1,4 @@
-"""The event taxonomy and the always-on emit channel.
+"""The event taxonomy.
 
 Every instrumented point in the simulator emits one of the event kinds
 below, stamped with the simulated cycle it happened on.  Names are
@@ -14,15 +14,11 @@ Two kinds of consumer see the stream:
   does, so the robustness checks and the trace can never disagree
   about what happened.  A port arbiter books each grant in its
   :class:`~repro.robustness.invariants.GrantLedger` and then captures
-  the same ``(cycle, key)`` as ``mem.port.grant``; bus transfers go
-  through an :class:`EventChannel` whose tap is the causality check.
+  the same ``(cycle, key)`` as ``mem.port.grant``; every bus transfer
+  goes through :meth:`repro.memory.bus.Bus.checked_transfer`, which
+  runs the causality check on the fields dict it then captures as
+  ``mem.bus.transfer``.
 """
-
-from __future__ import annotations
-
-from typing import Callable
-
-from repro.observability import trace
 
 # --------------------------------------------------------------------------
 # Event kinds
@@ -68,32 +64,3 @@ ALL_KINDS = (
     MEM_MSHR_FILL,
     MEM_BUS_TRANSFER,
 )
-
-
-class EventChannel:
-    """A named emit point with always-on invariant taps.
-
-    ``emit`` dispatches the event to every registered tap (guard rails
-    that must see the stream whether or not tracing is enabled) and then
-    to the active tracer, if any.  A tap is any callable taking
-    ``(cycle, fields)``; it may raise a structured invariant error,
-    which propagates to the emitting hot path exactly as the old
-    privately-bookkept checks did.
-    """
-
-    __slots__ = ("kind", "_taps")
-
-    def __init__(
-        self,
-        kind: str,
-        taps: "tuple[Callable[[int, dict], None], ...]" = (),
-    ):
-        self.kind = kind
-        self._taps = taps
-
-    def emit(self, cycle: int, /, **fields) -> None:
-        for tap in self._taps:
-            tap(cycle, fields)
-        tracer = trace._ACTIVE
-        if tracer is not None:
-            tracer.capture(self.kind, cycle, fields)

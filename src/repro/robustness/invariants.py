@@ -61,11 +61,11 @@ class GrantLedger:
             self._prune()
 
     def tap(self, cycle: int, fields: dict) -> None:
-        """``EventChannel`` tap: book the grant an emission describes.
+        """Book the grant a ``mem.port.grant`` fields dict describes.
 
         The port arbiters call :meth:`record` directly and then capture
-        the same ``(cycle, key)`` on the tracer; this adapter books a
-        ``mem.port.grant``-shaped emission for any other emitter.
+        the same ``(cycle, key)`` on the tracer; this adapter takes the
+        ``(cycle, fields)`` shape of a captured event instead.
         """
         self.record(cycle, fields.get("key", 0), fields.get("weight", 1))
 
@@ -101,10 +101,11 @@ def check_causality(
 
 
 def bus_causality_tap(cycle: int, fields: dict) -> None:
-    """``EventChannel`` tap enforcing :func:`check_causality` on buses.
+    """Enforce :func:`check_causality` on one bus transfer's fields.
 
-    Installed on the backside ``mem.bus.transfer`` channel; the tap
-    runs at the *call site* of ``bus.transfer`` (not inside the bus
+    :meth:`repro.memory.bus.Bus.checked_transfer` runs it on every
+    transfer, before the tracer captures the same ``mem.bus.transfer``
+    fields.  It runs after ``bus.transfer`` returns (not inside the bus
     model), so fault injections that replace the transfer method are
     still observed -- see ``inject_dropped_bus_grant``.
     """

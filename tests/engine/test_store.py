@@ -1,6 +1,7 @@
 """Persistent result store: round trips, robustness, maintenance."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -50,16 +51,16 @@ class TestRoundTrip:
 
 
 class TestPinnedFormat:
-    """A committed v5 entry pins the on-disk bytes: the codec may change
+    """A committed v6 entry pins the on-disk bytes: the codec may change
     what it writes only together with a ``SCHEMA_VERSION`` bump, and the
     simulator may change a stored number only the same way."""
 
     FIXTURE = (
-        Path(__file__).parent / "fixtures" / "store-v5-duplicate-32k-lb-gcc.json"
+        Path(__file__).parent / "fixtures" / "store-v6-duplicate-32k-lb-gcc.json"
     )
 
     def test_committed_entry_loads_and_resaves_byte_identically(self, tmp_path):
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         key = _key()
         pinned = self.FIXTURE.read_bytes()
         assert json.loads(pinned)["digest"] == key.digest
@@ -77,6 +78,23 @@ class TestPinnedFormat:
         path.unlink()
         assert store.save(key, result)
         assert path.read_bytes() == pinned
+
+
+class TestWorkflowStorePaths:
+    """CI compares stores by their version directory.  A hard-coded
+    ``<cache>/v<N>`` goes stale at the next schema bump, and ``diff -r``
+    of two missing trees exits 2."""
+
+    WORKFLOW = Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+
+    def test_store_diffs_derive_the_version_directory(self):
+        text = self.WORKFLOW.read_text(encoding="utf-8")
+        assert re.findall(r"\S*-cache/v\d+\S*", text) == []
+        diffs = re.findall(r"^\s*diff -r .*$", text, flags=re.MULTILINE)
+        assert diffs, "the workflow no longer diffs any store"
+        for line in diffs:
+            assert "$STORE" in line, line
+        assert "from repro.engine.store import SCHEMA_VERSION" in text
 
 
 class TestRobustness:

@@ -15,9 +15,11 @@ close.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro import kernel
 from repro.core.experiment import ExperimentSettings, run_experiment
 from repro.core.organizations import banked, dram_cache, duplicate, ideal_ports
 from repro.engine.executor import get_engine
@@ -35,6 +37,21 @@ ORGANIZATIONS = [
 
 
 BUS_BENCHMARKS = ("gcc", "tomcatv", "database")
+
+#: Each bus counter prefix and the bus names whose events it counts.
+BUS_EVENT_NAMES = {
+    "memory.bus.chip": ("chip<->L2",),
+    "memory.bus.memory": ("L2<->memory", "DRAM<->memory"),
+}
+
+TRACED_BUS_CASES = [
+    *(
+        pytest.param(org.values[0], workload, id=f"{org.id}-{workload}")
+        for org in ORGANIZATIONS
+        for workload in ("gcc", "database")
+    ),
+    pytest.param(dram_cache(line_buffer=True), "database", id="dram+LB-database"),
+]
 
 
 def _traced_run(organization, benchmark="gcc"):
@@ -119,8 +136,7 @@ class TestBusConservation:
 
     def test_dram_memory_bus_moves_whole_rows(self):
         """In DRAM-cache mode a memory-bus transfer is a DRAM miss's row
-        fill or a dirty DRAM row written back.  No counter records the
-        dirty rows, so the misses only bound the transfers from below."""
+        fill or a dirty DRAM row written back."""
         organization = dram_cache(line_buffer=True)
         metrics = run_experiment(organization, "database", FAST).metrics
         transfers = metrics["memory.bus.memory.transfers"]
@@ -128,7 +144,31 @@ class TestBusConservation:
             metrics["memory.bus.memory.bytes_moved"]
             == transfers * organization.dram.row_bytes
         )
-        assert transfers >= metrics["memory.dram.misses"] > 0
+        assert metrics["memory.dram.misses"] > 0
+        assert transfers == (
+            metrics["memory.dram.misses"] + metrics["memory.dram.writebacks_out"]
+        )
+
+    @pytest.mark.parametrize("backend", kernel.BACKEND_NAMES)
+    @pytest.mark.parametrize("organization, workload", TRACED_BUS_CASES)
+    def test_traced_transfers_equal_bus_counters(self, organization, workload, backend):
+        """Every transfer a bus counts is one ``mem.bus.transfer`` event.
+
+        With no timing warm-up the counters and the trace cover the same
+        cycles, so the write-backs must be in the stream too.
+        """
+        get_engine().memo.clear()
+        with kernel.use_backend(backend), tracing() as tracer:
+            result = run_experiment(
+                organization, workload, replace(FAST, timing_warmup=0)
+            )
+        assert tracer.dropped == 0, "ring too small for this test"
+        transfers = tracer.events(events.MEM_BUS_TRANSFER)
+        traced = Counter(e.fields["bus"] for e in transfers)
+        for prefix, names in BUS_EVENT_NAMES.items():
+            counted = result.metrics.get(f"{prefix}.transfers", 0)
+            assert sum(traced[name] for name in names) == counted, prefix
+        assert sum(traced.values()) > 0
 
 
 class TestPipelineConservation:

@@ -47,7 +47,7 @@ def warm_state(memory):
     return (
         memory.l1.snapshot_state(),
         None if line_buffer is None else line_buffer._cache.snapshot_state(),
-        fast._back_cache(memory).snapshot_state(),
+        memory.backside.array.snapshot_state(),
     )
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from repro.cpu import OutOfOrderCore, ProcessorConfig
 from repro.memory import MemoryConfig, MemorySystem
+from repro.memory.bus import Transfer
+from repro.memory.dram_cache import DramCacheBackside, DramCacheConfig
 from repro.robustness import (
     FAULT_CLASSES,
     DeadlockError,
@@ -62,6 +64,20 @@ class TestDroppedBusGrant:
         inject_dropped_bus_grant(system)
         with pytest.raises(SimulationInvariantError, match="acausal"):
             run_guarded(system)
+
+    def test_l1_victim_writeback_is_checked(self):
+        system = make_system()
+        inject_dropped_bus_grant(system)
+        with pytest.raises(SimulationInvariantError, match="acausal"):
+            system.backside.writeback_line(5, cycle=10)
+
+    def test_dirty_dram_row_writeback_is_checked(self):
+        # One-way, two-row DRAM array: rows 0 and 2 share a set.
+        dram = DramCacheBackside(DramCacheConfig(dram_size=1024, dram_assoc=1))
+        dram.writeback_line(0, cycle=0)  # allocates row 0 dirty
+        dram.memory_bus.transfer = lambda cycle, nbytes: Transfer(cycle, cycle)
+        with pytest.raises(SimulationInvariantError, match="acausal"):
+            dram.writeback_line(2, cycle=100)  # writes dirty row 0 to memory
 
 
 class TestLostPortRelease:
