@@ -6,14 +6,63 @@ decisions* must match a plain reference cache fed the same stream --
 these tests run both side by side.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import MemoryConfig, MemorySystem, SetAssociativeCache
+from repro.memory.sram import FullyAssociativeCache
 
 ACCESS = st.tuples(
     st.booleans(), st.integers(min_value=0, max_value=1 << 14)
 )
+
+
+def _oracle_access(l1, buffer, is_store, line):
+    """One reference on plain caches, as the hierarchy orders them.
+
+    A load that hits the line buffer never reaches the L1; a store
+    refreshes a buffered copy and always writes the L1.  An L1 fill's
+    victim leaves the buffer, and a load that reached the L1 is
+    buffered after it.
+    """
+    if buffer is not None and buffer.lookup(line) and not is_store:
+        return
+    if not l1.lookup(line, write=is_store):
+        victim = l1.fill(line, dirty=is_store)
+        if victim is not None and buffer is not None:
+            buffer.invalidate(victim.line)
+    if buffer is not None and not is_store:
+        buffer.fill(line)
+
+
+@pytest.mark.parametrize("line_buffer", [False, True], ids=["no-lb", "lb"])
+@pytest.mark.parametrize("assoc", [1, 2, 4])
+class TestLookupOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(ACCESS, min_size=1, max_size=300))
+    def test_lru_order_and_dirty_bits_match(self, assoc, line_buffer, accesses):
+        """The L1 the hierarchy drives equals a plain cache fed the same
+        references: the same lines in the same MRU order within each
+        set, and the same dirty bit on every line."""
+        config = MemoryConfig(
+            l1_size=2048, l1_assoc=assoc, line_buffer=line_buffer,
+            line_buffer_entries=8,
+        )
+        system = MemorySystem(config)
+        l1 = SetAssociativeCache(2048, assoc, 32)
+        buffer = FullyAssociativeCache(8, 32) if line_buffer else None
+        for i, (is_store, address) in enumerate(accesses):
+            _oracle_access(l1, buffer, is_store, address >> 5)
+            if is_store:
+                system.store(address, i * 200)  # spaced: no fills in flight
+            else:
+                system.load(address, i * 200)
+        assert system.l1.resident_lines() == l1.resident_lines()
+        for line in l1.resident_lines():
+            assert system.l1.is_dirty(line) == l1.is_dirty(line), line
+        if line_buffer:
+            assert system.line_buffer.resident_lines() == buffer.resident_lines()
 
 
 class TestHitMissOracle:
