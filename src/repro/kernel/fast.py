@@ -315,6 +315,7 @@ def run_loop(
         trace = tracecache.TapeReplay.over(trace)
     tape = trace.tape
     tape_extend = trace.extend
+    tape_len = len(tape)  # grows by one with each successful extend()
     base = trace.index
 
     # Per-seq rings; the window is the seq range [committed, fetched).
@@ -517,9 +518,11 @@ def run_loop(
                         pipeline.window_full_stalls += 1
                     break
                 position = base + fetched
-                if position == len(tape) and not tape_extend():
-                    trace_done = True
-                    break
+                if position == tape_len:
+                    if not tape_extend():
+                        trace_done = True
+                        break
+                    tape_len += 1
                 mop = tape[position]
                 op = mop.op
                 is_mem = op is _LOAD or op is _STORE

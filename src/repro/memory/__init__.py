@@ -15,7 +15,6 @@ from repro.memory.backside import (
 )
 from repro.memory.bus import Bus, BusStats, Transfer, bytes_per_cycle
 from repro.memory.common import (
-    AccessKind,
     AccessResult,
     ConfigurationError,
     ServedBy,
@@ -56,7 +55,6 @@ __all__ = [
     "BusStats",
     "Transfer",
     "bytes_per_cycle",
-    "AccessKind",
     "AccessResult",
     "ConfigurationError",
     "ServedBy",

@@ -44,7 +44,8 @@ class FillResponse(NamedTuple):
     served_by: ServedBy
     #: Critical-path decomposition of ``ready_cycle - request_cycle``
     #: as ``((component, cycles), ...)``; components sum exactly to the
-    #: fill latency (the attribution invariant).
+    #: fill latency (the attribution invariant).  Empty unless the back
+    #: side is ``attributed``.
     path: tuple[tuple[str, int], ...] = ()
 
 
@@ -70,8 +71,12 @@ class BacksideMemory:
     an ``array`` line, and :meth:`stat_owners` lists the counters.
     """
 
-    def __init__(self, config: BacksideConfig, l1_line_bytes: int):
+    def __init__(
+        self, config: BacksideConfig, l1_line_bytes: int, *, attributed: bool = False
+    ):
         self.config = config
+        #: Build each fill's critical path; only attribution reads it.
+        self.attributed = attributed
         self.l1_line_bytes = l1_line_bytes
         if l1_line_bytes > config.l2_line:
             raise ValueError(
@@ -100,6 +105,8 @@ class BacksideMemory:
         if self.l2.lookup(l2_line):
             self.stats.hits += 1
             transfer = self.chip_bus.checked_transfer(lookup_done, self.l1_line_bytes)
+            if not self.attributed:
+                return FillResponse(transfer.done_cycle, ServedBy.L2)
             path = critical_path(
                 l2_access=self.config.l2_hit_cycles,
                 bus_queue=transfer.start_cycle - lookup_done,
@@ -116,6 +123,8 @@ class BacksideMemory:
         transfer = self.chip_bus.checked_transfer(
             mem_xfer.done_cycle, self.l1_line_bytes
         )
+        if not self.attributed:
+            return FillResponse(transfer.done_cycle, ServedBy.MEMORY)
         path = critical_path(
             l2_access=self.config.l2_hit_cycles,
             memory=self.config.memory_cycles,

@@ -46,6 +46,7 @@ class Bus:
             raise ValueError(f"bandwidth must be positive: {bytes_per_cycle}")
         self.bytes_per_cycle = bytes_per_cycle
         self.name = name
+        self._what = f"{name} transfer"  #: how the causality check names it
         self.stats = BusStats()
         self._next_free = 0
 
@@ -81,20 +82,20 @@ class Bus:
         The one way the memory models move data.  ``self.transfer`` is
         looked up on the instance, so a fault injection that replaces it
         (``inject_dropped_bus_grant``) is still checked.  The causality
-        tap and the active tracer see the same fields dict, in that
-        order -- the check-then-capture idiom of ``PortArbiter._grant``.
+        check sees the window before the active tracer does; the fields
+        dict is built only for a tracer, which sees it after
+        ``invariants.bus_causality_tap`` has checked the same values --
+        the check-then-capture order of the port arbiters' grants.
         """
         window = self.transfer(cycle, nbytes)
-        fields = {
-            "bus": self.name,
-            "start": window.start_cycle,
-            "done": window.done_cycle,
-            "bytes": nbytes,
-        }
-        invariants.bus_causality_tap(cycle, fields)
+        start, done = window
         tracer = trace._ACTIVE
-        if tracer is not None:
-            tracer.capture(MEM_BUS_TRANSFER, cycle, fields)
+        if tracer is None:
+            invariants.check_causality(self._what, cycle, start, done)
+            return window
+        fields = {"bus": self.name, "start": start, "done": done, "bytes": nbytes}
+        invariants.bus_causality_tap(cycle, fields)
+        tracer.capture(MEM_BUS_TRANSFER, cycle, fields)
         return window
 
     def utilization(self, total_cycles: int) -> float:

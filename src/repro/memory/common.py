@@ -6,13 +6,6 @@ import enum
 from typing import NamedTuple
 
 
-class AccessKind(enum.IntEnum):
-    """Kind of a data-memory reference."""
-
-    LOAD = 0
-    STORE = 1
-
-
 class ServedBy(enum.IntEnum):
     """The level of the hierarchy that supplied a reference's data."""
 

@@ -54,7 +54,8 @@ class DramFill(NamedTuple):
     ready_cycle: int
     served_by: ServedBy
     #: Critical-path decomposition of ``ready_cycle - request_cycle``
-    #: (same contract as :class:`repro.memory.backside.FillResponse`).
+    #: (same contract as :class:`repro.memory.backside.FillResponse`,
+    #: empty unless the back side is ``attributed``).
     path: tuple[tuple[str, int], ...] = ()
 
 
@@ -69,8 +70,10 @@ class DramCacheBackside:
 
     line_shift = 0
 
-    def __init__(self, config: DramCacheConfig):
+    def __init__(self, config: DramCacheConfig, *, attributed: bool = False):
         self.config = config
+        #: Build each fill's critical path; only attribution reads it.
+        self.attributed = attributed
         self.dram = SetAssociativeCache(
             config.dram_size, config.dram_assoc, config.row_bytes
         )
@@ -92,6 +95,8 @@ class DramCacheBackside:
         self._bank_free[bank] = done  # bank busy for the full access
         if self.dram.lookup(row_line):
             self.stats.hits += 1
+            if not self.attributed:
+                return DramFill(done, ServedBy.DRAM_CACHE)
             path = critical_path(
                 dram_bank_wait=start - cycle,
                 dram_access=self.config.dram_hit_cycles,
@@ -102,6 +107,8 @@ class DramCacheBackside:
         transfer = self.memory_bus.checked_transfer(mem_ready, self.config.row_bytes)
         self._write_victim(self.dram.fill(row_line), transfer.done_cycle)
         self._bank_free[bank] = max(self._bank_free[bank], transfer.done_cycle)
+        if not self.attributed:
+            return DramFill(transfer.done_cycle, ServedBy.MEMORY)
         path = critical_path(
             dram_bank_wait=start - cycle,
             dram_access=self.config.dram_hit_cycles,

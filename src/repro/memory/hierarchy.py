@@ -37,6 +37,9 @@ from repro.robustness.errors import SimulationInvariantError
 from repro.robustness.invariants import audit_memory
 
 PORT_POLICIES = ("ideal", "banked", "duplicate")
+# The hit paths build results with the C-level tuple constructor; the
+# named tuple's own ``__new__`` is a Python function.
+_new = tuple.__new__
 WRITE_POLICIES = ("write-back", "write-through")
 
 
@@ -122,10 +125,12 @@ class MemorySystem:
         )
         self.backside: BacksideMemory | DramCacheBackside
         if config.dram is not None:
-            self.backside = DramCacheBackside(config.dram)
+            self.backside = DramCacheBackside(config.dram, attributed=attribution)
             self._l1_served = ServedBy.ROW_BUFFER
         else:
-            self.backside = BacksideMemory(config.backside, config.l1_line)
+            self.backside = BacksideMemory(
+                config.backside, config.l1_line, attributed=attribution
+            )
             self._l1_served = ServedBy.L1
         self.stats = MemoryStats()
         self._pending_served: dict[int, ServedBy] = {}
@@ -252,40 +257,63 @@ class MemorySystem:
     # ------------------------------------------------------------------
 
     def load(self, address: int, cycle: int) -> AccessResult:
-        """A load whose address is ready at ``cycle``."""
+        """A load whose address is ready at ``cycle``.
+
+        A hit runs inline but for the port grant; the miss path and the
+        observers are calls (DESIGN.md, "The access path").
+        """
         stats = self.stats
         stats.loads += 1
         line = address >> self._line_shift
         tracer = trace._ACTIVE
         attr = self.attribution
         line_buffer = self.line_buffer
-        if line_buffer is not None and line_buffer.load_lookup(line):
-            # If the line's fill is still in flight the buffered copy is
-            # not valid yet; data is forwarded when the fill arrives.
-            done = self.mshrs.pending_ready(line, cycle + 1) or cycle + 1
-            result = AccessResult(done, ServedBy.LINE_BUFFER, cycle)
-            stats.served_by[ServedBy.LINE_BUFFER] += 1
-            stats.load_latency_total += done - cycle
-            path = None
-            if attr is not None:
-                path = [("line_buffer", 1)]
-                fill_wait = done - cycle - 1
-                if fill_wait:
-                    path.append(("mshr_merge", fill_wait))
-                attr.record("lb_hit", done - cycle, path)
-            if tracer is not None:
-                tracer.capture(events.MEM_LB_HIT, cycle, {"line": line})
-                self._capture_access(
-                    tracer, events.MEM_LOAD, cycle, line, "lb_hit", result, path
-                )
-            return result
+        if line_buffer is not None:
+            lb_stats = line_buffer.stats
+            lb_stats.load_lookups += 1
+            buffered = line_buffer._cache._lines
+            if line in buffered:
+                buffered.move_to_end(line)
+                lb_stats.load_hits += 1
+                # If the line's fill is still in flight the buffered copy
+                # is not valid yet; data is forwarded when the fill arrives.
+                ready = self.mshrs._pending.get(line, 0)
+                done = ready if ready > cycle + 1 else cycle + 1
+                result = _new(AccessResult, (done, ServedBy.LINE_BUFFER, cycle))
+                stats.served_by[ServedBy.LINE_BUFFER] += 1
+                stats.load_latency_total += done - cycle
+                path = None
+                if attr is not None:
+                    path = [("line_buffer", 1)]
+                    fill_wait = done - cycle - 1
+                    if fill_wait:
+                        path.append(("mshr_merge", fill_wait))
+                    attr.record("lb_hit", done - cycle, path)
+                if tracer is not None:
+                    tracer.capture(events.MEM_LB_HIT, cycle, {"line": line})
+                    self._capture_access(
+                        tracer, events.MEM_LOAD, cycle, line, "lb_hit", result, path
+                    )
+                return result
         start = self.arbiter.reserve(line, cycle)
         hit_cycles = self._hit_cycles
-        if self.l1.lookup(line):
+        l1 = self.l1
+        tags = l1._tags
+        assoc = l1.associativity
+        base = (line & l1._set_mask) * assoc
+        tag = line >> l1._tag_shift
+        hit = tags[base] == tag
+        if not hit and assoc > 1:
+            if assoc > 2:
+                hit = l1.lookup(line)
+            elif tags[base + 1] == tag:
+                tags[base], tags[base + 1] = tag, tags[base]
+                hit = True
+        if hit:
             stats.l1_load_hits += 1
             done = start + hit_cycles
-            in_flight = self.mshrs.pending_ready(line, done)
-            if in_flight is None:
+            ready = self.mshrs._pending.get(line, 0)
+            if ready <= done:
                 served = self._l1_served
                 outcome = "l1_hit"
                 tail = ()
@@ -296,9 +324,9 @@ class MemorySystem:
                 self.mshrs.stats.merged_misses += 1
                 served = self._pending_served.get(line, ServedBy.L2)
                 outcome = "delayed_hit"
-                tail = (("mshr_merge", in_flight - done),)
-                done = in_flight
-            result = AccessResult(done, served, start)
+                tail = (("mshr_merge", ready - done),)
+                done = ready
+            result = _new(AccessResult, (done, served, start))
         else:
             stats.l1_load_misses += 1
             result, outcome, tail = self._miss(line, start, dirty=False)
@@ -345,34 +373,53 @@ class MemorySystem:
         """A buffered store draining to the cache at ``cycle``.
 
         Write-back, write-allocate.  Duplicate caches write both copies
-        (handled by the arbiter's ``reserve_store``).
+        (handled by the arbiter's ``reserve_store``).  A hit runs inline,
+        as in :meth:`load`.
         """
         stats = self.stats
         stats.stores += 1
         line = address >> self._line_shift
-        tracer = trace._ACTIVE
-        if self.line_buffer is not None:
-            self.line_buffer.store_update(line)
+        line_buffer = self.line_buffer
+        if line_buffer is not None:
+            # A store refreshes a buffered copy; it never allocates one.
+            buffered = line_buffer._cache._lines
+            if line in buffered:
+                buffered.move_to_end(line)
+                line_buffer.stats.store_updates += 1
         start = self.arbiter.reserve_store(line, cycle)
         if self._write_through:
             return self._store_through(line, start, cycle)
-        if self.l1.lookup(line, write=True):
+        l1 = self.l1
+        tags = l1._tags
+        assoc = l1.associativity
+        base = (line & l1._set_mask) * assoc
+        tag = line >> l1._tag_shift
+        hit = tags[base] == tag
+        if not hit and assoc > 1:
+            if assoc > 2:
+                hit = l1.lookup(line)
+            elif tags[base + 1] == tag:
+                tags[base], tags[base + 1] = tag, tags[base]
+                hit = True
+        if hit:
+            l1._dirty.add(line)
             stats.l1_store_hits += 1
             done = start + self._hit_cycles
-            in_flight = self.mshrs.pending_ready(line, done)
-            if in_flight is None:
-                result = AccessResult(done, self._l1_served, start)
+            ready = self.mshrs._pending.get(line, 0)
+            if ready <= done:
+                result = _new(AccessResult, (done, self._l1_served, start))
                 outcome = "l1_hit"
             else:
                 stats.delayed_hits += 1
                 self.mshrs.stats.merged_misses += 1
                 served = self._pending_served.get(line, ServedBy.L2)
-                result = AccessResult(in_flight, served, start)
+                result = _new(AccessResult, (ready, served, start))
                 outcome = "delayed_hit"
         else:
             stats.l1_store_misses += 1
             result, outcome, _ = self._miss(line, start, dirty=True)
-        stats.served_by[result.served_by] += 1
+        stats.served_by[result[1]] += 1
+        tracer = trace._ACTIVE
         if tracer is not None:
             self._capture_access(tracer, events.MEM_STORE, cycle, line, outcome, result)
         return result

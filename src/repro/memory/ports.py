@@ -37,26 +37,22 @@ class PortStats:
 class PortArbiter:
     """Base interface: grant a start cycle for an access.
 
-    Every grant goes through :meth:`_grant`, which books it in the
-    arbiter's :class:`~repro.robustness.invariants.GrantLedger` (always
-    on, tracing or not) and then hands the same ``(cycle, key)`` to the
+    Every ``reserve`` books its grant in the arbiter's
+    :class:`~repro.robustness.invariants.GrantLedger` (always on,
+    tracing or not) and then hands the same ``(cycle, key)`` to the
     active tracer as a ``mem.port.grant`` event.  The ledger guards the
     hardware contract that each port (or bank) starts at most one
     access per cycle -- broken reservation bookkeeping (a lost port
     release) surfaces as a structured invariant error instead of a
-    silently over-subscribed cache.
+    silently over-subscribed cache.  Each ``reserve`` books inline: it
+    runs on every access.
     """
 
-    def __init__(self, name: str = "ports") -> None:
+    def __init__(self, name: str, keys: int) -> None:
+        if not 1 <= keys <= GrantLedger.KEYS:
+            raise ValueError(f"need 1 to {GrantLedger.KEYS} {name}, got {keys}")
         self.stats = PortStats()
         self.ledger = GrantLedger(1, name)
-
-    def _grant(self, start: int, key: int) -> None:
-        """Book a grant in the ledger, then show it to the tracer."""
-        self.ledger.record(start, key)
-        tracer = trace._ACTIVE
-        if tracer is not None:
-            tracer.capture(MEM_PORT_GRANT, start, {"key": key})
 
     def reserve(self, line: int, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` at which the access may start."""
@@ -66,36 +62,26 @@ class PortArbiter:
         """Like :meth:`reserve` but for a buffered store drain."""
         return self.reserve(line, cycle)
 
-    def _account(self, requested: int, granted: int) -> int:
-        self.stats.requests += 1
-        if granted > requested:
-            self.stats.delayed += 1
-            self.stats.wait_cycles += granted - requested
-        return granted
-
 
 class IdealPorts(PortArbiter):
     """``n`` fully pipelined ports, each usable by any address."""
 
     def __init__(self, ports: int):
-        if ports < 1:
-            raise ValueError(f"need at least one port, got {ports}")
-        super().__init__("ideal ports")
+        super().__init__("ideal ports", ports)
         self.ports = ports
         self._next_free = [0] * ports
 
     def reserve(self, line: int, cycle: int) -> int:
         # The earliest-free port, lowest index on a tie.
         next_free = self._next_free
-        best = 0
-        earliest = next_free[0]
-        for port in range(1, self.ports):
-            if next_free[port] < earliest:
-                best = port
-                earliest = next_free[port]
+        earliest = min(next_free)
+        best = next_free.index(earliest)
         start = cycle if cycle > earliest else earliest
         next_free[best] = start + 1
-        self._grant(start, best)
+        self.ledger.record(start, best)
+        tracer = trace._ACTIVE
+        if tracer is not None:
+            tracer.capture(MEM_PORT_GRANT, start, {"key": best})
         stats = self.stats
         stats.requests += 1
         if start > cycle:
@@ -117,13 +103,12 @@ class BankedPorts(PortArbiter):
     PAGE_LINES_SHIFT = 5
 
     def __init__(self, banks: int, interleave: str = "line"):
-        if banks < 1:
-            raise ValueError(f"need at least one bank, got {banks}")
         if interleave not in ("line", "page"):
             raise ValueError(f"unknown interleaving {interleave!r}")
-        super().__init__("banked ports")
+        super().__init__("banked ports", banks)
         self.banks = banks
         self.interleave = interleave
+        self._bank_shift = 0 if interleave == "line" else self.PAGE_LINES_SHIFT
         self._next_free = [0] * banks
 
     def bank_of(self, line: int) -> int:
@@ -132,30 +117,35 @@ class BankedPorts(PortArbiter):
         banks); "page" interleaving keeps 1 KB stretches in one bank
         (cheaper wiring, worse for streams).  The ablation bench
         quantifies the difference."""
-        if self.interleave == "line":
-            return line % self.banks
-        return (line >> self.PAGE_LINES_SHIFT) % self.banks
+        return (line >> self._bank_shift) % self.banks
 
     def reserve(self, line: int, cycle: int) -> int:
-        bank = self.bank_of(line)
-        start = max(cycle, self._next_free[bank])
+        bank = (line >> self._bank_shift) % self.banks  # inline bank_of
+        next_free = self._next_free[bank]
+        start = cycle if cycle > next_free else next_free
+        stats = self.stats
+        stats.requests += 1
+        tracer = trace._ACTIVE
         if start > cycle:
-            self.stats.bank_conflicts += 1
-            tracer = trace._ACTIVE
+            stats.bank_conflicts += 1
+            stats.delayed += 1
+            stats.wait_cycles += start - cycle
             if tracer is not None:
                 tracer.capture(
                     MEM_BANK_CONFLICT, cycle, {"bank": bank, "wait": start - cycle}
                 )
         self._next_free[bank] = start + 1
-        self._grant(start, bank)
-        return self._account(cycle, start)
+        self.ledger.record(start, bank)
+        if tracer is not None:
+            tracer.capture(MEM_PORT_GRANT, start, {"key": bank})
+        return start
 
 
 class DuplicatePorts(PortArbiter):
     """Two mirrored copies of the cache: loads pick either, stores use both."""
 
     def __init__(self) -> None:
-        super().__init__("duplicate ports")
+        super().__init__("duplicate ports", 2)
         self._next_free = [0, 0]
 
     @property
@@ -163,20 +153,38 @@ class DuplicatePorts(PortArbiter):
         return 2
 
     def reserve(self, line: int, cycle: int) -> int:
-        best = 0 if self._next_free[0] <= self._next_free[1] else 1
-        start = max(cycle, self._next_free[best])
-        self._next_free[best] = start + 1
-        self._grant(start, best)
-        return self._account(cycle, start)
+        next_free = self._next_free
+        best = 0 if next_free[0] <= next_free[1] else 1
+        earliest = next_free[best]
+        start = cycle if cycle > earliest else earliest
+        next_free[best] = start + 1
+        self.ledger.record(start, best)
+        tracer = trace._ACTIVE
+        if tracer is not None:
+            tracer.capture(MEM_PORT_GRANT, start, {"key": best})
+        stats = self.stats
+        stats.requests += 1
+        if start > cycle:
+            stats.delayed += 1
+            stats.wait_cycles += start - cycle
+        return start
 
     def reserve_store(self, line: int, cycle: int) -> int:
         """A store writes both copies in the same cycle to stay coherent."""
-        start = max(cycle, *self._next_free)
-        self._next_free[0] = start + 1
-        self._next_free[1] = start + 1
-        self._grant(start, 0)
-        self._grant(start, 1)
-        return self._account(cycle, start)
+        next_free = self._next_free
+        start = max(cycle, *next_free)
+        next_free[0] = next_free[1] = start + 1
+        tracer = trace._ACTIVE
+        for copy in (0, 1):
+            self.ledger.record(start, copy)
+            if tracer is not None:
+                tracer.capture(MEM_PORT_GRANT, start, {"key": copy})
+        stats = self.stats
+        stats.requests += 1
+        if start > cycle:
+            stats.delayed += 1
+            stats.wait_cycles += start - cycle
+        return start
 
 
 def make_arbiter(

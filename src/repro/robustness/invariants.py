@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Ledger size at which old per-cycle grant counters are pruned.
 _LEDGER_PRUNE_AT = 8192
+#: Bits below the cycle in a ledger slot: room for the key.
+_KEY_BITS = 16
 
 
 class GrantLedger:
@@ -36,28 +38,33 @@ class GrantLedger:
     accesses with the same start cycle (per key -- a bank key folds the
     bank index in).  Lost port releases and broken ``_next_free``
     bookkeeping surface here as a (cycle, key) counter exceeding the
-    hardware's capacity.
+    hardware's capacity.  Each counter sits under one int, the cycle
+    shifted above the key; keys are port or bank indices below
+    :attr:`KEYS`.
     """
+
+    KEYS = 1 << _KEY_BITS
 
     def __init__(self, capacity: int, name: str):
         if capacity < 1:
             raise ValueError(f"ledger capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._counts: dict[tuple, int] = {}
+        self._counts: dict[int, int] = {}
 
     def record(self, cycle: int, key: int = 0, weight: int = 1) -> None:
         """Book ``weight`` grants starting at ``cycle`` on resource ``key``."""
-        slot = (cycle, key)
-        count = self._counts.get(slot, 0) + weight
+        slot = cycle << _KEY_BITS | key
+        counts = self._counts
+        count = counts.get(slot, 0) + weight
         if count > self.capacity:
             raise SimulationInvariantError(
                 f"{self.name}: {count} grants at cycle {cycle} (key {key}) "
                 f"exceed per-cycle capacity {self.capacity}",
                 {"grant ledger": self._render(cycle)},
             )
-        self._counts[slot] = count
-        if len(self._counts) > _LEDGER_PRUNE_AT:
+        counts[slot] = count
+        if len(counts) > _LEDGER_PRUNE_AT:
             self._prune()
 
     def tap(self, cycle: int, fields: dict) -> None:
@@ -71,15 +78,16 @@ class GrantLedger:
 
     def _prune(self) -> None:
         """Drop the oldest half of the counters to bound memory."""
-        cutoff = sorted(slot[0] for slot in self._counts)[len(self._counts) // 2]
+        slots = sorted(self._counts)
+        cutoff = slots[len(slots) // 2] >> _KEY_BITS << _KEY_BITS
         self._counts = {
-            slot: count for slot, count in self._counts.items() if slot[0] >= cutoff
+            slot: count for slot, count in self._counts.items() if slot >= cutoff
         }
 
     def _render(self, cycle: int) -> str:
         recent = sorted(self._counts.items())[-8:]
         rows = "\n".join(
-            f"  cycle {slot[0]} key {slot[1]}: {count} grants"
+            f"  cycle {slot >> _KEY_BITS} key {slot & self.KEYS - 1}: {count} grants"
             for slot, count in recent
         )
         return f"{self.name} (capacity {self.capacity}/cycle), recent grants:\n{rows}"
@@ -104,10 +112,12 @@ def bus_causality_tap(cycle: int, fields: dict) -> None:
     """Enforce :func:`check_causality` on one bus transfer's fields.
 
     :meth:`repro.memory.bus.Bus.checked_transfer` runs it on every
-    transfer, before the tracer captures the same ``mem.bus.transfer``
-    fields.  It runs after ``bus.transfer`` returns (not inside the bus
-    model), so fault injections that replace the transfer method are
-    still observed -- see ``inject_dropped_bus_grant``.
+    traced transfer, before the tracer captures the same
+    ``mem.bus.transfer`` fields; an untraced transfer calls
+    :func:`check_causality` on the same values without building them.
+    Both run after ``bus.transfer`` returns (not inside the bus model),
+    so fault injections that replace the transfer method are still
+    observed -- see ``inject_dropped_bus_grant``.
     """
     check_causality(
         f"{fields['bus']} transfer", cycle, fields["start"], fields["done"]
