@@ -23,9 +23,13 @@ idle cycle (skip), this loop tracks readiness incrementally:
 * **heap-free idle horizon** -- an idle iteration takes the earliest
   of the ready heap's top, the mispredicted branch's resume cycle and
   the in-flight completions, scanning the window from its head only
-  until some issued instruction completes by the next cycle.  On the
-  perfbench sweeps every idle iteration is a one-cycle step, so the
-  scan stops early;
+  until some issued instruction completes by the next cycle;
+* **the exact fold** -- after that step, every cycle before the first
+  one at which a stage can act (the ready heap's top, the head's
+  completion, the branch's resume, the watchdog's trip) would be an
+  idle one-cycle step whose only effect is one stall count, so the
+  loop adds them to that counter and jumps.  On ``headlines`` at scale
+  0.25 that skips 225,197 of 514,738 iterations;
 * **tapes** -- every fetch reads a :class:`~repro.kernel.tracecache.TapeReplay`
   (a plain iterator is taped as it is consumed), and the measured op
   mix is counted once per run over the committed slice of the tape;
@@ -600,6 +604,7 @@ def run_loop(
                     resume = when + redirect_penalty
                     if horizon is None or resume < horizon:
                         horizon = resume
+            act = horizon  # the first cycle issue or fetch can act
             if horizon is None or horizon > cycle:
                 for seq in range(committed, fetched):
                     when = comp[seq & _RING_MASK]
@@ -609,6 +614,28 @@ def run_loop(
                             break
                 if horizon is not None and horizon > cycle:
                     cycle = horizon
+            # The exact fold: until ``act`` (issue, fetch, the head's
+            # commit or the watchdog's trip) every iteration is idle,
+            # steps one cycle (an in-flight op has completed, or none is
+            # in flight) and counts one stall in the same counter.
+            if committed < fetched:
+                when = comp[committed & _RING_MASK]
+                if when >= 0 and (act is None or when < act):
+                    act = when
+                if wd_limit:
+                    when = wd_last + wd_limit + 1
+                    if act is None or when < act:
+                        act = when
+            if act is not None and act > cycle:
+                # Fetch never blocks on a branch once the trace is done.
+                if measuring and not trace_done:
+                    if blocking_branch is not None:
+                        pipeline.mispredict_stall_cycles += act - cycle
+                    elif fetched - committed >= window_size:
+                        pipeline.window_full_stalls += act - cycle
+                    else:
+                        pipeline.lsq_full_stalls += act - cycle
+                cycle = act
 
     trace.index = base + fetched
 

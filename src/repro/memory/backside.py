@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.memory.bus import Bus
-from repro.memory.common import ServedBy
+from repro.memory.common import ServedBy, new_record
 from repro.memory.sram import Eviction, SetAssociativeCache
 from repro.observability.attribution import critical_path
 
@@ -106,7 +106,7 @@ class BacksideMemory:
             self.stats.hits += 1
             transfer = self.chip_bus.checked_transfer(lookup_done, self.l1_line_bytes)
             if not self.attributed:
-                return FillResponse(transfer.done_cycle, ServedBy.L2)
+                return new_record(FillResponse, (transfer.done_cycle, ServedBy.L2, ()))
             path = critical_path(
                 l2_access=self.config.l2_hit_cycles,
                 bus_queue=transfer.start_cycle - lookup_done,
@@ -124,7 +124,9 @@ class BacksideMemory:
             mem_xfer.done_cycle, self.l1_line_bytes
         )
         if not self.attributed:
-            return FillResponse(transfer.done_cycle, ServedBy.MEMORY)
+            return new_record(
+                FillResponse, (transfer.done_cycle, ServedBy.MEMORY, ())
+            )
         path = critical_path(
             l2_access=self.config.l2_hit_cycles,
             memory=self.config.memory_cycles,

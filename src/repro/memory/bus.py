@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.memory.common import new_record
 from repro.observability import trace
 from repro.observability.events import MEM_BUS_TRANSFER
 from repro.robustness import invariants
@@ -49,6 +50,8 @@ class Bus:
         self._what = f"{name} transfer"  #: how the causality check names it
         self.stats = BusStats()
         self._next_free = 0
+        #: Transfer size -> :meth:`occupancy`, filled on first use.
+        self._busy: dict[int, int] = {}
 
     def occupancy(self, nbytes: int) -> int:
         """Cycles the bus is held by a transfer of ``nbytes``."""
@@ -58,7 +61,9 @@ class Bus:
 
     def transfer(self, cycle: int, nbytes: int) -> Transfer:
         """Schedule a transfer requested at ``cycle``; returns its window."""
-        busy = self.occupancy(nbytes)
+        busy = self._busy.get(nbytes)
+        if busy is None:
+            busy = self._busy[nbytes] = self.occupancy(nbytes)
         start = max(cycle, self._next_free)
         self._next_free = start + busy
         self.stats.transfers += 1
@@ -74,7 +79,7 @@ class Bus:
                 f"have moved {self.stats.bytes_moved} bytes at "
                 f"{self.bytes_per_cycle} bytes/cycle"
             )
-        return Transfer(start, start + busy)
+        return new_record(Transfer, (start, start + busy))
 
     def checked_transfer(self, cycle: int, nbytes: int) -> Transfer:
         """Schedule a transfer, check its window, then show it to the tracer.

@@ -18,6 +18,12 @@ class ServedBy(enum.IntEnum):
     VICTIM_CACHE = 6  #: a victim-cache swap satisfied the miss [Joup90]
 
 
+#: Builds a named tuple with the C-level tuple constructor; the named
+#: tuple's own ``__new__`` is a Python function, and the access and miss
+#: paths build several records per reference.
+new_record = tuple.__new__
+
+
 class AccessResult(NamedTuple):
     """Timing outcome of a single data reference.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.memory.bus import Bus
-from repro.memory.common import ServedBy
+from repro.memory.common import ServedBy, new_record
 from repro.memory.sram import Eviction, SetAssociativeCache
 from repro.observability.attribution import critical_path
 
@@ -96,7 +96,7 @@ class DramCacheBackside:
         if self.dram.lookup(row_line):
             self.stats.hits += 1
             if not self.attributed:
-                return DramFill(done, ServedBy.DRAM_CACHE)
+                return new_record(DramFill, (done, ServedBy.DRAM_CACHE, ()))
             path = critical_path(
                 dram_bank_wait=start - cycle,
                 dram_access=self.config.dram_hit_cycles,
@@ -108,7 +108,9 @@ class DramCacheBackside:
         self._write_victim(self.dram.fill(row_line), transfer.done_cycle)
         self._bank_free[bank] = max(self._bank_free[bank], transfer.done_cycle)
         if not self.attributed:
-            return DramFill(transfer.done_cycle, ServedBy.MEMORY)
+            return new_record(
+                DramFill, (transfer.done_cycle, ServedBy.MEMORY, ())
+            )
         path = critical_path(
             dram_bank_wait=start - cycle,
             dram_access=self.config.dram_hit_cycles,

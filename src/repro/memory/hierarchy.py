@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.memory.backside import BacksideConfig, BacksideMemory
-from repro.memory.common import AccessResult, ConfigurationError, ServedBy
+from repro.memory.common import AccessResult, ConfigurationError, ServedBy, new_record
 from repro.memory.dram_cache import DramCacheBackside, DramCacheConfig
 from repro.memory.line_buffer import LineBuffer
 from repro.memory.mshr import MshrFile
@@ -37,9 +37,6 @@ from repro.robustness.errors import SimulationInvariantError
 from repro.robustness.invariants import audit_memory
 
 PORT_POLICIES = ("ideal", "banked", "duplicate")
-# The hit paths build results with the C-level tuple constructor; the
-# named tuple's own ``__new__`` is a Python function.
-_new = tuple.__new__
 WRITE_POLICIES = ("write-back", "write-through")
 
 
@@ -134,6 +131,9 @@ class MemorySystem:
             self._l1_served = ServedBy.L1
         self.stats = MemoryStats()
         self._pending_served: dict[int, ServedBy] = {}
+        #: ``_pending_served`` is trimmed once it outgrows this.
+        self._served_bound = 4 * config.mshrs
+        self._prefetching = config.next_line_prefetch
         # Read once here instead of through ``config`` on every access.
         self._hit_cycles = config.l1_hit_cycles
         self._write_through = config.write_policy == "write-through"
@@ -279,7 +279,7 @@ class MemorySystem:
                 # is not valid yet; data is forwarded when the fill arrives.
                 ready = self.mshrs._pending.get(line, 0)
                 done = ready if ready > cycle + 1 else cycle + 1
-                result = _new(AccessResult, (done, ServedBy.LINE_BUFFER, cycle))
+                result = new_record(AccessResult, (done, ServedBy.LINE_BUFFER, cycle))
                 stats.served_by[ServedBy.LINE_BUFFER] += 1
                 stats.load_latency_total += done - cycle
                 path = None
@@ -326,7 +326,7 @@ class MemorySystem:
                 outcome = "delayed_hit"
                 tail = (("mshr_merge", ready - done),)
                 done = ready
-            result = _new(AccessResult, (done, served, start))
+            result = new_record(AccessResult, (done, served, start))
         else:
             stats.l1_load_misses += 1
             result, outcome, tail = self._miss(line, start, dirty=False)
@@ -407,13 +407,13 @@ class MemorySystem:
             done = start + self._hit_cycles
             ready = self.mshrs._pending.get(line, 0)
             if ready <= done:
-                result = _new(AccessResult, (done, self._l1_served, start))
+                result = new_record(AccessResult, (done, self._l1_served, start))
                 outcome = "l1_hit"
             else:
                 stats.delayed_hits += 1
                 self.mshrs.stats.merged_misses += 1
                 served = self._pending_served.get(line, ServedBy.L2)
-                result = _new(AccessResult, (ready, served, start))
+                result = new_record(AccessResult, (ready, served, start))
                 outcome = "delayed_hit"
         else:
             stats.l1_store_misses += 1
@@ -480,17 +480,16 @@ class MemorySystem:
                 done = detect + VictimCache.SWAP_PENALTY_CYCLES
                 self._install(line, done, dirty=dirty or was_dirty)
                 return (
-                    AccessResult(done, ServedBy.VICTIM_CACHE, port_start),
+                    new_record(AccessResult, (done, ServedBy.VICTIM_CACHE, port_start)),
                     "victim_hit",
                     (("victim_swap", VictimCache.SWAP_PENALTY_CYCLES),),
                 )
-        grant = self.mshrs.request(line, detect)
-        if grant.merged:
-            assert grant.pending_ready is not None
+        start, merged, pending_ready = self.mshrs.request(line, detect)
+        if merged:
             served = self._pending_served.get(line, ServedBy.L2)
             if dirty:
                 self.l1.lookup(line, write=True)  # mark dirty once filled
-            result = AccessResult(max(grant.pending_ready, detect), served, port_start)
+            done = pending_ready if pending_ready > detect else detect
             if not self.l1.probe(line):
                 # The allocating miss installed this line, but it was
                 # evicted again while its fill is still in flight.  The
@@ -498,30 +497,29 @@ class MemorySystem:
                 # that -- it is also what keeps the line-buffer
                 # coherence invariant (LB lines reside in the L1): a
                 # load caller buffers this line right after this return.
-                self._install(line, result.completion_cycle, dirty=dirty)
-            merge_wait = result.completion_cycle - detect
-            tail = (("mshr_merge", merge_wait),) if merge_wait else ()
+                self._install(line, done, dirty=dirty)
+            tail = (("mshr_merge", done - detect),) if done > detect else ()
+            result = new_record(AccessResult, (done, served, port_start))
             return result, "miss_merged", tail
-        response = self.backside.fetch_line(line, grant.start_cycle)
-        if response.ready_cycle < grant.start_cycle:
+        ready, served, tail = self.backside.fetch_line(line, start)
+        if ready < start:
             raise SimulationInvariantError(
-                f"fill for line {line:#x} ready at cycle {response.ready_cycle}, "
-                f"before its request at cycle {grant.start_cycle}"
+                f"fill for line {line:#x} ready at cycle {ready}, "
+                f"before its request at cycle {start}"
             )
-        self.mshrs.complete(line, response.ready_cycle, alloc_cycle=grant.start_cycle)
-        self._note_served(line, response.served_by)
-        self._install(line, response.ready_cycle, dirty=dirty)
-        if self.config.next_line_prefetch:
-            self._prefetch(line + 1, response.ready_cycle)
-        tail = response.path
-        if grant.start_cycle > detect:
+        self.mshrs.complete(line, ready, alloc_cycle=start)
+        # Remember which level fills the line, keeping the map bounded.
+        pending_served = self._pending_served
+        pending_served[line] = served
+        if len(pending_served) > self._served_bound:
+            self._trim_pending()
+        self._install(line, ready, dirty=dirty)
+        if self._prefetching:
+            self._prefetch(line + 1, ready)
+        if start > detect:
             # The miss waited for a free MSHR register before issuing.
-            tail = (("mshr_wait", grant.start_cycle - detect),) + tail
-        return (
-            AccessResult(response.ready_cycle, response.served_by, port_start),
-            "miss_alloc",
-            tail,
-        )
+            tail = (("mshr_wait", start - detect),) + tail
+        return new_record(AccessResult, (ready, served, port_start)), "miss_alloc", tail
 
     def _prefetch(self, line: int, cycle: int) -> None:
         """Next-line prefetch into the L1, if a free MSHR allows it.
@@ -545,10 +543,13 @@ class MemorySystem:
         if self.mshrs.full():
             return  # never wait for (or steal) a register from demand traffic
         self.stats.prefetches_issued += 1
-        response = self.backside.fetch_line(line, cycle)
-        self.mshrs.complete(line, response.ready_cycle, alloc_cycle=cycle)
-        self._note_served(line, response.served_by)
-        self._install(line, response.ready_cycle, dirty=False)
+        ready, served, _ = self.backside.fetch_line(line, cycle)
+        self.mshrs.complete(line, ready, alloc_cycle=cycle)
+        pending_served = self._pending_served
+        pending_served[line] = served
+        if len(pending_served) > self._served_bound:
+            self._trim_pending()
+        self._install(line, ready, dirty=False)
 
     def _install(self, line: int, ready_cycle: int, *, dirty: bool) -> None:
         """Fill a line into the L1, routing the victim appropriately."""
@@ -563,12 +564,6 @@ class MemorySystem:
                 self.backside.writeback_line(displaced[0], ready_cycle)
         elif victim.dirty:
             self.backside.writeback_line(victim.line, ready_cycle)
-
-    def _note_served(self, line: int, served: ServedBy) -> None:
-        """Remember which level fills ``line``, keeping the map bounded."""
-        self._pending_served[line] = served
-        if len(self._pending_served) > 4 * self.config.mshrs:
-            self._trim_pending()
 
     def _trim_pending(self) -> None:
         """Bound the merged-miss bookkeeping map (keep most recent entries).

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.memory.common import new_record
 from repro.observability import events, trace
 
 
@@ -52,32 +53,40 @@ class MshrFile:
     def full(self) -> bool:
         """Every register holds a tracked line (as of the latest request).
 
-        The one capacity test: a primary miss that finds the file full
-        waits for a register; a prefetch that finds it full is dropped.
+        A prefetch that finds the file full is dropped; :meth:`request`
+        makes the same test inline, and a primary miss that finds the
+        file full waits for a register.
         """
         return len(self._pending) >= self.entries
 
     def request(self, line: int, cycle: int) -> MshrGrant:
-        """Ask to track a miss on ``line`` observed at ``cycle``."""
-        self._expire(cycle)
+        """Ask to track a miss on ``line`` observed at ``cycle``.
+
+        Registers whose fills have arrived by ``cycle`` retire first, so
+        a full file's earliest register is still busy at ``cycle``.
+        """
+        pending = self._pending
+        # Most requests find no fill retired; list lines only when one has.
+        if pending and min(pending.values()) <= cycle:
+            for done in [done for done, ready in pending.items() if ready <= cycle]:
+                del pending[done]
         tracer = trace._ACTIVE
-        ready = self._pending.get(line)
+        ready = pending.get(line)
         if ready is not None:
             self.stats.merged_misses += 1
             if tracer is not None:
                 tracer.capture(events.MEM_MSHR_MERGE, cycle, {"line": line})
-            return MshrGrant(cycle, True, ready)
-        self.stats.primary_misses += 1
+            return new_record(MshrGrant, (cycle, True, ready))
+        stats = self.stats
+        stats.primary_misses += 1
         start = cycle
-        if self.full():
+        if len(pending) >= self.entries:
             # Wait for the earliest outstanding fill to retire its register.
-            earliest_line = min(self._pending, key=self._pending.__getitem__)
-            start = max(cycle, self._pending[earliest_line])
-            del self._pending[earliest_line]
-            self.stats.full_stall_cycles += start - cycle
+            start = pending.pop(min(pending, key=pending.__getitem__))
+            stats.full_stall_cycles += start - cycle
         if tracer is not None:
             tracer.capture(events.MEM_MSHR_ALLOC, cycle, {"line": line, "start": start})
-        return MshrGrant(start, False, None)
+        return new_record(MshrGrant, (start, False, None))
 
     def pending_ready(self, line: int, cycle: int) -> int | None:
         """If ``line``'s fill is still in flight at ``cycle``, its ready time.
@@ -115,10 +124,3 @@ class MshrFile:
     def tracked_lines(self) -> frozenset[int]:
         """Lines whose fills this file still tracks (possibly in flight)."""
         return frozenset(self._pending)
-
-    def _expire(self, cycle: int) -> None:
-        pending = self._pending
-        # Most requests find no fill retired; list lines only when one has.
-        if pending and min(pending.values()) <= cycle:
-            for line in [line for line, ready in pending.items() if ready <= cycle]:
-                del pending[line]

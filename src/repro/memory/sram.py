@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import NamedTuple
 
+from repro.memory.common import new_record
+
 
 #: Tag value of an empty way (real tags are non-negative).
 EMPTY = -1
@@ -148,8 +150,8 @@ class SetAssociativeCache:
         victim_line = (victim << self._tag_shift) | index
         if victim_line in self._dirty:
             self._dirty.discard(victim_line)
-            return Eviction(victim_line, True)
-        return Eviction(victim_line, False)
+            return new_record(Eviction, (victim_line, True))
+        return new_record(Eviction, (victim_line, False))
 
     def invalidate(self, line: int) -> bool:
         """Drop a line if present; returns whether it was present."""

@@ -107,6 +107,8 @@ class DependenceTracker:
         kernel bursts, and other address spaces all advance it).
         ``address=True`` uses the pointer-chasing probability (for
         load/store address operands) instead of the compute one.
+        :meth:`WorkloadGenerator.packed_references` makes the same draws
+        inline; a change here must change it too.
         """
         profile = self.profile
         chains = profile.chains

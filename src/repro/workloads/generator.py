@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.cpu.isa import MicroOp, Op
+from repro.cpu.isa import MAX_DEP_DISTANCE, MicroOp, Op
 from repro.workloads.branches import BranchModel, BranchProfile
 from repro.workloads.deps import DependenceTracker, IlpProfile
 from repro.workloads.regions import Region, RegionAddressModel
@@ -253,28 +253,48 @@ class WorkloadGenerator:
         append = refs.append
         spec = self.spec
         uniform = self._rng.random
+        getrandbits = self._rng.getrandbits
         p_load = spec.load_fraction
         p_store = p_load + spec.store_fraction
         p_branch = p_store + spec.branches.frequency
         seq = 0
 
         for length, _, space in self._stretches():
-            next_srcs = space.deps.next_srcs
+            # The space's chain state, for the inline source draws below.
+            deps = space.deps
+            chain_tail = deps._chain_tail
+            chains = deps.profile.chains
+            chain_bits = deps._chain_bits
+            p_join_address = deps.profile.load_address_dep_probability
+            p_join_compute = deps.profile.dep_probability
             next_address = space.memory.next_address
             draw_branch = space.branches.draw
             end = min(seq + length, instructions)
             for seq in range(seq, end):
                 point = uniform()
                 if point < p_store:
-                    next_srcs(seq, address=True)
-                    append(next_address() << 1 | (point >= p_load))
+                    p_join = p_join_address
                 elif point < p_branch:
                     draw_branch()
+                    continue
                 else:
                     # The compute table and op draws, then the sources.
                     uniform()
                     uniform()
-                    next_srcs(seq)
+                    p_join = p_join_compute
+                # ``DependenceTracker.next_srcs``'s draws, in its order,
+                # without building the sources: the chain, the join and,
+                # when the chain's tail is in range, the cross-chain one.
+                chain = getrandbits(chain_bits)
+                while chain >= chains:
+                    chain = getrandbits(chain_bits)
+                if uniform() < p_join:
+                    tail = chain_tail[chain]
+                    if tail is not None and 1 <= seq - tail <= MAX_DEP_DISTANCE:
+                        uniform()
+                chain_tail[chain] = seq
+                if point < p_store:
+                    append(next_address() << 1 | (point >= p_load))
             if end >= instructions:
                 return refs
             seq = end

@@ -1,15 +1,20 @@
 """Property test: the fast loop equals the reference on hand-made traces.
 
-The figure grids and the perfbench sweeps never make the fast loop's
-idle horizon jump more than one cycle, so nothing else covers those
-jumps.  Short traces with long-latency ops (IDIV 35 cycles, FSQRT 18),
-cold misses over a few conflicting lines and mispredicted branches make
-them, and small windows, load/store queues, widths and functional-unit
-limits stress every stall counter that counts loop iterations.  Each
-case runs on both backends from cold memory systems; the whole
-:class:`SimulationResult` must be equal, ``op_counts`` key order
-included.  Hypothesis prints the falsifying case and a reproduction
-blob on failure.
+On the figure grids and the perfbench sweeps the fast loop's idle
+horizon almost never jumps more than one cycle: an in-flight op has
+nearly always completed already.  Its exact fold of idle stretches does
+jump many cycles there, but the sweeps reach only some of its bounds.
+Short traces with long-latency ops (IDIV 35 cycles, FSQRT 18), cold
+misses over a few conflicting lines behind slow L2 and memory latencies,
+and mispredicted branches make both kinds of jump; small windows,
+load/store queues, widths and functional-unit limits stress every stall
+counter that counts loop iterations, and short watchdog bounds make the
+fold stop at the watchdog's trip cycle.  Each case runs on both backends
+from cold memory systems; the whole :class:`SimulationResult` must be
+equal, ``op_counts`` key order included, or both loops must raise
+:class:`DeadlockError` with the same first line (the stall cycle count).
+Hypothesis prints the falsifying case and a reproduction blob on
+failure.
 """
 
 import dataclasses
@@ -20,7 +25,8 @@ from hypothesis import strategies as st
 from repro.cpu import R10000_FU_LIMITS, MicroOp, Op, OutOfOrderCore, ProcessorConfig
 from repro.kernel import fast, reference
 from repro.kernel.tracecache import TapeReplay
-from repro.memory import MemoryConfig, MemorySystem
+from repro.memory import BacksideConfig, MemoryConfig, MemorySystem
+from repro.robustness.errors import DeadlockError
 
 #: IALU twice, so one-cycle ops stay the most common compute op.
 COMPUTE_OPS = (
@@ -73,6 +79,9 @@ processors = st.builds(
     mispredict_redirect_penalty=st.integers(0, 4),
     store_forwarding=st.booleans(),
     fu_limits=st.sampled_from((None, R10000_FU_LIMITS, TIGHT_FU_LIMITS)),
+    watchdog_stall_cycles=st.one_of(
+        st.integers(16, 400), st.sampled_from((0, 100_000))
+    ),
 )
 
 memories = st.builds(
@@ -80,6 +89,11 @@ memories = st.builds(
     mshrs=st.integers(1, 4),
     line_buffer=st.booleans(),
     l1_hit_cycles=st.integers(1, 3),
+    backside=st.builds(
+        BacksideConfig,
+        l2_hit_cycles=st.integers(1, 120),
+        memory_cycles=st.integers(1, 400),
+    ),
 )
 
 
@@ -110,17 +124,66 @@ FEEDS = {
 def test_fast_loop_equals_reference(ops, cpu, mem, feed, data):
     warmup = data.draw(st.integers(0, len(ops) // 2), label="warmup")
     budget = data.draw(st.integers(1, len(ops) + 8), label="budget")
-    results = {}
-    for name, loop, trace in (
-        ("reference", reference.run_loop, iter(ops)),
-        ("fast", fast.run_loop, FEEDS[feed](ops)),
-    ):
-        core = OutOfOrderCore(cpu, MemorySystem(mem))
-        results[name] = loop(core, trace, budget, warmup_instructions=warmup)
-    expected, actual = (
-        dataclasses.asdict(results[name]) for name in ("reference", "fast")
-    )
+    _assert_same(ops, cpu, mem, budget, warmup, FEEDS[feed])
+
+
+def _outcome(loop, ops, trace, cpu, mem, budget, warmup):
+    """A loop's result as a plain dict, or the first line of its deadlock."""
+    core = OutOfOrderCore(cpu, MemorySystem(mem))
+    try:
+        result = loop(core, trace, budget, warmup_instructions=warmup)
+    except DeadlockError as error:
+        return str(error).splitlines()[0]
+    return dataclasses.asdict(result)
+
+
+def _assert_same(ops, cpu, mem, budget, warmup=0, feed=iter) -> dict:
+    """Run both loops; their outcomes must be equal.  Returns the fast one."""
+    expected = _outcome(reference.run_loop, ops, iter(ops), cpu, mem, budget, warmup)
+    actual = _outcome(fast.run_loop, ops, feed(ops), cpu, mem, budget, warmup)
+    if isinstance(expected, str):
+        assert actual == expected
+        return actual
+    assert not isinstance(actual, str), actual
     assert expected.pop("backend") == "reference"
     assert actual.pop("backend") == "fast"
     assert actual == expected
     assert list(actual["op_counts"]) == list(expected["op_counts"])
+    return actual
+
+
+#: One slow miss: 200 cycles to memory behind the L2 lookup.
+SLOW_MEMORY = MemoryConfig(backside=BacksideConfig(memory_cycles=200))
+
+
+def test_fold_counts_window_full_stalls_behind_a_miss():
+    ops = [MicroOp(Op.LOAD, address=0x40)] + [MicroOp(Op.IALU)] * 40
+    cpu = ProcessorConfig(window_size=8)
+    stats = _assert_same(ops, cpu, SLOW_MEMORY, len(ops))["pipeline"]
+    assert stats["window_full_stalls"] > 50
+
+
+def test_fold_counts_lsq_full_stalls():
+    # The ALU op completes behind the first miss, so the loop steps
+    # cycle by cycle (counting stalls) instead of jumping the horizon.
+    ops = [MicroOp(Op.LOAD, address=0x40), MicroOp(Op.IALU)] + [
+        MicroOp(Op.LOAD, address=0x40 + 0x1000 * n) for n in range(1, 6)
+    ]
+    cpu = ProcessorConfig(lsq_size=2)
+    stats = _assert_same(ops, cpu, SLOW_MEMORY, len(ops))["pipeline"]
+    assert stats["lsq_full_stalls"] > 50
+
+
+def test_fold_counts_mispredict_stalls_behind_a_long_op():
+    # Not-taken branches at fresh pcs, which the cold predictor
+    # mispredicts; each waits on an IDIV (35 cycles) while the ALU op
+    # between them completes.
+    ops = []
+    for pc in range(0x400, 0x410, 4):
+        ops += [
+            MicroOp(Op.IDIV),
+            MicroOp(Op.IALU),
+            MicroOp(Op.BRANCH, (2,), pc=pc, taken=False),
+        ]
+    stats = _assert_same(ops, ProcessorConfig(), MemoryConfig(), len(ops))
+    assert stats["pipeline"]["mispredict_stall_cycles"] > 50
